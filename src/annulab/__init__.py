@@ -19,7 +19,7 @@ from .fem import (
     assemble_stiffness,
     reduce_system,
 )
-from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair, solve_spd
+from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair
 from .spectral import EigenSolution, solve_eigenproblem, write_field_csv, write_field_vtk
 from .symmetrize import (
     RingSampling,
@@ -64,7 +64,7 @@ __all__ = [
     "Mesh", "MeshQualityError", "build_mesh",
     "Field", "ProblemKind", "SparseSymMatrix",
     "assemble_load", "assemble_mass", "assemble_stiffness", "reduce_system",
-    "EigenPair", "SolverConvergenceError", "smallest_eigenpair", "solve_spd",
+    "EigenPair", "SolverConvergenceError", "smallest_eigenpair",
     "EigenSolution", "solve_eigenproblem", "write_field_csv", "write_field_vtk",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
     "sample_rings", "star_polarizers",

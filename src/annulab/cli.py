@@ -72,12 +72,15 @@ def _parse_grid(text: str):
 
 def _parse_ratios(text: str):
     try:
-        return [float(p) for p in text.split(",") if p]
+        ratios = [float(p) for p in text.split(",") if p]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"ratios must be comma-separated floats")
+        raise argparse.ArgumentTypeError("ratios must be comma-separated floats")
+    if not ratios:
+        raise argparse.ArgumentTypeError(f"no ratios in {text!r}")
+    return ratios
 
 
-def _add_common(p, with_s=True):
+def _add_common(p, with_s=True, with_tol=True):
     p.add_argument("--R0", type=float, default=1.0, help="inner radius (default 1)")
     p.add_argument("--R1", type=float, default=5.0, help="outer radius (default 5)")
     if with_s:
@@ -90,10 +93,9 @@ def _add_common(p, with_s=True):
     p.add_argument("--grading", type=float, default=1.5,
                    help="radial grading exponent in [0.5, 2]; >1 refines the "
                         "inner circle (default 1.5)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="eigensolver residual tolerance (default 1e-9)")
-    p.add_argument("--linear-solver", choices=("pcg", "direct"), default="pcg",
-                   help="inner linear solver (default pcg)")
+    if with_tol:
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="eigensolver residual tolerance (default 1e-9)")
     p.add_argument("--out-dir", default="out", help="output directory (default out)")
     p.add_argument("--vtk", action="store_true", help="also write VTK files")
     p.add_argument("--svg", action="store_true", help="also write SVG charts")
@@ -114,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("torsion", help="torsion function and rigidity")
-    _add_common(p)
+    _add_common(p, with_tol=False)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("symmetry-check",
@@ -160,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radial grading exponent (default 1.5)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="eigensolver residual tolerance (default 1e-9)")
-    p.add_argument("--linear-solver", choices=("pcg", "direct"), default="pcg",
-                   help="inner linear solver (default pcg)")
     p.add_argument("--bracket", action="store_true",
                    help="also bisect for the critical ratio")
     p.add_argument("--bracket-width", type=float, default=0.05,
@@ -187,16 +187,13 @@ def _ensure_outdir(args):
 
 
 def _run_params(args):
-    return dict(
-        n_theta=args.n_theta, n_rad=args.n_rad, grading=args.grading,
-        tol=args.tol, linear_solver=args.linear_solver,
-    )
+    return dict(n_theta=args.n_theta, n_rad=args.n_rad, grading=args.grading)
 
 
 def cmd_solve(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
     kind = ProblemKind.parse(args.kind)
-    sol = solve_eigenproblem(d, kind=kind, **_run_params(args))
+    sol = solve_eigenproblem(d, kind=kind, tol=args.tol, **_run_params(args))
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"eig_{kind.value}_s{args.s:g}")
     write_field_csv(sol.u, base + ".csv")
@@ -225,7 +222,7 @@ def cmd_torsion(args) -> int:
 
 def cmd_symmetry_check(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_eigenproblem(d, kind=ProblemKind.ND, **_run_params(args))
+    sol = solve_eigenproblem(d, kind=ProblemKind.ND, tol=args.tol, **_run_params(args))
     report = geometry_report(sol.u, exclusion=args.exclusion)
     rings = sample_rings(sol.u, m=args.ring_samples, n_rings=args.rings)
     star = foliated_schwarz(rings)
@@ -249,13 +246,12 @@ def cmd_symmetry_check(args) -> int:
 
 def cmd_shape_derivative(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_eigenproblem(d, kind=ProblemKind.ND, **_run_params(args))
+    sol = solve_eigenproblem(d, kind=ProblemKind.ND, tol=args.tol, **_run_params(args))
     trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
     fd = finite_difference_tau_prime(
-        d, args.fd_step, args.n_theta, args.n_rad, args.grading,
-        tol=args.tol, linear_solver=args.linear_solver,
+        d, args.fd_step, args.n_theta, args.n_rad, args.grading, tol=args.tol
     )
     print(f"eigenvalue:        {sol.value!r}")
     print(f"boundary integral: {had!r}")
@@ -268,7 +264,7 @@ def cmd_sweep(args) -> int:
     res = Resolution(args.n_theta, args.n_rad, args.grading)
     records = sweep_translation(
         args.R0, args.R1, args.s_grid, resolution=res, fd_step=args.fd_step,
-        tol=args.tol, linear_solver=args.linear_solver, threads=args.threads,
+        tol=args.tol, threads=args.threads,
     )
     _ensure_outdir(args)
     path = os.path.join(args.out_dir, "sweep.csv")
@@ -285,8 +281,7 @@ def cmd_sweep(args) -> int:
 def cmd_dn_analyze(args) -> int:
     res = Resolution(args.n_theta, args.n_rad, args.grading)
     analyses = analyze_dn_family(
-        args.R1, args.ratios, s_points=args.s_points, resolution=res,
-        tol=args.tol, linear_solver=args.linear_solver,
+        args.R1, args.ratios, s_points=args.s_points, resolution=res, tol=args.tol
     )
     payload = {"R1": args.R1, "ratios": []}
     inconclusive = False
@@ -305,7 +300,7 @@ def cmd_dn_analyze(args) -> int:
         lo, hi, _ = bracket_critical_ratio(
             args.R1, min(args.ratios), max(args.ratios),
             width=args.bracket_width, s_points=args.s_points, resolution=res,
-            tol=args.tol, linear_solver=args.linear_solver,
+            tol=args.tol,
         )
         payload["critical_ratio_bracket"] = [lo, hi]
         print(f"critical ratio bracket: [{lo:.4f}, {hi:.4f}]")
@@ -325,8 +320,7 @@ def cmd_converge(args) -> int:
         print(f"radial reference: {reference!r}")
     rows = convergence_study(
         d, kind, levels=args.levels, base=(args.base_n_theta, args.base_n_rad),
-        grading=args.grading, tol=args.tol, linear_solver=args.linear_solver,
-        reference=reference,
+        grading=args.grading, tol=args.tol, reference=reference,
     )
     print("h        n_theta  n_rad   value             order")
     for r in rows:

@@ -1,16 +1,13 @@
-"""Sparse SPD solves and the smallest generalized eigenpair.
+"""Sparse SPD factorization and the smallest generalized eigenpair.
 
-``solve_spd`` is a Jacobi-preconditioned conjugate gradient; the eigenpair
-comes from inverse power iteration on ``K y = M x`` with M-normalization and
-a Rayleigh-quotient stopping rule.  Everything is deterministic: the start
-vector is all ones, there is no randomness, and iterates can optionally be
-projected onto a mirror-symmetric subspace, which keeps the returned vector
-bitwise symmetric.
-
-Inner solves reuse the previous iterate as a warm start and their tolerance
-follows the outer Rayleigh progress down to a 1e-12 floor.  A sparse direct
-factorization backend (``linear_solver="direct"``) is available as an
-alternative to conjugate gradients; both are deterministic.
+Every linear solve in the package goes through :func:`factorize`: one sparse
+LU in symmetric mode, computed once per matrix and reused for every
+right-hand side.  The eigenpair comes from inverse power iteration on
+``K y = M x`` with M-normalization and a Rayleigh-quotient stopping rule.
+Everything is deterministic: the start vector is all ones and there is no
+randomness.  Mirror symmetry is not enforced here; the reduced systems of
+:func:`annulab.fem.reduce_system` are already posed on the symmetric
+functions.
 """
 
 from __future__ import annotations
@@ -22,8 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .fem import SparseSymMatrix
 
-INNER_TOL_START = 1e-6
-INNER_TOL_FLOOR = 1e-12
 RAYLEIGH_RTOL = 1e-12
 
 
@@ -39,69 +34,19 @@ def _as_csr(A):
     return A.csr if isinstance(A, SparseSymMatrix) else A
 
 
-def solve_spd(A, b, tol: float = 1e-10, x0=None, max_iter: int | None = None):
-    """Conjugate gradient with diagonal preconditioning for SPD systems.
+def factorize(A):
+    """Sparse LU of a symmetric positive definite matrix; ``.solve(b)`` solves.
 
-    Stops when ``||A x - b|| <= tol ||b||``; raises
-    :class:`SolverConvergenceError` when the iteration cap is exceeded.
+    Symmetric mode orders by minimum degree on the pattern of ``A + A^T`` and
+    takes diagonal pivots, which is safe for SPD matrices and keeps roughly
+    half the fill of the default column ordering.
     """
-    a = _as_csr(A)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    if max_iter is None:
-        max_iter = max(1000, 40 * n)
-    d = a.diagonal()
-    if np.any(d <= 0.0):
-        raise ValueError("matrix diagonal must be positive for an SPD solve")
-    inv_d = 1.0 / d
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - a @ x
-    z = inv_d * r
-    p = z.copy()
-    rz = float(r @ z)
-    rnorm = float(np.linalg.norm(r))
-    target = tol * bnorm
-    for it in range(max_iter):
-        # a warm start may already satisfy the target, but one step is still
-        # taken so repeated solves keep improving instead of stalling
-        if rnorm == 0.0 or (it > 0 and rnorm <= target):
-            return x
-        ap = a @ p
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
-        z = inv_d * r
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    if rnorm <= target:
-        return x
-    raise SolverConvergenceError("conjugate gradient did not converge", rnorm / bnorm)
-
-
-class _DirectSolver:
-    """Sparse LU factorization backend; factors once, solves many."""
-
-    def __init__(self, A):
-        self._lu = spla.splu(_as_csr(A).tocsc())
-
-    def solve(self, b, tol, x0):
-        return self._lu.solve(np.asarray(b, dtype=float))
-
-
-class _CGSolver:
-    def __init__(self, A):
-        self._a = A
-
-    def solve(self, b, tol, x0):
-        return solve_spd(self._a, b, tol=tol, x0=x0)
+    return spla.splu(
+        _as_csr(A).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
 
 
 @dataclass
@@ -119,48 +64,25 @@ class EigenPair:
     rayleigh_history: tuple = field(default=(), repr=False)
 
 
-def smallest_eigenpair(
-    K,
-    M,
-    tol: float = 1e-9,
-    mirror=None,
-    max_outer: int = 400,
-    linear_solver: str = "pcg",
-) -> EigenPair:
+def smallest_eigenpair(K, M, tol: float = 1e-9, max_outer: int = 400) -> EigenPair:
     """Smallest eigenpair of ``K u = value M u`` by inverse power iteration.
 
-    ``mirror`` is an optional involutive permutation of the unknowns; when
-    given, iterates are averaged with their permuted image, an exact
-    projection that keeps the returned vector bitwise symmetric.
+    ``K`` is factored once; each step is one pair of triangular solves.
+    Raises :class:`SolverConvergenceError` after ``max_outer`` steps.
     """
     k = _as_csr(K)
     m = _as_csr(M)
-    n = k.shape[0]
-    if linear_solver == "direct":
-        inner = _DirectSolver(k)
-    elif linear_solver == "pcg":
-        inner = _CGSolver(k)
-    else:
-        raise ValueError(f"unknown linear_solver {linear_solver!r}")
+    lu = factorize(k)
 
-    def project(v):
-        if mirror is None:
-            return v
-        return 0.5 * (v + v[mirror])
-
-    x = project(np.ones(n))
-    mx = m @ x
-    x = x / np.sqrt(float(x @ mx))
+    x = np.ones(k.shape[0])
+    x = x / np.sqrt(float(x @ (m @ x)))
     rho = float(x @ (k @ x))
     if rho <= 0.0:
         raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
     history = [rho]
-    inner_tol = INNER_TOL_START
     residual = np.inf
-    warm = None
     for it in range(1, max_outer + 1):
-        y = inner.solve(m @ x, tol=inner_tol, x0=warm)
-        y = project(y)
+        y = lu.solve(m @ x)
         my = m @ y
         nrm = np.sqrt(float(y @ my))
         y /= nrm
@@ -174,7 +96,6 @@ def smallest_eigenpair(
         residual = float(np.linalg.norm(ky - rho * my) / np.linalg.norm(my))
         change = abs(rho - rho_prev) / rho
         x = y
-        warm = y / rho
         if change < RAYLEIGH_RTOL and residual <= tol:
             if float(my.sum()) < 0.0:
                 y = -y
@@ -185,7 +106,6 @@ def smallest_eigenpair(
                 iterations=it,
                 rayleigh_history=tuple(history),
             )
-        inner_tol = max(INNER_TOL_FLOOR, min(INNER_TOL_START, 1e-2 * change))
     raise SolverConvergenceError(
         f"inverse iteration did not converge in {max_outer} steps", residual
     )

@@ -1,4 +1,4 @@
-"""P1 assembly of stiffness, mass and load, and Dirichlet elimination.
+"""P1 assembly of stiffness, mass and load, and the reduced systems.
 
 The three boundary configurations share one code path: ``ND`` pins the inner
 circle, ``DN`` the outer one, ``DD`` both.  Dirichlet conditions are imposed
@@ -10,6 +10,13 @@ Assembled operators are made *exactly* symmetric and *exactly* invariant
 under the mesh mirror permutation by averaging with their transpose/mirrored
 images; both averages are exact in floating point because addition is
 commutative and halving is lossless.
+
+The reduction also folds the x2-mirror: a free vertex and its mirror image
+share one unknown.  The first eigenfunctions and the torsion function of a
+domain symmetric about the x1-axis are symmetric (each is the positive
+ground state of a simple eigenvalue, or the unique solution), so the folded
+systems have the same solutions with about half the unknowns, and expanded
+fields are mirror symmetric by construction.
 """
 
 from __future__ import annotations
@@ -43,11 +50,7 @@ class ProblemKind(enum.Enum):
 
 @dataclass
 class SparseSymMatrix:
-    """Symmetric sparse matrix backed by CSR storage.
-
-    The full pattern is kept for fast products; the lower triangle in
-    compressed-row form is available through :meth:`lower_triangle`.
-    """
+    """Symmetric sparse matrix backed by CSR storage."""
 
     csr: sp.csr_matrix
 
@@ -68,25 +71,11 @@ class SparseSymMatrix:
     def __matmul__(self, x):
         return self.csr @ x
 
-    def matvec(self, x):
-        return self.csr @ x
-
     def quadratic_form(self, x) -> float:
         return float(x @ (self.csr @ x))
 
-    def diagonal(self):
-        return self.csr.diagonal()
-
-    def lower_triangle(self):
-        """(row offsets, column indices, values) of the lower triangle."""
-        low = sp.tril(self.csr, format="csr")
-        return low.indptr.copy(), low.indices.copy(), low.data.copy()
-
     def toarray(self):
         return self.csr.toarray()
-
-    def submatrix(self, idx) -> "SparseSymMatrix":
-        return SparseSymMatrix(self.csr[idx][:, idx].tocsr())
 
 
 @dataclass
@@ -152,10 +141,15 @@ def _scatter(mesh: Mesh, local):
     return a
 
 
+def _transpose_average(a) -> sp.csr_matrix:
+    # an exact projection: fl(x + y) = fl(y + x) and the halving is a power
+    # of two
+    return (0.5 * (a + a.T)).tocsr()
+
+
 def _symmetrize(a: sp.csr_matrix, mirror: np.ndarray) -> sp.csr_matrix:
-    # both averages are exact projections: fl(x + y) = fl(y + x) and the
-    # halving is a power of two
-    a = (0.5 * (a + a.T)).tocsr()
+    # the mirror average is exact for the same reason
+    a = _transpose_average(a)
     a = (0.5 * (a + a[mirror][:, mirror])).tocsr()
     a.sort_indices()
     return a
@@ -193,29 +187,22 @@ def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
 
 @dataclass
 class Reduction:
-    """Index map between full vertex vectors and the free (unpinned) subset."""
+    """Index map between full vertex vectors and the reduced unknowns.
+
+    The unknowns are the mirror orbits of the free (unpinned) vertices:
+    ``orbit[k]`` is the unknown of vertex ``free[k]``, shared with its mirror
+    image.  Reduced vectors are the mirror-symmetric functions that vanish on
+    the Dirichlet set.
+    """
 
     free: np.ndarray
+    orbit: np.ndarray
     full_size: int
 
     def expand(self, x: np.ndarray) -> np.ndarray:
+        """Full vertex vector: each orbit value copied to its vertices."""
         out = np.zeros(self.full_size)
-        out[self.free] = x
-        return out
-
-    def restrict(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[self.free]
-
-    def free_permutation(self, full_perm: np.ndarray) -> np.ndarray:
-        """Restriction of a full-vertex permutation to free-index positions.
-
-        Requires the permutation to map the free set onto itself.
-        """
-        pos = np.full(self.full_size, -1)
-        pos[self.free] = np.arange(self.free.size)
-        out = pos[full_perm[self.free]]
-        if np.any(out < 0):
-            raise ValueError("permutation does not preserve the free vertex set")
+        out[self.free] = np.asarray(x)[self.orbit]
         return out
 
 
@@ -226,10 +213,32 @@ def reduce_system(
     mesh: Mesh,
     kind: ProblemKind,
 ):
-    """Eliminate Dirichlet rows/columns; returns (Khat, Mhat, bhat, reduction)."""
+    """Eliminate Dirichlet rows/columns and fold the mirror.
+
+    Returns ``(Khat, Mhat, bhat, reduction)`` with ``Khat = P^T K P``,
+    ``Mhat = P^T M P`` and ``bhat = P^T b``, where ``P`` is the 0/1 matrix of
+    :meth:`Reduction.expand`.  Quadratic forms are preserved:
+    ``x^T Khat x = (P x)^T K (P x)``.
+    """
     pinned = dirichlet_vertices(mesh, kind)
     if pinned.size == 0:
         raise ValueError("empty Dirichlet set: the pure Neumann problem is singular")
-    free = np.setdiff1d(np.arange(mesh.num_vertices), pinned, assume_unique=False)
-    red = Reduction(free=free, full_size=mesh.num_vertices)
-    return K.submatrix(free), M.submatrix(free), np.asarray(b)[free], red
+    n = mesh.num_vertices
+    free = np.setdiff1d(np.arange(n), pinned, assume_unique=False)
+    pos = np.full(n, -1)
+    pos[free] = np.arange(free.size)
+    image = pos[mesh.mirror[free]]
+    if np.any(image < 0):
+        raise ValueError("mirror does not preserve the free vertex set")
+    # an orbit is named by its smaller free position
+    _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
+    P = sp.csr_matrix(
+        (np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1)
+    )
+    Pt = P.T.tocsr()
+
+    def fold(A: SparseSymMatrix) -> SparseSymMatrix:
+        return SparseSymMatrix(_transpose_average(Pt @ A.csr @ P))
+
+    red = Reduction(free=free, orbit=orbit, full_size=n)
+    return fold(K), fold(M), Pt @ np.asarray(b), red

@@ -230,10 +230,9 @@ def finite_difference_tau_prime(
     h: float = 0.05,
     n_theta: int = 256,
     n_rad: int = 64,
-    grading: float = 1.0,
+    grading: float = 1.5,
     kind: ProblemKind = ProblemKind.ND,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
 ) -> float:
     """Central difference of the eigenvalue in the offset, one-sided at s = 0.
 
@@ -251,9 +250,7 @@ def finite_difference_tau_prime(
 
     def tau_at(s):
         dd = AnnularDomain(domain.R0, domain.R1, s)
-        return solve_eigenproblem(
-            dd, n_theta, n_rad, grading, kind, tol=tol, linear_solver=linear_solver
-        ).value
+        return solve_eigenproblem(dd, n_theta, n_rad, grading, kind, tol=tol).value
 
     if domain.s == 0.0:
         # second-order one-sided stencil; the plain forward difference would

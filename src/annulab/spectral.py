@@ -1,9 +1,10 @@
 """Problem-level facade: first eigenpair of a boundary configuration.
 
 Normalization is the discrete L2 inner product (``u^T M u = 1``) and the sign
-is fixed globally so the first eigenfunction is nonnegative.  The returned
-field is exactly mirror symmetric across the x-axis because mesh, assembly
-and iteration all are.
+is fixed globally so the first eigenfunction is nonnegative.  The eigenpair
+is computed on the mirror-folded system of :func:`annulab.fem.reduce_system`,
+so the returned field is exactly mirror symmetric across the x-axis by
+construction.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ def solve_eigenproblem(
     domain: AnnularDomain,
     n_theta: int = 256,
     n_rad: int = 64,
-    grading: float = 1.0,
+    grading: float = 1.5,
     kind: ProblemKind = ProblemKind.ND,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
     mesh: Mesh | None = None,
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``domain`` for the given kind.
@@ -52,13 +52,7 @@ def solve_eigenproblem(
     M = assemble_mass(mesh)
     b = assemble_load(mesh)
     Khat, Mhat, _, red = reduce_system(K, M, b, mesh, kind)
-    pair = smallest_eigenpair(
-        Khat,
-        Mhat,
-        tol=tol,
-        mirror=red.free_permutation(mesh.mirror),
-        linear_solver=linear_solver,
-    )
+    pair = smallest_eigenpair(Khat, Mhat, tol=tol)
     u = Field(red.expand(pair.vector), mesh)
     return EigenSolution(value=pair.value, u=u, mesh=mesh, kind=kind, pair=pair)
 

@@ -50,9 +50,6 @@ class Resolution:
     # permille of finite differences at the default resolution
     grading: float = 1.5
 
-    def refined(self, factor: int = 2) -> "Resolution":
-        return Resolution(self.n_theta * factor, self.n_rad * factor, self.grading)
-
 
 @dataclass
 class SweepRecord:
@@ -80,16 +77,13 @@ class SweepRecord:
 
 
 def _solve_record(
-    R0, R1, s, res: Resolution, fd_step, tol, linear_solver, keep_fields, exclusion
+    R0, R1, s, res: Resolution, fd_step, tol, keep_fields, exclusion
 ) -> SweepRecord:
     d = AnnularDomain(R0, R1, s)
-    common = dict(
-        n_theta=res.n_theta, n_rad=res.n_rad, grading=res.grading,
-        tol=tol, linear_solver=linear_solver,
-    )
-    nd = solve_eigenproblem(d, kind=ProblemKind.ND, **common)
-    dd = solve_eigenproblem(d, kind=ProblemKind.DD, mesh=nd.mesh, **common)
-    dn = solve_eigenproblem(d, kind=ProblemKind.DN, mesh=nd.mesh, **common)
+    common = dict(n_theta=res.n_theta, n_rad=res.n_rad, grading=res.grading)
+    nd = solve_eigenproblem(d, kind=ProblemKind.ND, tol=tol, **common)
+    dd = solve_eigenproblem(d, kind=ProblemKind.DD, tol=tol, mesh=nd.mesh, **common)
+    dn = solve_eigenproblem(d, kind=ProblemKind.DN, tol=tol, mesh=nd.mesh, **common)
     tor = solve_torsion(d, mesh=nd.mesh, **common)
     t_energy, t_integral = torsional_rigidity(tor.v)
 
@@ -100,7 +94,7 @@ def _solve_record(
     h = min(fd_step, room / 8.0 if s == 0.0 else min(s, room) / 4.0)
     fd = finite_difference_tau_prime(
         d, h, res.n_theta, res.n_rad, res.grading,
-        kind=ProblemKind.ND, tol=tol, linear_solver=linear_solver,
+        kind=ProblemKind.ND, tol=tol,
     )
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v, ProblemKind.ND))
 
@@ -126,7 +120,6 @@ def sweep_translation(
     resolution: Resolution | None = None,
     fd_step: float = 0.05,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
     threads: int = 1,
     keep_fields: bool = False,
     exclusion: float | None = None,
@@ -140,9 +133,7 @@ def sweep_translation(
         raise ValueError("s_grid must lie inside [0, R1 - R0)")
 
     def work(s):
-        return _solve_record(
-            R0, R1, s, res, fd_step, tol, linear_solver, keep_fields, exclusion
-        )
+        return _solve_record(R0, R1, s, res, fd_step, tol, keep_fields, exclusion)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -213,11 +204,10 @@ class DNAnalysis:
         return self.classification == "monotone_decreasing"
 
 
-def _nu1(R0, R1, s, res: Resolution, tol, linear_solver) -> float:
+def _nu1(R0, R1, s, res: Resolution, tol) -> float:
     d = AnnularDomain(R0, R1, s)
     return solve_eigenproblem(
-        d, res.n_theta, res.n_rad, res.grading,
-        kind=ProblemKind.DN, tol=tol, linear_solver=linear_solver,
+        d, res.n_theta, res.n_rad, res.grading, kind=ProblemKind.DN, tol=tol
     ).value
 
 
@@ -244,7 +234,6 @@ def analyze_dn_ratio(
     s_points: int = 12,
     resolution: Resolution | None = None,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
 ) -> DNAnalysis:
     """Classify nu1(s) for ``R0 = ratio R1`` on a uniform interior grid.
 
@@ -263,7 +252,7 @@ def analyze_dn_ratio(
     # midpoint grid: uniform over the open interval with end coverage
     # 0.5 dx from either endpoint, where the shallow minimum tends to sit
     grid = (np.arange(s_points) + 0.5) * (width / s_points)
-    nu = np.array([_nu1(R0, R1, s, res, tol, linear_solver) for s in grid])
+    nu = np.array([_nu1(R0, R1, s, res, tol) for s in grid])
 
     diffs = np.diff(nu)
     signs = np.sign(diffs)
@@ -278,7 +267,7 @@ def analyze_dn_ratio(
     lo = grid[max(first_pos - 1, 0)]
     hi = grid[min(first_pos + 1, len(grid) - 1)]
     s0 = _golden_minimize(
-        lambda s: _nu1(R0, R1, s, res, tol, linear_solver), lo, hi, width / 200.0
+        lambda s: _nu1(R0, R1, s, res, tol), lo, hi, width / 200.0
     )
     return DNAnalysis(ratio, "interior_minimum", float(s0), grid, nu)
 
@@ -289,12 +278,8 @@ def analyze_dn_family(
     s_points: int = 12,
     resolution: Resolution | None = None,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
 ) -> list[DNAnalysis]:
-    return [
-        analyze_dn_ratio(R1, r, s_points, resolution, tol, linear_solver)
-        for r in ratios
-    ]
+    return [analyze_dn_ratio(R1, r, s_points, resolution, tol) for r in ratios]
 
 
 def bracket_critical_ratio(
@@ -305,7 +290,6 @@ def bracket_critical_ratio(
     s_points: int = 12,
     resolution: Resolution | None = None,
     tol: float = 1e-9,
-    linear_solver: str = "pcg",
 ):
     """Bisect the ratio axis for the crossover between the two behaviors.
 
@@ -317,11 +301,9 @@ def bracket_critical_ratio(
     analyses = {}
 
     def classify(ratio):
-        a = analyze_dn_ratio(R1, ratio, s_points, resolution, tol, linear_solver)
+        a = analyze_dn_ratio(R1, ratio, s_points, resolution, tol)
         if a.classification == "inconclusive":
-            a = analyze_dn_ratio(
-                R1, ratio, 2 * s_points, resolution, tol, linear_solver
-            )
+            a = analyze_dn_ratio(R1, ratio, 2 * s_points, resolution, tol)
         analyses[ratio] = a
         return a.classification
 
@@ -360,7 +342,6 @@ def convergence_study(
     base: tuple[int, int] = (64, 16),
     grading: float = 1.5,
     tol: float = 1e-10,
-    linear_solver: str = "pcg",
     reference: float | None = None,
 ) -> list[ConvergenceRow]:
     """Eigenvalue at dyadically refined meshes with observed orders.
@@ -376,9 +357,7 @@ def convergence_study(
     for lvl in range(levels):
         nt = base[0] * 2**lvl
         nr = base[1] * 2**lvl
-        val = solve_eigenproblem(
-            domain, nt, nr, grading, kind, tol=tol, linear_solver=linear_solver
-        ).value
+        val = solve_eigenproblem(domain, nt, nr, grading, kind, tol=tol).value
         values.append(val)
         rows.append(ConvergenceRow(1.0 / 2**lvl, nt, nr, val, None, None))
     if reference is not None:

@@ -38,17 +38,17 @@ class Timer:
 def nd_s2_128():
     """ND eigenpair on the workhorse domain at a quick resolution."""
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+    return solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
 
 
 @pytest.fixture(scope="session")
 def nd_s2_256():
     """ND eigenpair on the workhorse domain at the baseline resolution."""
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND, linear_solver="direct")
+    return solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND)
 
 
 @pytest.fixture(scope="session")
 def torsion_s2_128():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_torsion(d, 128, 32, 1.5, linear_solver="direct")
+    return solve_torsion(d, 128, 32, 1.5)

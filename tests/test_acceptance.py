@@ -36,7 +36,7 @@ def sweep_data():
     with Timer() as t:
         records = sweep_translation(
             R0, R1, S_GRID, resolution=BASE, fd_step=0.05, tol=1e-9,
-            linear_solver="pcg", keep_fields=True, exclusion=EXCLUSION,
+            keep_fields=True, exclusion=EXCLUSION,
         )
     return records, t.seconds
 
@@ -56,7 +56,7 @@ def test_criterion_1_concentric_validation():
                 oracle = concentric_eigenvalue(kind, R0, r1)
                 rows = convergence_study(
                     AnnularDomain(R0, r1, 0.0), kind, levels=3, base=(64, 16),
-                    grading=BASE.grading, tol=1e-10, linear_solver="direct",
+                    grading=BASE.grading, tol=1e-10,
                     reference=oracle,
                 )
                 rel = abs(rows[-1].value - oracle) / oracle
@@ -115,8 +115,7 @@ def test_criterion_5_geometry_suite(sweep_data, ring_samplings):
         rings = ring_samplings[r.s]
         assert deviation(rings, foliated_schwarz(rings)) <= 0.02, r.s
     coarse = solve_eigenproblem(AnnularDomain(R0, R1, 2.0), 128, 32,
-                                BASE.grading, ProblemKind.ND,
-                                linear_solver="direct")
+                                BASE.grading, ProblemKind.ND)
     rings_c = sample_rings(coarse.u, m=RING_M, n_rings=RING_N)
     dev_c = deviation(rings_c, foliated_schwarz(rings_c))
     rings_f = ring_samplings[2.0]
@@ -159,7 +158,7 @@ def test_criterion_7_torsion(sweep_data):
             assert abs(t_energy - t_integral) <= 1e-10 * t_integral, r.s
         # concentric profile and rigidity against the closed form
         conc = solve_torsion(AnnularDomain(R0, 2.0, 0.0), BASE.n_theta,
-                             BASE.n_rad, BASE.grading, linear_solver="direct")
+                             BASE.n_rad, BASE.grading)
         profile, t0_ref = concentric_torsion(R0, 2.0)
         rr = np.clip(np.hypot(*conc.mesh.vertices.T), R0, 2.0)
         err = np.abs(conc.v.values - profile(rr)).max()
@@ -176,7 +175,7 @@ def test_criterion_7_torsion(sweep_data):
         # finite-difference agreement at s = 2
         fd = finite_difference_rigidity_prime(
             AnnularDomain(R0, R1, 2.0), 0.05, BASE.n_theta, BASE.n_rad,
-            BASE.grading, linear_solver="direct",
+            BASE.grading,
         )
         rec2 = next(r for r in records if r.s == 2.0)
         assert rec2.dT_boundary == pytest.approx(fd, rel=0.05)

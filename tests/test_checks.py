@@ -54,7 +54,7 @@ def test_report_linear_counterexample(nd_s2_128):
 
 def test_report_concentric_degenerate():
     d = AnnularDomain(1.0, 5.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
     rep = geometry_report(sol.u)
     assert rep.all_passed, {n: c.detail for n, c in rep.checks.items() if not c.passed}
     assert "concentric" in rep.checks["outer_axial"].detail
@@ -72,8 +72,8 @@ def test_outer_axial_derivative_on_radial_profile():
 
 def test_violation_counts_nonincreasing_under_refinement():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    coarse = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
-    fine = solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND, linear_solver="direct")
+    coarse = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
+    fine = solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND)
     rc = geometry_report(coarse.u)
     rf = geometry_report(fine.u)
     for name in rc.violation_counts:

@@ -2,7 +2,7 @@ import json
 
 from annulab.cli import main
 
-FAST = ["--n-theta", "32", "--n-rad", "6", "--linear-solver", "direct"]
+FAST = ["--n-theta", "32", "--n-rad", "6"]
 
 
 def run(argv, capsys):
@@ -58,7 +58,7 @@ def test_torsion(tmp_path, capsys):
 def test_shape_derivative(capsys):
     code, out, _ = run(
         ["shape-derivative", "--R0", "1", "--R1", "5", "--s", "2",
-         "--n-theta", "64", "--n-rad", "16", "--linear-solver", "direct"],
+         "--n-theta", "64", "--n-rad", "16"],
         capsys,
     )
     assert code == 0
@@ -68,7 +68,7 @@ def test_shape_derivative(capsys):
 
 def test_sweep_and_determinism(tmp_path, capsys):
     args = ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "0.5:1:2.5",
-            "--n-theta", "48", "--n-rad", "8", "--linear-solver", "direct",
+            "--n-theta", "48", "--n-rad", "8",
             "--threads", "1"]
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -84,7 +84,7 @@ def test_sweep_and_determinism(tmp_path, capsys):
 def test_sweep_grid_parsing(tmp_path, capsys):
     code, out, _ = run(
         ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "1:2:3",
-         "--n-theta", "48", "--n-rad", "8", "--linear-solver", "direct",
+         "--n-theta", "48", "--n-rad", "8",
          "--out-dir", str(tmp_path)],
         capsys,
     )
@@ -97,7 +97,7 @@ def test_symmetry_check(tmp_path, capsys):
     code, out, _ = run(
         ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
          "--n-theta", "64", "--n-rad", "16", "--rings", "16",
-         "--ring-samples", "64", "--linear-solver", "direct",
+         "--ring-samples", "64",
          "--out-dir", str(tmp_path)],
         capsys,
     )
@@ -111,7 +111,7 @@ def test_converge(capsys):
     code, out, _ = run(
         ["converge", "--R0", "1", "--R1", "2", "--s", "0", "--kind", "nd",
          "--levels", "3", "--base-n-theta", "16", "--base-n-rad", "4",
-         "--grading", "1.0", "--linear-solver", "direct"],
+         "--grading", "1.0"],
         capsys,
     )
     assert code == 0
@@ -122,7 +122,7 @@ def test_converge(capsys):
 def test_dn_analyze(tmp_path, capsys):
     code, out, _ = run(
         ["dn-analyze", "--R1", "5", "--ratios", "0.6", "--s-points", "12",
-         "--n-theta", "48", "--n-rad", "8", "--linear-solver", "direct",
+         "--n-theta", "48", "--n-rad", "8",
          "--out-dir", str(tmp_path)],
         capsys,
     )
@@ -131,10 +131,18 @@ def test_dn_analyze(tmp_path, capsys):
     assert payload["ratios"][0]["classification"] == "monotone_decreasing"
 
 
+def test_dn_analyze_rejects_empty_ratio_list(tmp_path, capsys):
+    code, _, err = run(
+        ["dn-analyze", "--ratios", ",", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert "ratios" in err
+    assert not (tmp_path / "dn_analysis.json").exists()
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_theta": 32, "n_rad": 6, "linear_solver": "direct",
-                               "out_dir": str(tmp_path)}))
+    cfg.write_text(json.dumps({"n_theta": 32, "n_rad": 6, "out_dir": str(tmp_path)}))
     code, out, _ = run(
         ["--config", str(cfg), "solve", "--R0", "1", "--R1", "2", "--s", "0.4"],
         capsys,

@@ -2,48 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from annulab.eigensolver import (
-    SolverConvergenceError,
-    smallest_eigenpair,
-    solve_spd,
-)
+from annulab.eigensolver import SolverConvergenceError, smallest_eigenpair
 
 
-def test_solve_identity():
-    A = sp.eye(7, format="csr")
-    b = np.arange(7, dtype=float)
-    assert np.allclose(solve_spd(A, b, tol=1e-14), b, atol=1e-13)
-
-
-def test_solve_diagonal():
-    A = sp.diags(np.arange(1.0, 6.0)).tocsr()
-    x = solve_spd(A, np.ones(5), tol=1e-14)
-    assert np.allclose(x, 1.0 / np.arange(1.0, 6.0), atol=1e-13)
-
-
-def test_solve_random_spd_vs_dense_oracle():
-    rng = np.random.default_rng(42)
-    B = rng.standard_normal((50, 50))
-    A = B @ B.T + 50.0 * np.eye(50)
-    b = rng.standard_normal(50)
-    # dense Cholesky oracle
-    L = np.linalg.cholesky(A)
-    want = np.linalg.solve(L.T, np.linalg.solve(L, b))
-    got = solve_spd(sp.csr_matrix(A), b, tol=1e-12)
-    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-
-
-def test_solve_zero_rhs():
-    A = sp.eye(4, format="csr")
-    assert np.array_equal(solve_spd(A, np.zeros(4)), np.zeros(4))
-
-
-def test_solve_iteration_cap():
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((30, 30))
-    A = sp.csr_matrix(B @ B.T + 30 * np.eye(30))
+def test_eigen_iteration_cap():
+    n = 30
+    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
+                 [0, -1, 1]).tocsr()
+    M = sp.eye(n, format="csr")
     with pytest.raises(SolverConvergenceError) as exc:
-        solve_spd(A, np.ones(30), tol=1e-14, max_iter=1)
+        smallest_eigenpair(K, M, max_outer=1)
     assert exc.value.residual > 0
 
 
@@ -109,25 +77,3 @@ def test_eigen_deterministic():
     b = smallest_eigenpair(K, M)
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
-
-
-def test_eigen_direct_backend_matches_pcg():
-    n = 30
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.diags(1.0 + 0.05 * np.arange(n)).tocsr()
-    a = smallest_eigenpair(K, M, tol=1e-11, linear_solver="pcg")
-    b = smallest_eigenpair(K, M, tol=1e-11, linear_solver="direct")
-    assert a.value == pytest.approx(b.value, rel=1e-11)
-
-
-def test_eigen_mirror_projection():
-    # palindromic tridiagonal: the ground state is symmetric; with the
-    # projection the returned vector is bitwise palindromic
-    n = 16
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.eye(n, format="csr")
-    mirror = np.arange(n)[::-1].copy()
-    pair = smallest_eigenpair(K, M, mirror=mirror)
-    assert np.array_equal(pair.vector, pair.vector[mirror])

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from annulab.geometry import AnnularDomain
 from annulab.mesh import build_mesh
@@ -13,6 +16,8 @@ from annulab.fem import (
     p1_local_matrices,
     reduce_system,
 )
+from annulab.spectral import solve_eigenproblem
+from annulab.torsion import solve_torsion
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -82,22 +87,6 @@ def test_symmetry_and_mirror_invariance(assembled):
     assert np.array_equal(b, b[mesh.mirror])
 
 
-def test_lower_triangle_storage(assembled):
-    _, K, _, _ = assembled
-    indptr, indices, data = K.lower_triangle()
-    n = K.dimension
-    assert indptr.shape == (n + 1,)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    assert np.all(indices <= rows)
-    assert np.all(np.abs(data) >= 1e-300)
-    full = K.toarray()
-    dense_low = np.tril(full)
-    import scipy.sparse as sp
-
-    low = sp.csr_matrix((data, indices, indptr), shape=(n, n)).toarray()
-    assert np.array_equal(low, dense_low)
-
-
 def test_field_validation(assembled):
     mesh, _, _, _ = assembled
     with pytest.raises(ValueError):
@@ -119,13 +108,18 @@ def test_dirichlet_vertex_counts():
 def test_reduce_counts_and_expand(assembled):
     mesh, K, M, b = assembled
     Khat, Mhat, bhat, red = reduce_system(K, M, b, mesh, ProblemKind.ND)
-    n_pin = mesh.n_theta
-    assert Khat.dimension == mesh.num_vertices - n_pin
-    assert bhat.shape == (mesh.num_vertices - n_pin,)
-    x = np.arange(red.free.size, dtype=float)
+    n_free = mesh.num_vertices - mesh.n_theta
+    assert red.free.size == n_free
+    # one unknown per mirror orbit: pairs plus the vertices on the x1-axis
+    n_fixed = int(np.count_nonzero(mesh.mirror[red.free] == red.free))
+    assert Khat.dimension == (n_free + n_fixed) // 2
+    assert bhat.shape == (Khat.dimension,)
+    assert bhat.sum() == pytest.approx(b[red.free].sum(), rel=1e-12)
+    x = np.arange(Khat.dimension, dtype=float)
     full = red.expand(x)
     assert full.shape == (mesh.num_vertices,)
-    assert np.array_equal(red.restrict(full), x)
+    assert np.array_equal(full, full[mesh.mirror])
+    assert np.array_equal(np.unique(full[red.free]), x)
     assert np.all(full[dirichlet_vertices(mesh, ProblemKind.ND)] == 0.0)
 
 
@@ -148,7 +142,7 @@ def test_reduced_quadratic_form_matches_full(assembled):
     rng = np.random.default_rng(0)
     for kind in ProblemKind:
         Khat, Mhat, _, red = reduce_system(K, M, b, mesh, kind)
-        w_hat = rng.standard_normal(red.free.size)
+        w_hat = rng.standard_normal(Khat.dimension)
         w = red.expand(w_hat)
         assert Khat.quadratic_form(w_hat) == pytest.approx(
             K.quadratic_form(w), rel=1e-12
@@ -168,11 +162,27 @@ def test_assembly_bit_deterministic():
     assert np.array_equal(K1.csr.indptr, K2.csr.indptr)
 
 
-def test_free_permutation_requires_invariance(assembled):
+def test_mirror_orbits_require_invariance(assembled):
     mesh, K, M, b = assembled
     _, _, _, red = reduce_system(K, M, b, mesh, ProblemKind.ND)
-    perm = red.free_permutation(mesh.mirror)
-    assert np.array_equal(np.sort(perm), np.arange(red.free.size))
+    assert np.array_equal(np.unique(red.orbit), np.arange(red.orbit.max() + 1))
     bad = np.roll(np.arange(mesh.num_vertices), 1)
     with pytest.raises(ValueError):
-        red.free_permutation(bad)
+        reduce_system(K, M, b, dataclasses.replace(mesh, mirror=bad), ProblemKind.ND)
+
+
+def test_half_space_matches_full_free_space_dense_oracle():
+    d = AnnularDomain(1.0, 5.0, 2.0)
+    mesh = build_mesh(d, 32, 6, grading=1.5)
+    K, M, b = assemble_stiffness(mesh), assemble_mass(mesh), assemble_load(mesh)
+    for kind in ProblemKind:
+        free = reduce_system(K, M, b, mesh, kind)[3].free
+        Kf = K.toarray()[np.ix_(free, free)]
+        Mf = M.toarray()[np.ix_(free, free)]
+        want = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)[0]
+        got = solve_eigenproblem(d, 32, 6, 1.5, kind, mesh=mesh).value
+        assert got == pytest.approx(want, rel=1e-10), kind
+    free = reduce_system(K, M, b, mesh, ProblemKind.ND)[3].free
+    want = np.linalg.solve(K.toarray()[np.ix_(free, free)], b[free])
+    got = solve_torsion(d, 32, 6, 1.5, mesh=mesh).v.values[free]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -41,7 +41,7 @@ def test_trace_requires_vanishing_values():
 
 def test_trace_concentric_constant_and_negative():
     d = AnnularDomain(1.0, 2.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
     trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
     assert np.all(trace.dudn < 0.0)
     spread = trace.dudn.max() - trace.dudn.min()
@@ -79,7 +79,7 @@ def test_derivative_negative_and_fd_agreement(nd_s2_128):
     trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
     had = hadamard_tau_prime(trace)
     assert had < 0.0
-    fd = finite_difference_tau_prime(d, 0.05, 128, 32, 1.5, linear_solver="direct")
+    fd = finite_difference_tau_prime(d, 0.05, 128, 32, 1.5)
     assert had == pytest.approx(fd, rel=0.05)
 
 
@@ -109,7 +109,7 @@ def test_eulerian_translation_matches_boundary_integral(nd_s2_128):
 
 def test_eulerian_dilation_scaling():
     d = AnnularDomain(1.0, 5.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
     V = dilation_field(sol.mesh)
     eul = eulerian_derivative(sol.u, sol.value, V)
     # scaling law: the eigenvalue of the dilated annulus is value / t^2
@@ -117,9 +117,9 @@ def test_eulerian_dilation_scaling():
     # explicit re-solve at radii scaled by (1 +- h)
     h = 0.01
     up = solve_eigenproblem(AnnularDomain(1.0 * (1 + h), 5.0 * (1 + h), 0.0),
-                            128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+                            128, 32, 1.5, ProblemKind.ND)
     dn = solve_eigenproblem(AnnularDomain(1.0 * (1 - h), 5.0 * (1 - h), 0.0),
-                            128, 32, 1.5, ProblemKind.ND, linear_solver="direct")
+                            128, 32, 1.5, ProblemKind.ND)
     fd = (up.value - dn.value) / (2 * h)
     assert eul == pytest.approx(fd, rel=0.05)
 
@@ -145,7 +145,7 @@ def test_fd_richardson_order():
     # tested where the third derivative is large enough to dominate
     d = AnnularDomain(1.0, 5.0, 0.8)
     fds = [
-        finite_difference_tau_prime(d, h, 128, 32, 1.5, linear_solver="direct")
+        finite_difference_tau_prime(d, h, 128, 32, 1.5)
         for h in (0.2, 0.1, 0.05)
     ]
     ratio = (fds[0] - fds[1]) / (fds[1] - fds[2])

@@ -36,7 +36,7 @@ def test_value_is_rayleigh_quotient(concentric_solution):
 
 def test_exact_lattice_mirror_symmetry():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    sol = solve_eigenproblem(d, 64, 16, 1.5, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 64, 16, 1.5, ProblemKind.ND)
     u = sol.u.values
     lat = sol.mesh.lattice
     n = sol.mesh.n_theta
@@ -46,23 +46,23 @@ def test_exact_lattice_mirror_symmetry():
 
 def test_peak_location_eccentric():
     d = AnnularDomain(1.0, 5.0, 3.0)
-    sol = solve_eigenproblem(d, 96, 24, 1.5, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 96, 24, 1.5, ProblemKind.ND)
     peak = sol.mesh.vertices[np.argmax(sol.u.values)]
     assert np.hypot(peak[0] + 5.0, peak[1]) < 0.4
 
 
 def test_mixed_below_dirichlet_same_mesh():
     d = AnnularDomain(1.0, 5.0, 1.0)
-    nd = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.ND, linear_solver="direct")
+    nd = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.ND)
     dd = solve_eigenproblem(
-        d, 64, 16, 1.0, ProblemKind.DD, linear_solver="direct", mesh=nd.mesh
+        d, 64, 16, 1.0, ProblemKind.DD, mesh=nd.mesh
     )
     assert nd.value < dd.value
 
 
 def test_dirichlet_values_pinned():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    sol = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.DD, linear_solver="direct")
+    sol = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.DD)
     inner = sol.u.values[sol.mesh.lattice[:, 0]]
     outer = sol.u.values[sol.mesh.lattice[:, sol.mesh.n_rad]]
     assert np.all(inner == 0.0)
@@ -72,14 +72,14 @@ def test_dirichlet_values_pinned():
 def test_mesh_domain_mismatch_rejected():
     d1 = AnnularDomain(1.0, 5.0, 2.0)
     d2 = AnnularDomain(1.0, 5.0, 1.0)
-    sol = solve_eigenproblem(d1, 32, 6, 1.0, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d1, 32, 6, 1.0, ProblemKind.ND)
     with pytest.raises(ValueError):
         solve_eigenproblem(d2, 32, 6, 1.0, ProblemKind.ND, mesh=sol.mesh)
 
 
 def test_field_exports(tmp_path):
     d = AnnularDomain(1.0, 2.0, 0.5)
-    sol = solve_eigenproblem(d, 32, 6, 1.0, ProblemKind.ND, linear_solver="direct")
+    sol = solve_eigenproblem(d, 32, 6, 1.0, ProblemKind.ND)
     csv = tmp_path / "f.csv"
     vtk = tmp_path / "f.vtk"
     write_field_csv(sol.u, csv)

@@ -25,7 +25,7 @@ QUICK = Resolution(128, 32, 1.5)
 @pytest.fixture(scope="module")
 def short_sweep():
     return sweep_translation(
-        1.0, 5.0, [0.0, 1.2, 2.4, 3.4], resolution=QUICK, linear_solver="direct"
+        1.0, 5.0, [0.0, 1.2, 2.4, 3.4], resolution=QUICK
     )
 
 
@@ -55,10 +55,9 @@ def test_sweep_grid_validation():
 
 def test_sweep_threading_matches_serial():
     grid = [0.5, 1.5]
-    serial = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
-                               linear_solver="direct")
+    serial = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5))
     threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
-                                 linear_solver="direct", threads=2)
+                                 threads=2)
     for a, b in zip(serial, threaded):
         assert a.tau1 == b.tau1
         assert a.dtau_hadamard == b.dtau_hadamard
@@ -87,7 +86,7 @@ def test_convergence_study_against_oracle():
     d = AnnularDomain(1.0, 2.0, 0.0)
     ref = concentric_eigenvalue(ProblemKind.ND, 1.0, 2.0)
     rows = convergence_study(d, ProblemKind.ND, levels=3, base=(32, 8),
-                             grading=1.0, linear_solver="direct", reference=ref)
+                             grading=1.0, reference=ref)
     assert rows[-1].observed_order == pytest.approx(2.0, abs=0.3)
     values = [r.value for r in rows]
     assert values[0] >= values[1] >= values[2] >= ref - 1e-10
@@ -98,13 +97,12 @@ def test_convergence_study_against_oracle():
 def test_convergence_study_without_reference():
     d = AnnularDomain(1.0, 2.0, 0.4)
     rows = convergence_study(d, ProblemKind.ND, levels=3, base=(32, 8),
-                             grading=1.0, linear_solver="direct")
+                             grading=1.0)
     assert rows[-1].observed_order == pytest.approx(2.0, abs=0.5)
 
 
 def test_dn_monotone_ratio():
-    a = analyze_dn_ratio(5.0, 0.6, s_points=12, resolution=QUICK,
-                         linear_solver="direct")
+    a = analyze_dn_ratio(5.0, 0.6, s_points=12, resolution=QUICK)
     assert a.classification == "monotone_decreasing"
     assert a.monotone_decreasing
     assert a.s0 is None
@@ -112,8 +110,7 @@ def test_dn_monotone_ratio():
 
 
 def test_dn_interior_minimum_ratio():
-    a = analyze_dn_ratio(5.0, 0.1, s_points=12, resolution=QUICK,
-                         linear_solver="direct")
+    a = analyze_dn_ratio(5.0, 0.1, s_points=12, resolution=QUICK)
     assert a.classification == "interior_minimum"
     assert 0.0 < a.s0 <= 4.5
 
@@ -124,5 +121,4 @@ def test_dn_validation():
     with pytest.raises(ValueError):
         analyze_dn_ratio(5.0, 0.5, s_points=2, resolution=QUICK)
     with pytest.raises(ValueError):
-        bracket_critical_ratio(5.0, 0.5, 0.6, s_points=12, resolution=QUICK,
-                               linear_solver="direct")
+        bracket_critical_ratio(5.0, 0.5, 0.6, s_points=12, resolution=QUICK)

@@ -219,10 +219,10 @@ def test_other_boundary_configurations_symmetric_arrangement():
     from annulab.spectral import solve_eigenproblem
 
     d = AnnularDomain(1.0, 5.0, 2.0)
-    dn = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DN, linear_solver="direct")
+    dn = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DN)
     rs = sample_rings(dn.u, m=128, n_rings=32, center="inner")
     assert deviation(rs, foliated_schwarz(rs)) <= 0.02
-    dd = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DD, linear_solver="direct")
+    dd = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DD)
     for center in ("origin", "inner"):
         r = sample_rings(dd.u, m=128, n_rings=32, center=center)
         assert deviation(r, foliated_schwarz(r)) <= 0.02

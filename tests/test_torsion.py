@@ -15,8 +15,7 @@ from annulab.torsion import (
 
 @pytest.fixture(scope="module")
 def concentric12():
-    return solve_torsion(AnnularDomain(1.0, 2.0, 0.0), 128, 32, 1.5,
-                         linear_solver="direct")
+    return solve_torsion(AnnularDomain(1.0, 2.0, 0.0), 128, 32, 1.5)
 
 
 def test_energy_integral_identity(concentric12, torsion_s2_128):
@@ -63,8 +62,7 @@ def test_rigidity_derivative_signs(concentric12, torsion_s2_128):
 def test_rigidity_derivative_fd_agreement(torsion_s2_128):
     d = torsion_s2_128.mesh.domain
     boundary = rigidity_derivative(torsion_trace(torsion_s2_128.v))
-    fd = finite_difference_rigidity_prime(d, 0.05, 128, 32, 1.5,
-                                          linear_solver="direct")
+    fd = finite_difference_rigidity_prime(d, 0.05, 128, 32, 1.5)
     assert boundary == pytest.approx(fd, rel=0.05)
 
 
