@@ -8,17 +8,9 @@ derivative of the first eigenvalue in the offset ``s`` by three independent
 routes.
 """
 
-from .geometry import AnnularDomain, Cap, DomainError, Polarizer, polar_angle
+from .geometry import AnnularDomain, DomainError, Polarizer
 from .mesh import Mesh, MeshQualityError, build_mesh
-from .fem import (
-    Field,
-    ProblemKind,
-    SparseSymMatrix,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    reduce_system,
-)
+from .fem import Discretization, Field, ProblemKind
 from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair
 from .spectral import EigenSolution, solve_eigenproblem, write_field_csv, write_field_vtk
 from .symmetrize import (
@@ -60,10 +52,9 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnularDomain", "Cap", "DomainError", "Polarizer", "polar_angle",
+    "AnnularDomain", "DomainError", "Polarizer",
     "Mesh", "MeshQualityError", "build_mesh",
-    "Field", "ProblemKind", "SparseSymMatrix",
-    "assemble_load", "assemble_mass", "assemble_stiffness", "reduce_system",
+    "Discretization", "Field", "ProblemKind",
     "EigenPair", "SolverConvergenceError", "smallest_eigenpair",
     "EigenSolution", "solve_eigenproblem", "write_field_csv", "write_field_vtk",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",

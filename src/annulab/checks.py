@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .export import write_json
-from .fem import Field
+from .fem import Field, p1_gradient
 from .geometry import Polarizer
 from .mesh import Mesh
 
@@ -69,16 +69,7 @@ def recover_gradient(u: Field) -> GradientField:
     Exact for globally linear fields; O(h) accurate at interior vertices.
     """
     mesh = u.mesh
-    p = mesh.vertices[mesh.triangles]
-    x = p[..., 0]
-    y = p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = mesh.areas
-    vals = u.values[mesh.triangles]  # (nt, 3)
-    # P1 gradient = sum_k u_k (b_k, c_k) / (2 area)
-    gx_tri = np.einsum("ij,ij->i", vals, b) / (2.0 * area)
-    gy_tri = np.einsum("ij,ij->i", vals, c) / (2.0 * area)
+    gx_tri, gy_tri, area = p1_gradient(u)
     num = np.zeros((mesh.num_vertices, 2))
     den = np.zeros(mesh.num_vertices)
     flat = mesh.triangles.ravel()

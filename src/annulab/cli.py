@@ -21,6 +21,7 @@ from .export import write_json
 from .fem import ProblemKind
 from .geometry import AnnularDomain, DomainError
 from .mesh import MeshQualityError
+from .radial_oracle import concentric_eigenvalue
 from .shape import (
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
@@ -32,7 +33,6 @@ from .sweep import (
     Resolution,
     analyze_dn_family,
     bracket_critical_ratio,
-    concentric_reference,
     convergence_study,
     monotonicity_violations,
     richardson_limit,
@@ -214,7 +214,7 @@ def cmd_torsion(args) -> int:
     write_field_csv(sol.v, base + ".csv")
     if args.vtk:
         write_field_vtk(sol.v, base + ".vtk", name="v")
-    print(f"torsional rigidity (s={args.s:g}): {t_integral!r}")
+    print(f"torsional rigidity (s={args.s:g}): {sol.T!r}")
     print(f"energy/integral mismatch: {abs(t_energy - t_integral) / t_integral:.3e}")
     print(f"field written to {base}.csv")
     return EXIT_OK
@@ -316,7 +316,7 @@ def cmd_converge(args) -> int:
     kind = ProblemKind.parse(args.kind)
     reference = None
     if args.s == 0.0:
-        reference = concentric_reference(kind, args.R0, args.R1)
+        reference = concentric_eigenvalue(kind, args.R0, args.R1)
         print(f"radial reference: {reference!r}")
     rows = convergence_study(
         d, kind, levels=args.levels, base=(args.base_n_theta, args.base_n_rad),

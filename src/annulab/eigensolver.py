@@ -1,13 +1,13 @@
 """Sparse SPD factorization and the smallest generalized eigenpair.
 
 Every linear solve in the package goes through :func:`factorize`: one sparse
-LU in symmetric mode, computed once per matrix and reused for every
-right-hand side.  The eigenpair comes from inverse power iteration on
-``K y = M x`` with M-normalization and a Rayleigh-quotient stopping rule.
-Everything is deterministic: the start vector is all ones and there is no
-randomness.  Mirror symmetry is not enforced here; the reduced systems of
-:func:`annulab.fem.reduce_system` are already posed on the symmetric
-functions.
+LU in symmetric mode, computed once per matrix by
+:class:`annulab.fem.Discretization` and reused for every right-hand side.
+The eigenpair comes from inverse power iteration on ``K y = M x`` with
+M-normalization and a Rayleigh-quotient stopping rule.  Everything is
+deterministic: the start vector is all ones and there is no randomness.
+Mirror symmetry is not enforced here; the reduced systems are already posed
+on the symmetric functions.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-
-from .fem import SparseSymMatrix
 
 RAYLEIGH_RTOL = 1e-12
 
@@ -30,10 +28,6 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _as_csr(A):
-    return A.csr if isinstance(A, SparseSymMatrix) else A
-
-
 def factorize(A):
     """Sparse LU of a symmetric positive definite matrix; ``.solve(b)`` solves.
 
@@ -42,7 +36,7 @@ def factorize(A):
     half the fill of the default column ordering.
     """
     return spla.splu(
-        _as_csr(A).tocsc(),
+        A.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -64,16 +58,15 @@ class EigenPair:
     rayleigh_history: tuple = field(default=(), repr=False)
 
 
-def smallest_eigenpair(K, M, tol: float = 1e-9, max_outer: int = 400) -> EigenPair:
-    """Smallest eigenpair of ``K u = value M u`` by inverse power iteration.
+def smallest_eigenpair(
+    k, m, lu: spla.SuperLU, tol: float = 1e-9, max_outer: int = 400
+) -> EigenPair:
+    """Smallest eigenpair of ``k u = value m u`` by inverse power iteration.
 
-    ``K`` is factored once; each step is one pair of triangular solves.
-    Raises :class:`SolverConvergenceError` after ``max_outer`` steps.
+    ``lu`` is the :func:`factorize` LU of ``k``; each step is one pair of
+    triangular solves with it.  Raises :class:`SolverConvergenceError` after
+    ``max_outer`` steps.
     """
-    k = _as_csr(K)
-    m = _as_csr(M)
-    lu = factorize(k)
-
     x = np.ones(k.shape[0])
     x = x / np.sqrt(float(x @ (m @ x)))
     rho = float(x @ (k @ x))

@@ -1,4 +1,7 @@
-"""P1 assembly of stiffness, mass and load, and the reduced systems.
+"""P1 discretization: one :class:`Discretization` per mesh.
+
+A discretization assembles the stiffness, mass and load of its mesh once and
+builds, per boundary configuration, the reduced system and its one sparse LU.
 
 The three boundary configurations share one code path: ``ND`` pins the inner
 circle, ``DN`` the outer one, ``DD`` both.  Dirichlet conditions are imposed
@@ -26,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from .eigensolver import factorize
 from .mesh import Mesh
 
 # explicit stored values smaller than this are pruned after assembly
@@ -46,36 +51,6 @@ class ProblemKind(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             raise ValueError(f"unknown problem kind {name!r}; expected nd, dn or dd")
-
-
-@dataclass
-class SparseSymMatrix:
-    """Symmetric sparse matrix backed by CSR storage."""
-
-    csr: sp.csr_matrix
-
-    def __post_init__(self):
-        a = self.csr.tocsr()
-        if a.nnz:
-            a.data[np.abs(a.data) < ZERO_PRUNE] = 0.0
-            a.eliminate_zeros()
-        diff = a - a.T
-        if diff.nnz and np.abs(diff.data).max() > 0.0:
-            raise ValueError("matrix is not symmetric")
-        self.csr = a
-
-    @property
-    def dimension(self) -> int:
-        return self.csr.shape[0]
-
-    def __matmul__(self, x):
-        return self.csr @ x
-
-    def quadratic_form(self, x) -> float:
-        return float(x @ (self.csr @ x))
-
-    def toarray(self):
-        return self.csr.toarray()
 
 
 @dataclass
@@ -109,6 +84,22 @@ def _p1_geometry(coords: np.ndarray):
         y[:, 1] - y[:, 0]
     )
     return b, c, 0.5 * area2
+
+
+def p1_gradient(u: Field, tids=slice(None)):
+    """Constant P1 gradient of ``u`` on the triangles ``tids``.
+
+    Returns ``(gx, gy, area)``; the gradient is ``sum_k u_k (b_k, c_k) /
+    (2 area)`` with the shape-function coefficients of the assembly, and
+    ``area`` equals ``mesh.areas`` bit for bit.
+    """
+    mesh = u.mesh
+    tri = mesh.triangles[tids]
+    b, c, area = _p1_geometry(mesh.vertices[tri])
+    uv = u.values[tri]
+    gx = np.einsum("ij,ij->i", uv, b) / (2.0 * area)
+    gy = np.einsum("ij,ij->i", uv, c) / (2.0 * area)
+    return gx, gy, area
 
 
 MASS_BLOCK = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -155,24 +146,16 @@ def _symmetrize(a: sp.csr_matrix, mirror: np.ndarray) -> sp.csr_matrix:
     return a
 
 
-def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
-    """Stiffness matrix of the Laplacian: K_ij = integral grad phi_i . grad phi_j."""
-    ke, _ = p1_local_matrices(mesh.vertices[mesh.triangles])
-    return SparseSymMatrix(_symmetrize(_scatter(mesh, ke), mesh.mirror))
-
-
-def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
-    """Consistent P1 mass matrix: local block area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
-    _, me = p1_local_matrices(mesh.vertices[mesh.triangles])
-    return SparseSymMatrix(_symmetrize(_scatter(mesh, me), mesh.mirror))
-
-
-def assemble_load(mesh: Mesh) -> np.ndarray:
-    """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""
-    _, _, area = _p1_geometry(mesh.vertices[mesh.triangles])
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
-    return 0.5 * (b + b[mesh.mirror])
+def _exactly_symmetric(a) -> sp.csr_matrix:
+    """``a`` as CSR with explicit near-zeros pruned; raises unless ``a == a^T``."""
+    a = a.tocsr()
+    if a.nnz:
+        a.data[np.abs(a.data) < ZERO_PRUNE] = 0.0
+        a.eliminate_zeros()
+    diff = a - a.T
+    if diff.nnz and np.abs(diff.data).max() > 0.0:
+        raise ValueError("matrix is not symmetric")
+    return a
 
 
 def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
@@ -186,18 +169,24 @@ def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
 
 
 @dataclass
-class Reduction:
-    """Index map between full vertex vectors and the reduced unknowns.
+class ReducedSystem:
+    """One kind's Dirichlet-reduced, mirror-folded system and the LU of ``K``.
 
     The unknowns are the mirror orbits of the free (unpinned) vertices:
     ``orbit[k]`` is the unknown of vertex ``free[k]``, shared with its mirror
     image.  Reduced vectors are the mirror-symmetric functions that vanish on
-    the Dirichlet set.
+    the Dirichlet set.  With ``P`` the 0/1 matrix of :meth:`expand`,
+    ``K = P^T K_full P``, ``M = P^T M_full P`` and ``b = P^T b_full``, so
+    quadratic forms are preserved: ``x^T K x = (P x)^T K_full (P x)``.
     """
 
+    K: sp.csr_matrix
+    M: sp.csr_matrix
+    b: np.ndarray
     free: np.ndarray
     orbit: np.ndarray
     full_size: int
+    lu: spla.SuperLU
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Full vertex vector: each orbit value copied to its vertices."""
@@ -206,39 +195,73 @@ class Reduction:
         return out
 
 
-def reduce_system(
-    K: SparseSymMatrix,
-    M: SparseSymMatrix,
-    b: np.ndarray,
-    mesh: Mesh,
-    kind: ProblemKind,
-):
-    """Eliminate Dirichlet rows/columns and fold the mirror.
+class Discretization:
+    """The P1 operators of one mesh, shared by every problem kind and torsion.
 
-    Returns ``(Khat, Mhat, bhat, reduction)`` with ``Khat = P^T K P``,
-    ``Mhat = P^T M P`` and ``bhat = P^T b``, where ``P`` is the 0/1 matrix of
-    :meth:`Reduction.expand`.  Quadratic forms are preserved:
-    ``x^T Khat x = (P x)^T K (P x)``.
+    ``K``, ``M`` and ``b`` are assembled once, on construction.  The reduced
+    system of a kind, with the one LU of its stiffness, is built on the first
+    :meth:`system` request and kept, so the ``nd`` eigen-solve and the
+    torsion solve share one factorization.  The ``assemble_*`` and
+    :meth:`reduce_system` methods do the work uncached; the constructor and
+    :meth:`system` call each at most once.  The factorizations are most of
+    the memory: keep a discretization only as long as the solves that share
+    it.  Solutions hold the mesh, never the discretization.
     """
-    pinned = dirichlet_vertices(mesh, kind)
-    if pinned.size == 0:
-        raise ValueError("empty Dirichlet set: the pure Neumann problem is singular")
-    n = mesh.num_vertices
-    free = np.setdiff1d(np.arange(n), pinned, assume_unique=False)
-    pos = np.full(n, -1)
-    pos[free] = np.arange(free.size)
-    image = pos[mesh.mirror[free]]
-    if np.any(image < 0):
-        raise ValueError("mirror does not preserve the free vertex set")
-    # an orbit is named by its smaller free position
-    _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
-    P = sp.csr_matrix(
-        (np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1)
-    )
-    Pt = P.T.tocsr()
 
-    def fold(A: SparseSymMatrix) -> SparseSymMatrix:
-        return SparseSymMatrix(_transpose_average(Pt @ A.csr @ P))
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.K = self.assemble_stiffness()
+        self.M = self.assemble_mass()
+        self.b = self.assemble_load()
+        self._systems: dict[ProblemKind, ReducedSystem] = {}
 
-    red = Reduction(free=free, orbit=orbit, full_size=n)
-    return fold(K), fold(M), Pt @ np.asarray(b), red
+    def assemble_stiffness(self) -> sp.csr_matrix:
+        """Stiffness matrix of the Laplacian: K_ij = integral grad phi_i . grad phi_j."""
+        mesh = self.mesh
+        ke, _ = p1_local_matrices(mesh.vertices[mesh.triangles])
+        return _exactly_symmetric(_symmetrize(_scatter(mesh, ke), mesh.mirror))
+
+    def assemble_mass(self) -> sp.csr_matrix:
+        """Consistent P1 mass matrix: local block area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
+        mesh = self.mesh
+        _, me = p1_local_matrices(mesh.vertices[mesh.triangles])
+        return _exactly_symmetric(_symmetrize(_scatter(mesh, me), mesh.mirror))
+
+    def assemble_load(self) -> np.ndarray:
+        """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""
+        mesh = self.mesh
+        _, _, area = _p1_geometry(mesh.vertices[mesh.triangles])
+        b = np.zeros(mesh.num_vertices)
+        np.add.at(b, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+        return 0.5 * (b + b[mesh.mirror])
+
+    def system(self, kind: ProblemKind) -> ReducedSystem:
+        """The reduced system of ``kind``, built and factored on first request."""
+        if kind not in self._systems:
+            self._systems[kind] = self.reduce_system(kind)
+        return self._systems[kind]
+
+    def reduce_system(self, kind: ProblemKind) -> ReducedSystem:
+        """Eliminate the Dirichlet rows/columns of ``kind``, fold the mirror and
+        factor the reduced stiffness."""
+        mesh = self.mesh
+        pinned = dirichlet_vertices(mesh, kind)
+        n = mesh.num_vertices
+        free = np.setdiff1d(np.arange(n), pinned, assume_unique=False)
+        pos = np.full(n, -1)
+        pos[free] = np.arange(free.size)
+        image = pos[mesh.mirror[free]]
+        if np.any(image < 0):
+            raise ValueError("mirror does not preserve the free vertex set")
+        # an orbit is named by its smaller free position
+        _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
+        P = sp.csr_matrix(
+            (np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1)
+        )
+        Pt = P.T.tocsr()
+        K = _exactly_symmetric(_transpose_average(Pt @ self.K @ P))
+        M = _exactly_symmetric(_transpose_average(Pt @ self.M @ P))
+        return ReducedSystem(
+            K=K, M=M, b=Pt @ self.b, free=free, orbit=orbit, full_size=n,
+            lu=factorize(K),
+        )

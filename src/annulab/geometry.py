@@ -1,15 +1,9 @@
-"""Analytic geometry of eccentric annuli, half-plane polarizers and caps.
+"""Analytic geometry of eccentric annuli and half-plane polarizers.
 
 The domain is the open set ``B_{R1}(0) \\ closure(B_{R0}((s, 0)))`` in the
 plane: the outer disk is centered at the origin, the excised inner disk at
-``(s, 0)``.  Two different angular conventions coexist and are kept apart on
-purpose:
-
-* ``phi`` parameterizes mesh rays from the inner center ``(s, 0)``, measured
-  counter-clockwise from the positive x-axis;
-* the polar angle ``theta = polar_angle(p, a)`` is measured from the
-  *negative* x-direction through a center ``a`` and lives in ``[0, pi]``.
-  Symmetric rearrangements are monotone in ``theta``, not in ``phi``.
+``(s, 0)``.  Mesh rays from the inner center are parameterized by ``phi``,
+measured counter-clockwise from the positive x-axis.
 
 Everything here is pure and operates on immutable values; point arguments
 broadcast over trailing ``(..., 2)`` arrays.
@@ -30,10 +24,6 @@ E1 = np.array([1.0, 0.0])
 
 class DomainError(ValueError):
     """Parameter set does not describe a valid eccentric annulus."""
-
-
-class DegeneratePointError(ValueError):
-    """Polar angle requested at the center point itself."""
 
 
 @dataclass(frozen=True)
@@ -166,39 +156,3 @@ class Polarizer:
         proj = np.einsum("...i,i->...", p - b, h)
         return p - 2.0 * proj[..., None] * h
 
-
-def reflect(pol: Polarizer, p):
-    return pol.reflect(p)
-
-
-def polar_angle(p, a=(0.0, 0.0)):
-    """Angle in [0, pi] of ``p`` about ``a``, measured from the -x direction.
-
-    ``theta = arccos(-(p - a) . e1 / |p - a|)``: zero exactly on the ray
-    ``a - R+ e1`` and pi on the opposite ray.  Raises for ``p == a``.
-    """
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    q = p - a
-    r = np.sqrt(np.einsum("...i,...i->...", q, q))
-    if np.any(r == 0.0):
-        raise DegeneratePointError("polar angle undefined at the center point")
-    c = np.clip(-q[..., 0] / r, -1.0, 1.0)
-    out = np.arccos(c)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class Cap:
-    """Sub-region of an annulus left of the vertical line ``x1 = alpha``."""
-
-    alpha: float
-
-    def contains(self, domain: AnnularDomain, p):
-        if not (-domain.R1 < self.alpha < domain.R1):
-            raise DomainError(
-                f"cap threshold must lie in (-R1, R1), got {self.alpha}"
-            )
-        p = np.asarray(p, dtype=float)
-        out = domain.contains(p) & (p[..., 0] < self.alpha)
-        return bool(out) if np.ndim(out) == 0 else out

@@ -16,7 +16,6 @@ rounding, which the half-boundary derivative pairing relies on.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
 from dataclasses import dataclass, field
@@ -32,11 +31,6 @@ MIN_ANGLE_TARGET_DEG = 15.0
 
 class MeshQualityError(ValueError):
     """A triangle with nonpositive area was produced."""
-
-
-class BoundaryTag(enum.Enum):
-    DIRICHLET_INNER = "DirichletInner"
-    NEUMANN_OUTER = "NeumannOuter"
 
 
 def _unit_directions(n: int):
@@ -93,16 +87,6 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def boundary_edges(self):
-        """All tagged boundary edges as (v0, v1, tag) triples."""
-        out = []
-        for v0, v1 in self.inner_edges:
-            out.append((int(v0), int(v1), BoundaryTag.DIRICHLET_INNER))
-        for v0, v1 in self.outer_edges:
-            out.append((int(v0), int(v1), BoundaryTag.NEUMANN_OUTER))
-        return out
 
     def vertex_index(self, i: int, j: int) -> int:
         return int(self.lattice[i % self.n_theta, j])

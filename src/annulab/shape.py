@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import GradientField, recover_gradient
-from .fem import Field, ProblemKind
+from .fem import Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
 from .mesh import Mesh
 from .spectral import solve_eigenproblem
@@ -81,16 +81,7 @@ def dirichlet_normal_derivative(u: Field, kind: ProblemKind) -> BoundaryTrace:
         raise RuntimeError("inner edge without adjacent triangle")
     tids = np.where(use0, 2 * quads, 2 * quads + 1)
 
-    tri = mesh.triangles[tids]
-    p = mesh.vertices[tri]
-    x = p[..., 0]
-    y = p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = mesh.areas[tids]
-    uv = vals[tri]
-    gx = np.einsum("ij,ij->i", uv, b) / (2.0 * area)
-    gy = np.einsum("ij,ij->i", uv, c) / (2.0 * area)
+    gx, gy, _ = p1_gradient(u, tids)
 
     v0 = mesh.vertices[edges[:, 0]]
     v1 = mesh.vertices[edges[:, 1]]
@@ -225,6 +216,33 @@ def eulerian_derivative(
     return outer + inner
 
 
+def max_fd_step(domain: AnnularDomain) -> float:
+    """Largest offset step of :func:`offset_difference` at ``domain``.
+
+    ``min(s, R1 - R0 - s)/4``, or ``(R1 - R0)/8`` at s = 0, where the
+    second-order one-sided stencil needs 2h of room.
+    """
+    room = domain.R1 - domain.R0 - domain.s
+    return room / 8.0 if domain.s == 0.0 else min(domain.s, room) / 4.0
+
+
+def offset_difference(f, domain: AnnularDomain, h: float) -> float:
+    """Difference quotient of ``f(s)`` at ``domain.s``: central, one-sided at s = 0.
+
+    The s = 0 stencil is the second-order one-sided one; the plain forward
+    difference would pick up the O(h) curvature term of a function even in
+    the offset, as the eigenvalue and the rigidity are.
+    """
+    if h <= 0.0:
+        raise ValueError("step must be positive")
+    limit = max_fd_step(domain)
+    if h > limit:
+        raise ValueError(f"step {h} too large; must be <= {limit}")
+    if domain.s == 0.0:
+        return (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
+    return (f(domain.s + h) - f(domain.s - h)) / (2.0 * h)
+
+
 def finite_difference_tau_prime(
     domain: AnnularDomain,
     h: float = 0.05,
@@ -234,29 +252,17 @@ def finite_difference_tau_prime(
     kind: ProblemKind = ProblemKind.ND,
     tol: float = 1e-9,
 ) -> float:
-    """Central difference of the eigenvalue in the offset, one-sided at s = 0.
+    """:func:`offset_difference` of the eigenvalue in the offset.
 
     All re-solves use the identical resolution so the discretization bias
-    cancels in the difference.  The step must satisfy
-    ``h <= min(s, R1 - R0 - s)/4`` (``h <= (R1 - R0)/8`` at s = 0, where the
-    second-order one-sided formula needs 2h of room).
+    cancels in the difference.
     """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-    room = domain.R1 - domain.R0 - domain.s
-    limit = room / 8.0 if domain.s == 0.0 else min(domain.s, room) / 4.0
-    if h > limit:
-        raise ValueError(f"step {h} too large; must be <= {limit}")
 
     def tau_at(s):
         dd = AnnularDomain(domain.R0, domain.R1, s)
         return solve_eigenproblem(dd, n_theta, n_rad, grading, kind, tol=tol).value
 
-    if domain.s == 0.0:
-        # second-order one-sided stencil; the plain forward difference would
-        # pick up the O(h) curvature term of the even function tau(s)
-        return (-3.0 * tau_at(0.0) + 4.0 * tau_at(h) - tau_at(2.0 * h)) / (2.0 * h)
-    return (tau_at(domain.s + h) - tau_at(domain.s - h)) / (2.0 * h)
+    return offset_difference(tau_at, domain, h)
 
 
 def reflected_neumann_margin(

@@ -2,9 +2,9 @@
 
 Normalization is the discrete L2 inner product (``u^T M u = 1``) and the sign
 is fixed globally so the first eigenfunction is nonnegative.  The eigenpair
-is computed on the mirror-folded system of :func:`annulab.fem.reduce_system`,
-so the returned field is exactly mirror symmetric across the x-axis by
-construction.
+is computed on the mirror-folded system of a
+:class:`annulab.fem.Discretization`, so the returned field is exactly mirror
+symmetric across the x-axis by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .eigensolver import EigenPair, smallest_eigenpair
 from .export import write_csv
-from .fem import Field, ProblemKind, assemble_load, assemble_mass, assemble_stiffness, reduce_system
+from .fem import Discretization, Field, ProblemKind
 from .geometry import AnnularDomain
 from .mesh import Mesh, build_mesh
 
@@ -29,6 +29,21 @@ class EigenSolution:
     pair: EigenPair
 
 
+def discretize(
+    domain: AnnularDomain,
+    n_theta: int,
+    n_rad: int,
+    grading: float,
+    disc: Discretization | None = None,
+) -> Discretization:
+    """``disc`` when given, which must belong to ``domain``; else a fresh one."""
+    if disc is None:
+        return Discretization(build_mesh(domain, n_theta, n_rad, grading))
+    if disc.mesh.domain != domain:
+        raise ValueError("discretization belongs to a different domain")
+    return disc
+
+
 def solve_eigenproblem(
     domain: AnnularDomain,
     n_theta: int = 256,
@@ -36,25 +51,18 @@ def solve_eigenproblem(
     grading: float = 1.5,
     kind: ProblemKind = ProblemKind.ND,
     tol: float = 1e-9,
-    mesh: Mesh | None = None,
+    disc: Discretization | None = None,
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``domain`` for the given kind.
 
-    A prebuilt ``mesh`` may be passed to share discretizations between
-    related solves (finite differencing in particular); it must match
-    ``domain``.
+    Related solves on one mesh pass one ``disc`` so that they share its
+    operators and factorizations; the resolution arguments are then unused.
     """
-    if mesh is None:
-        mesh = build_mesh(domain, n_theta, n_rad, grading)
-    elif mesh.domain != domain:
-        raise ValueError("prebuilt mesh belongs to a different domain")
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    b = assemble_load(mesh)
-    Khat, Mhat, _, red = reduce_system(K, M, b, mesh, kind)
-    pair = smallest_eigenpair(Khat, Mhat, tol=tol)
-    u = Field(red.expand(pair.vector), mesh)
-    return EigenSolution(value=pair.value, u=u, mesh=mesh, kind=kind, pair=pair)
+    disc = discretize(domain, n_theta, n_rad, grading, disc)
+    system = disc.system(kind)
+    pair = smallest_eigenpair(system.K, system.M, system.lu, tol=tol)
+    u = Field(system.expand(pair.vector), disc.mesh)
+    return EigenSolution(value=pair.value, u=u, mesh=disc.mesh, kind=kind, pair=pair)
 
 
 def write_field_csv(field: Field, path):

@@ -21,15 +21,15 @@ from .checks import geometry_report
 from .export import svg_line_chart, write_csv
 from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
-from .radial_oracle import concentric_eigenvalue
 from .shape import (
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
     half_boundary_tau_prime,
+    max_fd_step,
 )
-from .spectral import solve_eigenproblem
-from .torsion import rigidity_derivative, solve_torsion, torsional_rigidity
+from .spectral import discretize, solve_eigenproblem
+from .torsion import rigidity_derivative, solve_torsion
 
 log = logging.getLogger(__name__)
 
@@ -80,18 +80,19 @@ def _solve_record(
     R0, R1, s, res: Resolution, fd_step, tol, keep_fields, exclusion
 ) -> SweepRecord:
     d = AnnularDomain(R0, R1, s)
-    common = dict(n_theta=res.n_theta, n_rad=res.n_rad, grading=res.grading)
-    nd = solve_eigenproblem(d, kind=ProblemKind.ND, tol=tol, **common)
-    dd = solve_eigenproblem(d, kind=ProblemKind.DD, tol=tol, mesh=nd.mesh, **common)
-    dn = solve_eigenproblem(d, kind=ProblemKind.DN, tol=tol, mesh=nd.mesh, **common)
-    tor = solve_torsion(d, mesh=nd.mesh, **common)
-    t_energy, t_integral = torsional_rigidity(tor.v)
+    disc = discretize(d, res.n_theta, res.n_rad, res.grading)
+    nd = solve_eigenproblem(d, kind=ProblemKind.ND, tol=tol, disc=disc)
+    dd = solve_eigenproblem(d, kind=ProblemKind.DD, tol=tol, disc=disc)
+    dn = solve_eigenproblem(d, kind=ProblemKind.DN, tol=tol, disc=disc)
+    tor = solve_torsion(d, disc=disc)
+    # its factorizations are most of a record's memory: free them before the
+    # finite-difference re-solves and the geometry reports
+    del disc
 
     trace = dirichlet_normal_derivative(nd.u, ProblemKind.ND)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    room = R1 - R0 - s
-    h = min(fd_step, room / 8.0 if s == 0.0 else min(s, room) / 4.0)
+    h = min(fd_step, max_fd_step(d))
     fd = finite_difference_tau_prime(
         d, h, res.n_theta, res.n_rad, res.grading,
         kind=ProblemKind.ND, tol=tol,
@@ -105,7 +106,7 @@ def _solve_record(
         ("affine_radial", "axial_cap", "outer_axial")
     )
     return SweepRecord(
-        s=s, tau1=nd.value, lambda1=dd.value, nu1=dn.value, T=t_integral,
+        s=s, tau1=nd.value, lambda1=dd.value, nu1=dn.value, T=tor.T,
         dtau_hadamard=had, dtau_half=halfb, dtau_fd=fd, dT_boundary=dT,
         checks_pass=checks,
         u=nd.u if keep_fields else None,
@@ -384,6 +385,3 @@ def richardson_limit(rows) -> float:
     v1, v2 = rows[-2].value, rows[-1].value
     return v2 + (v2 - v1) / (2.0**p - 1.0)
 
-
-def concentric_reference(kind: ProblemKind, R0: float, R1: float) -> float:
-    return concentric_eigenvalue(kind, R0, R1)

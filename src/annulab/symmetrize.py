@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .export import write_csv
 from .fem import Field
 from .geometry import Polarizer
 
@@ -74,15 +73,6 @@ class RingSampling:
             and np.array_equal(self.radii, other.radii)
         )
 
-    def write_csv(self, path):
-        psi = self.angles()
-        rows = (
-            (float(r), float(p), float(val))
-            for k, r in enumerate(self.radii)
-            for p, val in zip(psi, self.values[k])
-        )
-        write_csv(path, ("r", "psi", "value"), rows)
-
 
 def sample_rings(
     u: Field, m: int = 256, n_rings: int = 64, center: str = "origin"
@@ -94,6 +84,10 @@ def sample_rings(
     center); ``center="inner"`` samples the extension that is zero outside
     the outer circle, on radii in (R0, R1 + s) about the inner center.
     """
+    if m < 2 or n_rings < 1:
+        raise ValueError(
+            f"need at least 2 samples per ring and 1 ring, got {m} and {n_rings}"
+        )
     mesh = u.mesh
     d = mesh.domain
     if center == "origin":

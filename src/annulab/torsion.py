@@ -6,9 +6,10 @@ discrete solution coincides with the load functional (Galerkin).  Moving the
 hole outward *increases* the rigidity, so the boundary-integral derivative
 carries the opposite sign of the eigenvalue one.
 
-The solve is one sparse LU of the mirror-folded stiffness of
-:func:`annulab.fem.reduce_system`, so the torsion function is exactly mirror
-symmetric by construction.
+The solve uses the ``nd`` system of a :class:`annulab.fem.Discretization`,
+whose LU an ``nd`` eigen-solve on the same discretization shares; its
+mirror fold makes the torsion function exactly mirror symmetric by
+construction.
 """
 
 from __future__ import annotations
@@ -17,17 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import factorize
-from .fem import Field, ProblemKind, assemble_load, assemble_mass, assemble_stiffness, reduce_system
+from .fem import Discretization, Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
-from .mesh import Mesh, build_mesh
-from .shape import BoundaryTrace, dirichlet_normal_derivative
+from .mesh import Mesh
+from .shape import BoundaryTrace, dirichlet_normal_derivative, offset_difference
+from .spectral import discretize
 
 
 @dataclass
 class TorsionSolution:
+    """Torsion function and its rigidity ``T = b . v`` with the assembled load."""
+
     v: Field
     mesh: Mesh
+    T: float
 
 
 def solve_torsion(
@@ -35,32 +39,29 @@ def solve_torsion(
     n_theta: int = 256,
     n_rad: int = 64,
     grading: float = 1.5,
-    mesh: Mesh | None = None,
+    disc: Discretization | None = None,
 ) -> TorsionSolution:
-    """Torsion function of ``domain``: positive inside, zero on the inner circle."""
-    if mesh is None:
-        mesh = build_mesh(domain, n_theta, n_rad, grading)
-    elif mesh.domain != domain:
-        raise ValueError("prebuilt mesh belongs to a different domain")
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    b = assemble_load(mesh)
-    Khat, _, bhat, red = reduce_system(K, M, b, mesh, ProblemKind.ND)
-    x = factorize(Khat).solve(bhat)
-    return TorsionSolution(v=Field(red.expand(x), mesh), mesh=mesh)
+    """Torsion function of ``domain``: positive inside, zero on the inner circle.
+
+    With ``disc`` the solve reuses its ``nd`` factorization; the resolution
+    arguments are then unused.
+    """
+    disc = discretize(domain, n_theta, n_rad, grading, disc)
+    system = disc.system(ProblemKind.ND)
+    v = Field(system.expand(system.lu.solve(system.b)), disc.mesh)
+    return TorsionSolution(v=v, mesh=disc.mesh, T=float(disc.b @ v.values))
 
 
 def torsional_rigidity(v: Field) -> tuple[float, float]:
     """Rigidity both ways: Dirichlet energy and integral of the function.
 
-    The two agree to solver accuracy at the discrete solution; both are
-    returned so the identity can be asserted.
+    Both are sums over triangles of the P1 gradient and the vertex mean, so
+    nothing is assembled.  They agree to solver accuracy at the discrete
+    solution; both are returned so the identity can be asserted.
     """
-    mesh = v.mesh
-    K = assemble_stiffness(mesh)
-    b = assemble_load(mesh)
-    t_energy = K.quadratic_form(v.values)
-    t_integral = float(b @ v.values)
+    gx, gy, area = p1_gradient(v)
+    t_energy = float(np.sum(area * (gx**2 + gy**2)))
+    t_integral = float(np.sum(area * v.values[v.mesh.triangles].sum(axis=1)) / 3.0)
     return t_energy, t_integral
 
 
@@ -80,23 +81,9 @@ def finite_difference_rigidity_prime(
     n_rad: int = 64,
     grading: float = 1.5,
 ) -> float:
-    """Central difference of the rigidity in the offset, one-sided at s = 0.
-
-    The s = 0 stencil is the second-order one-sided one, for the same reason
-    as the eigenvalue difference: the rigidity is even in the offset.
-    """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-    room = domain.R1 - domain.R0 - domain.s
-    limit = room / 8.0 if domain.s == 0.0 else min(domain.s, room) / 4.0
-    if h > limit:
-        raise ValueError(f"step {h} too large; must be <= {limit}")
+    """:func:`annulab.shape.offset_difference` of the rigidity in the offset."""
 
     def t_at(s):
-        dd = AnnularDomain(domain.R0, domain.R1, s)
-        sol = solve_torsion(dd, n_theta, n_rad, grading)
-        return torsional_rigidity(sol.v)[1]
+        return solve_torsion(AnnularDomain(domain.R0, domain.R1, s), n_theta, n_rad, grading).T
 
-    if domain.s == 0.0:
-        return (-3.0 * t_at(0.0) + 4.0 * t_at(h) - t_at(2.0 * h)) / (2.0 * h)
-    return (t_at(domain.s + h) - t_at(domain.s - h)) / (2.0 * h)
+    return offset_difference(t_at, domain, h)

@@ -107,6 +107,16 @@ def test_symmetry_check(tmp_path, capsys):
     assert payload["rearrangement_deviation"] <= 0.02
 
 
+def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys):
+    base = ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
+            "--out-dir", str(tmp_path)] + FAST
+    for flags in (["--ring-samples", "0"], ["--rings", "0"]):
+        code, _, err = run(base + flags, capsys)
+        assert code == 2, flags
+        assert "ring" in err, flags
+    assert not (tmp_path / "symmetry_s2.json").exists()
+
+
 def test_converge(capsys):
     code, out, _ = run(
         ["converge", "--R0", "1", "--R1", "2", "--s", "0", "--kind", "nd",

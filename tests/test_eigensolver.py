@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from annulab.eigensolver import SolverConvergenceError, smallest_eigenpair
+from annulab.eigensolver import SolverConvergenceError, factorize, smallest_eigenpair
 
 
 def test_eigen_iteration_cap():
@@ -11,14 +11,14 @@ def test_eigen_iteration_cap():
                  [0, -1, 1]).tocsr()
     M = sp.eye(n, format="csr")
     with pytest.raises(SolverConvergenceError) as exc:
-        smallest_eigenpair(K, M, max_outer=1)
+        smallest_eigenpair(K, M, factorize(K), max_outer=1)
     assert exc.value.residual > 0
 
 
 def test_eigen_diag_example():
     K = sp.diags([2.0, 5.0]).tocsr()
     M = sp.eye(2, format="csr")
-    pair = smallest_eigenpair(K, M, tol=1e-12)
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-12)
     assert pair.value == pytest.approx(2.0, rel=1e-12)
     v = pair.vector / np.linalg.norm(pair.vector)
     assert abs(v[0]) == pytest.approx(1.0, abs=1e-10)
@@ -28,7 +28,7 @@ def test_eigen_k_equals_m():
     rng = np.random.default_rng(9)
     B = rng.standard_normal((12, 12))
     A = sp.csr_matrix(B @ B.T + 12 * np.eye(12))
-    pair = smallest_eigenpair(A, A, tol=1e-12)
+    pair = smallest_eigenpair(A, A, factorize(A), tol=1e-12)
     assert pair.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_eigen_path_laplacian_vs_dense_oracle():
                  [0, -1, 1]).tocsr()
     M = sp.eye(n, format="csr")
     want = float(np.linalg.eigvalsh(K.toarray()).min())
-    pair = smallest_eigenpair(K, M, tol=1e-12)
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-12)
     assert pair.value == pytest.approx(want, rel=1e-10)
 
 
@@ -47,7 +47,7 @@ def test_eigen_rayleigh_identity_and_history():
     K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
                  [0, -1, 1]).tocsr()
     M = sp.diags(1.0 + 0.01 * np.arange(n)).tocsr()
-    pair = smallest_eigenpair(K, M, tol=1e-11)
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-11)
     # value is the Rayleigh quotient of the returned vector
     num = float(pair.vector @ (K @ pair.vector))
     den = float(pair.vector @ (M @ pair.vector))
@@ -63,7 +63,7 @@ def test_eigen_sign_convention():
     K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
                  [0, -1, 1]).tocsr()
     M = sp.eye(n, format="csr")
-    pair = smallest_eigenpair(K, M)
+    pair = smallest_eigenpair(K, M, factorize(K))
     assert float((M @ pair.vector).sum()) > 0.0
     assert pair.vector.min() > 0.0  # first mode of an SPD tridiagonal
 
@@ -73,7 +73,7 @@ def test_eigen_deterministic():
     K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
                  [0, -1, 1]).tocsr()
     M = sp.eye(n, format="csr")
-    a = smallest_eigenpair(K, M)
-    b = smallest_eigenpair(K, M)
+    a = smallest_eigenpair(K, M, factorize(K))
+    b = smallest_eigenpair(K, M, factorize(K))
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)

@@ -6,16 +6,7 @@ import scipy.linalg
 
 from annulab.geometry import AnnularDomain
 from annulab.mesh import build_mesh
-from annulab.fem import (
-    Field,
-    ProblemKind,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    dirichlet_vertices,
-    p1_local_matrices,
-    reduce_system,
-)
+from annulab.fem import Discretization, Field, ProblemKind, dirichlet_vertices, p1_local_matrices
 from annulab.spectral import solve_eigenproblem
 from annulab.torsion import solve_torsion
 
@@ -34,17 +25,24 @@ def test_local_mass_unit_right_triangle():
     assert np.allclose(me, want, atol=1e-15)
 
 
+def quadratic_form(A, x) -> float:
+    return float(x @ (A @ x))
+
+
 @pytest.fixture(scope="module")
-def assembled():
-    d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 64, 8)
-    return mesh, assemble_stiffness(mesh), assemble_mass(mesh), assemble_load(mesh)
+def disc():
+    return Discretization(build_mesh(AnnularDomain(1.0, 5.0, 2.0), 64, 8))
+
+
+@pytest.fixture(scope="module")
+def assembled(disc):
+    return disc.mesh, disc.K, disc.M, disc.b
 
 
 def test_stiffness_constant_kernel(assembled):
     mesh, K, _, _ = assembled
     ones = np.ones(mesh.num_vertices)
-    scale = np.abs(K.csr.data).max()
+    scale = np.abs(K.data).max()
     assert np.abs(K @ ones).max() <= 1e-10 * scale
 
 
@@ -52,17 +50,17 @@ def test_stiffness_linear_field_energy(assembled):
     mesh, K, _, _ = assembled
     x1 = mesh.vertices[:, 0]
     # integral of |grad x1|^2 = mesh area (exactly the polygonal area)
-    assert K.quadratic_form(x1) == pytest.approx(mesh.total_area(), rel=1e-12)
-    assert K.quadratic_form(x1) == pytest.approx(mesh.domain.area, rel=5e-3)
+    assert quadratic_form(K, x1) == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert quadratic_form(K, x1) == pytest.approx(mesh.domain.area, rel=5e-3)
 
 
 def test_mass_total(assembled):
     mesh, _, M, _ = assembled
-    total = float(M.csr.sum())
+    total = float(M.sum())
     assert total == pytest.approx(mesh.total_area(), rel=1e-12)
     assert total == pytest.approx(mesh.domain.area, rel=5e-3)
     ones = np.ones(mesh.num_vertices)
-    assert M.quadratic_form(ones) == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert quadratic_form(M, ones) == pytest.approx(mesh.total_area(), rel=1e-12)
 
 
 def test_load_examples(assembled):
@@ -79,10 +77,10 @@ def test_load_examples(assembled):
 def test_symmetry_and_mirror_invariance(assembled):
     mesh, K, M, b = assembled
     for A in (K, M):
-        diff = A.csr - A.csr.T
+        diff = A - A.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-        mirrored = A.csr[mesh.mirror][:, mesh.mirror]
-        dd = (A.csr - mirrored).tocsr()
+        mirrored = A[mesh.mirror][:, mesh.mirror]
+        dd = (A - mirrored).tocsr()
         assert dd.nnz == 0 or np.abs(dd.data).max() == 0.0
     assert np.array_equal(b, b[mesh.mirror])
 
@@ -105,17 +103,19 @@ def test_dirichlet_vertex_counts():
     assert dirichlet_vertices(mesh, ProblemKind.DD).size == 128
 
 
-def test_reduce_counts_and_expand(assembled):
-    mesh, K, M, b = assembled
-    Khat, Mhat, bhat, red = reduce_system(K, M, b, mesh, ProblemKind.ND)
+def test_reduce_counts_and_expand(disc):
+    mesh, b = disc.mesh, disc.b
+    red = disc.system(ProblemKind.ND)
     n_free = mesh.num_vertices - mesh.n_theta
     assert red.free.size == n_free
     # one unknown per mirror orbit: pairs plus the vertices on the x1-axis
     n_fixed = int(np.count_nonzero(mesh.mirror[red.free] == red.free))
-    assert Khat.dimension == (n_free + n_fixed) // 2
-    assert bhat.shape == (Khat.dimension,)
-    assert bhat.sum() == pytest.approx(b[red.free].sum(), rel=1e-12)
-    x = np.arange(Khat.dimension, dtype=float)
+    dim = red.K.shape[0]
+    assert dim == (n_free + n_fixed) // 2
+    assert red.M.shape == (dim, dim)
+    assert red.b.shape == (dim,)
+    assert red.b.sum() == pytest.approx(b[red.free].sum(), rel=1e-12)
+    x = np.arange(dim, dtype=float)
     full = red.expand(x)
     assert full.shape == (mesh.num_vertices,)
     assert np.array_equal(full, full[mesh.mirror])
@@ -123,66 +123,80 @@ def test_reduce_counts_and_expand(assembled):
     assert np.all(full[dirichlet_vertices(mesh, ProblemKind.ND)] == 0.0)
 
 
-def test_reduced_spd_dense_oracle(assembled):
-    mesh, K, M, b = assembled
+def test_reduced_spd_dense_oracle(disc):
     for kind in ProblemKind:
-        Khat, Mhat, _, _ = reduce_system(K, M, b, mesh, kind)
+        Khat = disc.system(kind).K
         evals = np.linalg.eigvalsh(Khat.toarray())
         assert evals.min() > 0.0
         # inverse-iteration probe agrees that the matrix is invertible SPD
-        x = np.ones(Khat.dimension)
+        x = np.ones(Khat.shape[0])
         for _ in range(3):
             x = np.linalg.solve(Khat.toarray(), x)
             x /= np.linalg.norm(x)
         assert float(x @ (Khat @ x)) > 0.0
 
 
-def test_reduced_quadratic_form_matches_full(assembled):
-    mesh, K, M, b = assembled
+def test_reduced_quadratic_form_matches_full(disc):
     rng = np.random.default_rng(0)
     for kind in ProblemKind:
-        Khat, Mhat, _, red = reduce_system(K, M, b, mesh, kind)
-        w_hat = rng.standard_normal(Khat.dimension)
+        red = disc.system(kind)
+        w_hat = rng.standard_normal(red.K.shape[0])
         w = red.expand(w_hat)
-        assert Khat.quadratic_form(w_hat) == pytest.approx(
-            K.quadratic_form(w), rel=1e-12
+        assert quadratic_form(red.K, w_hat) == pytest.approx(
+            quadratic_form(disc.K, w), rel=1e-12
         )
-        assert Mhat.quadratic_form(w_hat) == pytest.approx(
-            M.quadratic_form(w), rel=1e-12
+        assert quadratic_form(red.M, w_hat) == pytest.approx(
+            quadratic_form(disc.M, w), rel=1e-12
         )
 
 
 def test_assembly_bit_deterministic():
     d = AnnularDomain(1.0, 5.0, 1.3)
     mesh = build_mesh(d, 32, 6, grading=1.2)
-    K1 = assemble_stiffness(mesh)
-    K2 = assemble_stiffness(build_mesh(d, 32, 6, grading=1.2))
-    assert np.array_equal(K1.csr.data, K2.csr.data)
-    assert np.array_equal(K1.csr.indices, K2.csr.indices)
-    assert np.array_equal(K1.csr.indptr, K2.csr.indptr)
+    K1 = Discretization(mesh).K
+    K2 = Discretization(build_mesh(d, 32, 6, grading=1.2)).K
+    assert np.array_equal(K1.data, K2.data)
+    assert np.array_equal(K1.indices, K2.indices)
+    assert np.array_equal(K1.indptr, K2.indptr)
 
 
-def test_mirror_orbits_require_invariance(assembled):
-    mesh, K, M, b = assembled
-    _, _, _, red = reduce_system(K, M, b, mesh, ProblemKind.ND)
+def test_mirror_orbits_require_invariance(disc):
+    red = disc.system(ProblemKind.ND)
     assert np.array_equal(np.unique(red.orbit), np.arange(red.orbit.max() + 1))
-    bad = np.roll(np.arange(mesh.num_vertices), 1)
+    bad = np.roll(np.arange(disc.mesh.num_vertices), 1)
+    bad_disc = Discretization(dataclasses.replace(disc.mesh, mirror=bad))
     with pytest.raises(ValueError):
-        reduce_system(K, M, b, dataclasses.replace(mesh, mirror=bad), ProblemKind.ND)
+        bad_disc.system(ProblemKind.ND)
 
 
 def test_half_space_matches_full_free_space_dense_oracle():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 32, 6, grading=1.5)
-    K, M, b = assemble_stiffness(mesh), assemble_mass(mesh), assemble_load(mesh)
+    disc = Discretization(build_mesh(d, 32, 6, grading=1.5))
+    K, M, b = disc.K.toarray(), disc.M.toarray(), disc.b
     for kind in ProblemKind:
-        free = reduce_system(K, M, b, mesh, kind)[3].free
-        Kf = K.toarray()[np.ix_(free, free)]
-        Mf = M.toarray()[np.ix_(free, free)]
-        want = scipy.linalg.eigh(Kf, Mf, eigvals_only=True)[0]
-        got = solve_eigenproblem(d, 32, 6, 1.5, kind, mesh=mesh).value
+        free = disc.system(kind).free
+        want = scipy.linalg.eigh(K[np.ix_(free, free)], M[np.ix_(free, free)],
+                                 eigvals_only=True)[0]
+        got = solve_eigenproblem(d, kind=kind, disc=disc).value
         assert got == pytest.approx(want, rel=1e-10), kind
-    free = reduce_system(K, M, b, mesh, ProblemKind.ND)[3].free
-    want = np.linalg.solve(K.toarray()[np.ix_(free, free)], b[free])
-    got = solve_torsion(d, 32, 6, 1.5, mesh=mesh).v.values[free]
+    free = disc.system(ProblemKind.ND).free
+    want = np.linalg.solve(K[np.ix_(free, free)], b[free])
+    got = solve_torsion(d, disc=disc).v.values[free]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_shared_discretization_matches_fresh_solves():
+    d = AnnularDomain(1.0, 5.0, 2.0)
+    res = (48, 8, 1.5)
+    disc = Discretization(build_mesh(d, *res))
+    for kind in ProblemKind:
+        shared = solve_eigenproblem(d, kind=kind, disc=disc)
+        fresh = solve_eigenproblem(d, *res, kind=kind)
+        assert shared.value == fresh.value, kind
+        assert np.array_equal(shared.u.values, fresh.u.values), kind
+        assert shared.pair.iterations == fresh.pair.iterations, kind
+    shared = solve_torsion(d, disc=disc)
+    fresh = solve_torsion(d, *res)
+    assert np.array_equal(shared.v.values, fresh.v.values)
+    assert shared.T == fresh.T
+    assert disc.system(ProblemKind.ND) is disc.system(ProblemKind.ND)

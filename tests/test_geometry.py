@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab.geometry import (
-    AnnularDomain,
-    Cap,
-    DegeneratePointError,
-    DomainError,
-    Polarizer,
-    polar_angle,
-)
+from annulab.geometry import AnnularDomain, DomainError, Polarizer
 
 
 def test_domain_validation():
@@ -112,31 +105,3 @@ def test_polarizer_side_and_contains():
     assert pol.contains((0.0, 5.0))  # closed half plane
     assert not pol.contains((0.1, 0.0))
     assert pol.side((2.0, 0.0)) == pytest.approx(2.0)
-
-
-def test_polar_angle():
-    assert polar_angle((-5.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    assert polar_angle((5.0, 0.0)) == pytest.approx(math.pi, abs=1e-15)
-    assert polar_angle((0.0, 2.0)) == pytest.approx(math.pi / 2, abs=1e-15)
-    # translated center
-    assert polar_angle((2.0, 1.0), a=(2.0, 0.0)) == pytest.approx(math.pi / 2)
-    with pytest.raises(DegeneratePointError):
-        polar_angle((1.0, 1.0), a=(1.0, 1.0))
-
-
-def test_polar_angle_range():
-    rng = np.random.default_rng(11)
-    pts = rng.standard_normal((200, 2)) * 4
-    th = polar_angle(pts)
-    assert np.all(th >= 0.0)
-    assert np.all(th <= math.pi)
-
-
-def test_cap():
-    d = AnnularDomain(1.0, 5.0, 2.0)
-    cap = Cap(alpha=2.0)
-    assert cap.contains(d, (-3.0, 0.0))
-    assert not cap.contains(d, (3.0, 0.5))
-    assert not cap.contains(d, (1.5, 0.0))  # inside the hole
-    with pytest.raises(DomainError):
-        Cap(alpha=6.0).contains(d, (0.0, 0.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from annulab.geometry import AnnularDomain
-from annulab.mesh import BoundaryTag, build_mesh
+from annulab.mesh import build_mesh
 
 
 def canonical_triangle_keys(tris):
@@ -30,16 +30,13 @@ def test_outer_ray_corners():
 def test_boundary_tags():
     d = AnnularDomain(1.0, 5.0, 2.0)
     m = build_mesh(d, 32, 4)
-    edges = m.boundary_edges
-    inner = [e for e in edges if e[2] is BoundaryTag.DIRICHLET_INNER]
-    outer = [e for e in edges if e[2] is BoundaryTag.NEUMANN_OUTER]
-    assert len(inner) == 32
-    assert len(outer) == 32
-    for v0, v1, _ in inner:
+    assert m.inner_edges.shape == (32, 2)
+    assert m.outer_edges.shape == (32, 2)
+    for v0, v1 in m.inner_edges:
         for v in (v0, v1):
             p = m.vertices[v]
             assert math.hypot(p[0] - 2.0, p[1]) == pytest.approx(1.0, abs=1e-12)
-    for v0, v1, _ in outer:
+    for v0, v1 in m.outer_edges:
         for v in (v0, v1):
             p = m.vertices[v]
             assert math.hypot(p[0], p[1]) == pytest.approx(5.0, abs=1e-12)

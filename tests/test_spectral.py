@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from annulab.fem import ProblemKind, assemble_mass, assemble_stiffness
+from annulab.fem import Discretization, ProblemKind
 from annulab.geometry import AnnularDomain
+from annulab.mesh import build_mesh
 from annulab.radial_oracle import concentric_eigenvalue
 from annulab.spectral import solve_eigenproblem, write_field_csv, write_field_vtk
+from annulab.torsion import solve_torsion
 
 
 @pytest.fixture(scope="module", params=[k.value for k in ProblemKind])
@@ -24,14 +26,16 @@ def test_concentric_matches_oracle(concentric_solution):
 def test_positivity_and_normalization(concentric_solution):
     _, sol = concentric_solution
     assert sol.u.values.min() >= -1e-10
-    M = assemble_mass(sol.mesh)
-    assert M.quadratic_form(sol.u.values) == pytest.approx(1.0, rel=1e-12)
+    u = sol.u.values
+    M = Discretization(sol.mesh).M
+    assert float(u @ (M @ u)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_value_is_rayleigh_quotient(concentric_solution):
     _, sol = concentric_solution
-    K = assemble_stiffness(sol.mesh)
-    assert sol.value == pytest.approx(K.quadratic_form(sol.u.values), rel=1e-10)
+    u = sol.u.values
+    K = Discretization(sol.mesh).K
+    assert sol.value == pytest.approx(float(u @ (K @ u)), rel=1e-10)
 
 
 def test_exact_lattice_mirror_symmetry():
@@ -53,10 +57,9 @@ def test_peak_location_eccentric():
 
 def test_mixed_below_dirichlet_same_mesh():
     d = AnnularDomain(1.0, 5.0, 1.0)
-    nd = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.ND)
-    dd = solve_eigenproblem(
-        d, 64, 16, 1.0, ProblemKind.DD, mesh=nd.mesh
-    )
+    disc = Discretization(build_mesh(d, 64, 16, 1.0))
+    nd = solve_eigenproblem(d, kind=ProblemKind.ND, disc=disc)
+    dd = solve_eigenproblem(d, kind=ProblemKind.DD, disc=disc)
     assert nd.value < dd.value
 
 
@@ -72,9 +75,11 @@ def test_dirichlet_values_pinned():
 def test_mesh_domain_mismatch_rejected():
     d1 = AnnularDomain(1.0, 5.0, 2.0)
     d2 = AnnularDomain(1.0, 5.0, 1.0)
-    sol = solve_eigenproblem(d1, 32, 6, 1.0, ProblemKind.ND)
+    disc = Discretization(build_mesh(d1, 32, 6, 1.0))
     with pytest.raises(ValueError):
-        solve_eigenproblem(d2, 32, 6, 1.0, ProblemKind.ND, mesh=sol.mesh)
+        solve_eigenproblem(d2, kind=ProblemKind.ND, disc=disc)
+    with pytest.raises(ValueError):
+        solve_torsion(d2, disc=disc)
 
 
 def test_field_exports(tmp_path):

@@ -176,16 +176,6 @@ def test_deviation_basic():
         deviation(a, ring_of([1.0, 2.0, 3.0, 2.0], radius=2.0))
 
 
-def test_rings_csv(tmp_path):
-    rs = ring_of([1.0, 2.0, 3.0, 2.0])
-    path = tmp_path / "rings.csv"
-    rs.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,psi,value"
-    assert len(lines) == 5
-    assert lines[1].startswith("1.0,0.0,")
-
-
 def ring_dirichlet_energy(rs):
     """Dirichlet integral estimated on the polar sample grid."""
     r = rs.radii

@@ -22,6 +22,7 @@ def test_energy_integral_identity(concentric12, torsion_s2_128):
     for sol in (concentric12, torsion_s2_128):
         t_energy, t_integral = torsional_rigidity(sol.v)
         assert abs(t_energy - t_integral) <= 1e-10 * t_integral
+        assert sol.T == pytest.approx(t_integral, rel=1e-12)
 
 
 def test_concentric_profile_match(concentric12):
