@@ -9,10 +9,16 @@ routes.
 """
 
 from .geometry import AnnularDomain, DomainError, Polarizer
-from .mesh import Mesh, MeshQualityError, build_mesh
+from .mesh import Mesh, MeshQualityError, Resolution, build_mesh
 from .fem import Discretization, Field, ProblemKind
 from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair
-from .spectral import EigenSolution, solve_eigenproblem, write_field_csv, write_field_vtk
+from .spectral import (
+    EigenSolution,
+    discretize,
+    solve_eigenproblem,
+    write_field_csv,
+    write_field_vtk,
+)
 from .symmetrize import (
     RingSampling,
     deviation,
@@ -34,11 +40,10 @@ from .shape import (
     reflected_neumann_margin,
     translation_field,
 )
-from .torsion import rigidity_derivative, solve_torsion, torsion_trace, torsional_rigidity
+from .torsion import rigidity_derivative, solve_torsion, torsional_rigidity
 from .radial_oracle import concentric_eigenvalue, concentric_torsion
 from .sweep import (
     DNAnalysis,
-    Resolution,
     SweepRecord,
     analyze_dn_family,
     analyze_dn_ratio,
@@ -53,10 +58,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnularDomain", "DomainError", "Polarizer",
-    "Mesh", "MeshQualityError", "build_mesh",
+    "Mesh", "MeshQualityError", "Resolution", "build_mesh",
     "Discretization", "Field", "ProblemKind",
     "EigenPair", "SolverConvergenceError", "smallest_eigenpair",
-    "EigenSolution", "solve_eigenproblem", "write_field_csv", "write_field_vtk",
+    "EigenSolution", "discretize", "solve_eigenproblem",
+    "write_field_csv", "write_field_vtk",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
     "sample_rings", "star_polarizers",
     "GeometryReport", "geometry_report", "recover_gradient",
@@ -64,9 +70,9 @@ __all__ = [
     "dirichlet_normal_derivative", "eulerian_derivative",
     "finite_difference_tau_prime", "hadamard_tau_prime",
     "half_boundary_tau_prime", "reflected_neumann_margin", "translation_field",
-    "rigidity_derivative", "solve_torsion", "torsion_trace", "torsional_rigidity",
+    "rigidity_derivative", "solve_torsion", "torsional_rigidity",
     "concentric_eigenvalue", "concentric_torsion",
-    "DNAnalysis", "Resolution", "SweepRecord",
+    "DNAnalysis", "SweepRecord",
     "analyze_dn_family", "analyze_dn_ratio", "bracket_critical_ratio",
     "convergence_study", "monotonicity_violations", "sweep_translation",
     "write_sweep_csv",

@@ -2,10 +2,10 @@
 
 Each check evaluates a strict continuum inequality on the discrete field and
 reports the worst margin together with where it occurs.  Signs are tested
-against zero; the only tunables are the exclusion radius around the two
+against zero; the only tunable is the exclusion radius around the two
 points where the inequalities genuinely degenerate (``(+-R1, 0)``, where the
-gradient vanishes) and the interpolation tolerance of the reflection
-comparison.
+gradient vanishes).  The reflection comparison allows a fixed interpolation
+tolerance, ``INTERP_RTOL``.
 
 Interior derivative checks use the area-weighted recovered vertex gradient.
 The outer-circle axial check instead differentiates the boundary values
@@ -27,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .export import write_json
 from .fem import Field, p1_gradient
 from .geometry import Polarizer
 from .mesh import Mesh
 
 # ordering allowance for interpolated reflection comparisons, relative to
 # max |u|; covers the O(h^2) interpolation error of the reflected value
-DEFAULT_INTERP_RTOL = 1e-3
+INTERP_RTOL = 1e-3
+
+# star-family polarizers of the reflection check, evenly spread in angle
+REPORT_POLARIZERS = 8
 
 # relative ring-value spread accepted as "angularly constant" at s = 0
 RADIAL_SPREAD_RTOL = 1e-3
@@ -86,10 +88,10 @@ def outer_axial_derivative(u: Field) -> np.ndarray:
     tangential derivative from centered differences along the boundary ring.
     """
     mesh = u.mesh
-    ring = mesh.lattice[:, mesh.n_rad]
+    ring = mesh.lattice[:, mesh.res.n_rad]
     pts = mesh.vertices[ring]
     vals = u.values[ring]
-    idx = np.arange(mesh.n_theta)
+    idx = np.arange(mesh.res.n_theta)
     nxt = np.roll(idx, -1)
     prv = np.roll(idx, 1)
     dvec = pts[nxt] - pts[prv]
@@ -134,14 +136,11 @@ class GeometryReport:
             },
         }
 
-    def write_json(self, path):
-        write_json(path, self.to_payload())
-
 
 def _interior_mask(mesh: Mesh) -> np.ndarray:
     mask = np.ones(mesh.num_vertices, dtype=bool)
     mask[mesh.lattice[:, 0]] = False
-    mask[mesh.lattice[:, mesh.n_rad]] = False
+    mask[mesh.lattice[:, mesh.res.n_rad]] = False
     return mask
 
 
@@ -159,18 +158,7 @@ def _ring_spread(u: Field) -> float:
     return float(spread.max() / max(np.abs(u.values).max(), 1e-300))
 
 
-def report_polarizers(count: int = 8):
-    """Evenly spread star-family polarizers for the reflection check."""
-    angles = [-np.pi / 2 + (j + 0.5) * np.pi / count for j in range(count)]
-    return [Polarizer.from_angle(g) for g in angles]
-
-
-def geometry_report(
-    u: Field,
-    exclusion: float | None = None,
-    polarizer_count: int = 8,
-    interp_rtol: float = DEFAULT_INTERP_RTOL,
-) -> GeometryReport:
+def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     """Evaluate the seven sign checks on a positive first eigenfunction.
 
     Also meaningful for the torsion field, whose gradient obeys the same
@@ -224,7 +212,7 @@ def geometry_report(
            "max of du/dx1 over {x1 < s - exclusion}")
 
     # (c) decreasing in x1 along the outer circle
-    ring = mesh.lattice[:, mesh.n_rad]
+    ring = mesh.lattice[:, mesh.res.n_rad]
     ring_pts = v[ring]
     ring_mask = _outside_poles(ring_pts, d.R1, exclusion)
     d1 = outer_axial_derivative(u)
@@ -281,12 +269,13 @@ def geometry_report(
     record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
 
     # (f) strict ordering under star-family reflections
-    tol = interp_rtol * umax
+    tol = INTERP_RTOL * umax
     nviol = 0
     ntest = 0
     worst = np.inf
     wloc = (0.0, 0.0)
-    for pol in report_polarizers(polarizer_count):
+    for j in range(REPORT_POLARIZERS):
+        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
         side = pol.side(v)
         cand = interior & (side > 1e-12 * d.R1)  # strictly outside H
         pts = v[cand]
@@ -325,7 +314,7 @@ def geometry_report(
     else:
         target = np.array([-d.R1, 0.0])
         dist = float(np.hypot(*(v[peak] - target)))
-        ref_vertex = mesh.vertex_index(mesh.n_theta // 2, mesh.n_rad)
+        ref_vertex = mesh.vertex_index(mesh.res.n_theta // 2, mesh.res.n_rad)
         adj = np.nonzero(np.any(mesh.triangles == ref_vertex, axis=1))[0]
         pts = mesh.vertices[mesh.triangles[adj]]
         diam = float(

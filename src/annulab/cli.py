@@ -2,8 +2,9 @@
 
 Subcommands: ``solve``, ``torsion``, ``symmetry-check``, ``shape-derivative``,
 ``sweep``, ``dn-analyze``, ``converge``.  Exit codes: 0 success, 2 validation
-error, 3 solver non-convergence, 4 failed assertion suite.  A JSON config
-file may preload any flag defaults; explicit flags win.
+error or unusable output directory, 3 solver non-convergence, 4 failed
+assertion suite.  A JSON config file may preload the flag defaults of the
+chosen subcommand; explicit flags win.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .eigensolver import SolverConvergenceError
 from .export import write_json
 from .fem import ProblemKind
 from .geometry import AnnularDomain, DomainError
-from .mesh import MeshQualityError
+from .mesh import MeshQualityError, Resolution
 from .radial_oracle import concentric_eigenvalue
 from .shape import (
     dirichlet_normal_derivative,
@@ -28,9 +29,8 @@ from .shape import (
     hadamard_tau_prime,
     half_boundary_tau_prime,
 )
-from .spectral import solve_eigenproblem, write_field_csv, write_field_vtk
+from .spectral import discretize, solve_eigenproblem, write_field_csv, write_field_vtk
 from .sweep import (
-    Resolution,
     analyze_dn_family,
     bracket_critical_ratio,
     convergence_study,
@@ -80,25 +80,30 @@ def _parse_ratios(text: str):
     return ratios
 
 
-def _add_common(p, with_s=True, with_tol=True):
+def _add_domain(p, with_s=True):
     p.add_argument("--R0", type=float, default=1.0, help="inner radius (default 1)")
     p.add_argument("--R1", type=float, default=5.0, help="outer radius (default 5)")
     if with_s:
         p.add_argument("--s", type=float, default=0.0,
                        help="inner center offset (default 0)")
-    p.add_argument("--n-theta", type=int, default=256,
-                   help="angular resolution (default 256)")
-    p.add_argument("--n-rad", type=int, default=64,
-                   help="radial layers (default 64)")
-    p.add_argument("--grading", type=float, default=1.5,
+
+
+def _add_solver_flags(p, res=Resolution(), with_tol=True):
+    """Resolution flags defaulting to ``res``, and the eigensolver tolerance."""
+    p.add_argument("--n-theta", type=int, default=res.n_theta,
+                   help=f"angular resolution (default {res.n_theta})")
+    p.add_argument("--n-rad", type=int, default=res.n_rad,
+                   help=f"radial layers (default {res.n_rad})")
+    p.add_argument("--grading", type=float, default=res.grading,
                    help="radial grading exponent in [0.5, 2]; >1 refines the "
-                        "inner circle (default 1.5)")
+                        f"inner circle (default {res.grading:g})")
     if with_tol:
         p.add_argument("--tol", type=float, default=1e-9,
                        help="eigensolver residual tolerance (default 1e-9)")
+
+
+def _add_out_dir(p):
     p.add_argument("--out-dir", default="out", help="output directory (default out)")
-    p.add_argument("--vtk", action="store_true", help="also write VTK files")
-    p.add_argument("--svg", action="store_true", help="also write SVG charts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,18 +115,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="first eigenpair of one configuration")
-    _add_common(p)
+    _add_domain(p)
+    _add_solver_flags(p)
+    _add_out_dir(p)
+    p.add_argument("--vtk", action="store_true", help="also write a VTK file")
     p.add_argument("--kind", choices=("nd", "dn", "dd"), default="nd",
                    help="boundary configuration (default nd)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("torsion", help="torsion function and rigidity")
-    _add_common(p, with_tol=False)
+    _add_domain(p)
+    _add_solver_flags(p, with_tol=False)
+    _add_out_dir(p)
+    p.add_argument("--vtk", action="store_true", help="also write a VTK file")
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("symmetry-check",
                        help="geometry report and rearrangement deviations")
-    _add_common(p)
+    _add_domain(p)
+    _add_solver_flags(p)
+    _add_out_dir(p)
     p.add_argument("--exclusion", type=float, default=None,
                    help="exclusion radius around (+-R1, 0); default 0.05 R1")
     p.add_argument("--rings", type=int, default=64,
@@ -132,13 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shape-derivative",
                        help="three derivative estimates at one offset")
-    _add_common(p)
+    _add_domain(p)
+    _add_solver_flags(p)
     p.add_argument("--fd-step", type=float, default=0.05,
                    help="finite difference step (default 0.05)")
     p.set_defaults(func=cmd_shape_derivative)
 
     p = sub.add_parser("sweep", help="translation sweep of the inner hole")
-    _add_common(p, with_s=False)
+    _add_domain(p, with_s=False)
+    _add_solver_flags(p)
+    _add_out_dir(p)
+    p.add_argument("--svg", action="store_true", help="also write an SVG chart")
     p.add_argument("--s-grid", type=_parse_grid, default=_parse_grid("0:0.4:3.6"),
                    help="offset grid start:step:end (default 0:0.4:3.6)")
     p.add_argument("--fd-step", type=float, default=0.05,
@@ -154,30 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma separated R0/R1 ratios (default 0.1,0.6)")
     p.add_argument("--s-points", type=int, default=12,
                    help="sweep points per ratio (default 12)")
-    p.add_argument("--n-theta", type=int, default=128,
-                   help="angular resolution (default 128)")
-    p.add_argument("--n-rad", type=int, default=32,
-                   help="radial layers (default 32)")
-    p.add_argument("--grading", type=float, default=1.5,
-                   help="radial grading exponent (default 1.5)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="eigensolver residual tolerance (default 1e-9)")
+    _add_solver_flags(p, Resolution(128, 32))
     p.add_argument("--bracket", action="store_true",
                    help="also bisect for the critical ratio")
     p.add_argument("--bracket-width", type=float, default=0.05,
                    help="target bracket width (default 0.05)")
-    p.add_argument("--out-dir", default="out")
+    _add_out_dir(p)
     p.set_defaults(func=cmd_dn_analyze)
 
-    p = sub.add_parser("converge", help="mesh convergence study")
-    _add_common(p)
+    p = sub.add_parser("converge", help="mesh convergence study from the coarsest "
+                                        "level --n-theta x --n-rad")
+    _add_domain(p)
+    _add_solver_flags(p, Resolution(64, 16))
     p.add_argument("--kind", choices=("nd", "dn", "dd"), default="nd")
     p.add_argument("--levels", type=int, default=3,
                    help="number of dyadic refinement levels (default 3)")
-    p.add_argument("--base-n-theta", type=int, default=64,
-                   help="coarsest angular resolution (default 64)")
-    p.add_argument("--base-n-rad", type=int, default=16,
-                   help="coarsest radial layers (default 16)")
     p.set_defaults(func=cmd_converge)
     return ap
 
@@ -186,14 +194,14 @@ def _ensure_outdir(args):
     os.makedirs(args.out_dir, exist_ok=True)
 
 
-def _run_params(args):
-    return dict(n_theta=args.n_theta, n_rad=args.n_rad, grading=args.grading)
+def _resolution(args) -> Resolution:
+    return Resolution(args.n_theta, args.n_rad, args.grading)
 
 
 def cmd_solve(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
     kind = ProblemKind.parse(args.kind)
-    sol = solve_eigenproblem(d, kind=kind, tol=args.tol, **_run_params(args))
+    sol = solve_eigenproblem(discretize(d, _resolution(args)), kind, args.tol)
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"eig_{kind.value}_s{args.s:g}")
     write_field_csv(sol.u, base + ".csv")
@@ -207,7 +215,7 @@ def cmd_solve(args) -> int:
 
 def cmd_torsion(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_torsion(d, **_run_params(args))
+    sol = solve_torsion(discretize(d, _resolution(args)))
     t_energy, t_integral = torsional_rigidity(sol.v)
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"torsion_s{args.s:g}")
@@ -222,7 +230,7 @@ def cmd_torsion(args) -> int:
 
 def cmd_symmetry_check(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_eigenproblem(d, kind=ProblemKind.ND, tol=args.tol, **_run_params(args))
+    sol = solve_eigenproblem(discretize(d, _resolution(args)), ProblemKind.ND, args.tol)
     report = geometry_report(sol.u, exclusion=args.exclusion)
     rings = sample_rings(sol.u, m=args.ring_samples, n_rings=args.rings)
     star = foliated_schwarz(rings)
@@ -246,13 +254,12 @@ def cmd_symmetry_check(args) -> int:
 
 def cmd_shape_derivative(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_eigenproblem(d, kind=ProblemKind.ND, tol=args.tol, **_run_params(args))
+    res = _resolution(args)
+    sol = solve_eigenproblem(discretize(d, res), ProblemKind.ND, args.tol)
     trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    fd = finite_difference_tau_prime(
-        d, args.fd_step, args.n_theta, args.n_rad, args.grading, tol=args.tol
-    )
+    fd = finite_difference_tau_prime(d, args.fd_step, res, tol=args.tol)
     print(f"eigenvalue:        {sol.value!r}")
     print(f"boundary integral: {had!r}")
     print(f"half boundary:     {halfb!r}")
@@ -261,10 +268,9 @@ def cmd_shape_derivative(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    res = Resolution(args.n_theta, args.n_rad, args.grading)
     records = sweep_translation(
-        args.R0, args.R1, args.s_grid, resolution=res, fd_step=args.fd_step,
-        tol=args.tol, threads=args.threads,
+        args.R0, args.R1, args.s_grid, resolution=_resolution(args),
+        fd_step=args.fd_step, tol=args.tol, threads=args.threads,
     )
     _ensure_outdir(args)
     path = os.path.join(args.out_dir, "sweep.csv")
@@ -279,7 +285,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_dn_analyze(args) -> int:
-    res = Resolution(args.n_theta, args.n_rad, args.grading)
+    res = _resolution(args)
     analyses = analyze_dn_family(
         args.R1, args.ratios, s_points=args.s_points, resolution=res, tol=args.tol
     )
@@ -304,7 +310,7 @@ def cmd_dn_analyze(args) -> int:
         )
         payload["critical_ratio_bracket"] = [lo, hi]
         print(f"critical ratio bracket: [{lo:.4f}, {hi:.4f}]")
-    os.makedirs(args.out_dir, exist_ok=True)
+    _ensure_outdir(args)
     path = os.path.join(args.out_dir, "dn_analysis.json")
     write_json(path, payload)
     print(f"analysis written to {path}")
@@ -319,13 +325,14 @@ def cmd_converge(args) -> int:
         reference = concentric_eigenvalue(kind, args.R0, args.R1)
         print(f"radial reference: {reference!r}")
     rows = convergence_study(
-        d, kind, levels=args.levels, base=(args.base_n_theta, args.base_n_rad),
-        grading=args.grading, tol=args.tol, reference=reference,
+        d, kind, _resolution(args), levels=args.levels, tol=args.tol,
+        reference=reference,
     )
     print("h        n_theta  n_rad   value             order")
     for r in rows:
         order = f"{r.observed_order:.3f}" if r.observed_order is not None else "-"
-        print(f"{r.h:<8g} {r.n_theta:<8d} {r.n_rad:<7d} {r.value:<17.12f} {order}")
+        print(f"{r.h:<8g} {r.res.n_theta:<8d} {r.res.n_rad:<7d} "
+              f"{r.value:<17.12f} {order}")
     print(f"extrapolated limit: {richardson_limit(rows)!r}")
     return EXIT_OK
 
@@ -344,24 +351,20 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        known = {a.dest for a in ap._actions}
-        for sp in ap._subparsers._group_actions[0].choices.values():
-            known |= {a.dest for a in sp._actions}
-        bad = set(cfg) - known
+        # keys are checked against the flags of the chosen subcommand
+        sp = ap._subparsers._group_actions[0].choices[pre.command]
+        bad = set(cfg) - {a.dest for a in ap._actions + sp._actions}
         if bad:
             print(f"error: unknown config keys: {sorted(bad)}", file=sys.stderr)
             return EXIT_VALIDATION
-        ap.set_defaults(**cfg)
-        for sp in ap._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in cfg.items()
-                               if k in {a.dest for a in sp._actions}})
+        sp.set_defaults(**cfg)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, MeshQualityError, ValueError) as exc:
+    except (DomainError, MeshQualityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverConvergenceError as exc:

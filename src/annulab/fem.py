@@ -105,20 +105,17 @@ def p1_gradient(u: Field, tids=slice(None)):
 MASS_BLOCK = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def p1_local_matrices(coords: np.ndarray):
-    """Per-triangle stiffness and mass blocks for (nt, 3, 2) coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    single = coords.ndim == 2
-    if single:
-        coords = coords[None]
+def p1_local_stiffness(coords: np.ndarray) -> np.ndarray:
+    """Per-triangle stiffness blocks for (nt, 3, 2) coordinates."""
     b, c, area = _p1_geometry(coords)
-    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
         4.0 * area
     )[:, None, None]
-    me = area[:, None, None] * MASS_BLOCK[None, :, :]
-    if single:
-        return ke[0], me[0]
-    return ke, me
+
+
+def p1_local_mass(area: np.ndarray) -> np.ndarray:
+    """Per-triangle consistent mass blocks for the (nt,) triangle areas."""
+    return area[:, None, None] * MASS_BLOCK[None, :, :]
 
 
 def _scatter(mesh: Mesh, local):
@@ -164,7 +161,7 @@ def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
     if kind in (ProblemKind.ND, ProblemKind.DD):
         parts.append(mesh.lattice[:, 0])
     if kind in (ProblemKind.DN, ProblemKind.DD):
-        parts.append(mesh.lattice[:, mesh.n_rad])
+        parts.append(mesh.lattice[:, mesh.res.n_rad])
     return np.sort(np.concatenate(parts))
 
 
@@ -218,21 +215,20 @@ class Discretization:
     def assemble_stiffness(self) -> sp.csr_matrix:
         """Stiffness matrix of the Laplacian: K_ij = integral grad phi_i . grad phi_j."""
         mesh = self.mesh
-        ke, _ = p1_local_matrices(mesh.vertices[mesh.triangles])
+        ke = p1_local_stiffness(mesh.vertices[mesh.triangles])
         return _exactly_symmetric(_symmetrize(_scatter(mesh, ke), mesh.mirror))
 
     def assemble_mass(self) -> sp.csr_matrix:
         """Consistent P1 mass matrix: local block area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
         mesh = self.mesh
-        _, me = p1_local_matrices(mesh.vertices[mesh.triangles])
+        me = p1_local_mass(mesh.areas)
         return _exactly_symmetric(_symmetrize(_scatter(mesh, me), mesh.mirror))
 
     def assemble_load(self) -> np.ndarray:
         """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""
         mesh = self.mesh
-        _, _, area = _p1_geometry(mesh.vertices[mesh.triangles])
         b = np.zeros(mesh.num_vertices)
-        np.add.at(b, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+        np.add.at(b, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
         return 0.5 * (b + b[mesh.mirror])
 
     def system(self, kind: ProblemKind) -> ReducedSystem:

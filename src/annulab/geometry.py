@@ -16,11 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# absolute tolerance for geometric predicates on lengths normalized by R1
-GEOM_TOL = 1e-12
-
-E1 = np.array([1.0, 0.0])
-
 
 class DomainError(ValueError):
     """Parameter set does not describe a valid eccentric annulus."""
@@ -62,14 +57,6 @@ class AnnularDomain:
         off_hole = np.einsum("...i,...i->...", q, q) > self.R0**2
         out = inside & off_hole
         return bool(out) if out.ndim == 0 else out
-
-    def signed_distance(self, p):
-        """Negative outside the closure, zero on the boundary, positive inside."""
-        p = np.asarray(p, dtype=float)
-        q = p - self.inner_center
-        d_outer = self.R1 - np.sqrt(np.einsum("...i,...i->...", p, p))
-        d_inner = np.sqrt(np.einsum("...i,...i->...", q, q)) - self.R0
-        return np.minimum(d_outer, d_inner)
 
     def ray_exit_distance(self, phi):
         """Distance from (s, 0) to the outer circle along (cos phi, sin phi).
@@ -125,16 +112,6 @@ class Polarizer:
         else:
             c, sn = math.cos(gamma), math.sin(gamma)
         return cls(h=(c, sn), b=(float(b[0]), float(b[1])))
-
-    @property
-    def in_h0(self) -> bool:
-        """True when the boundary line passes through the origin."""
-        return abs(self.h[0] * self.b[0] + self.h[1] * self.b[1]) <= GEOM_TOL
-
-    @property
-    def in_hstar(self) -> bool:
-        """True for the star subfamily: centered and ``h . e1 > 0``."""
-        return self.in_h0 and self.h[0] > 0.0
 
     def side(self, p):
         """Signed side value ``h . (p - b)``; nonpositive inside H."""

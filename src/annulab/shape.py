@@ -24,8 +24,8 @@ import numpy as np
 from .checks import GradientField, recover_gradient
 from .fem import Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
-from .mesh import Mesh
-from .spectral import solve_eigenproblem
+from .mesh import Mesh, Resolution
+from .spectral import discretize, solve_eigenproblem
 
 
 class SymmetryViolationError(RuntimeError):
@@ -66,7 +66,7 @@ def dirichlet_normal_derivative(u: Field, kind: ProblemKind) -> BoundaryTrace:
     edges = mesh.inner_edges  # (n_theta, 2), ccw
     # the inner edge belongs to exactly one of its quad's two triangles,
     # depending on the diagonal choice
-    quads = np.arange(mesh.n_theta) * mesh.n_rad
+    quads = np.arange(mesh.res.n_theta) * mesh.res.n_rad
     cand0 = mesh.triangles[2 * quads]
     cand1 = mesh.triangles[2 * quads + 1]
 
@@ -106,12 +106,6 @@ def hadamard_tau_prime(trace: BoundaryTrace) -> float:
     return -float(np.sum(trace.dudn**2 * trace.normals[:, 0] * trace.lengths))
 
 
-def _mirror_edge_indices(n_theta: int) -> np.ndarray:
-    """Index of the x1 = s mirror image of each inner edge."""
-    i = np.arange(n_theta)
-    return (n_theta // 2 - 1 - i) % n_theta
-
-
 def half_boundary_tau_prime(trace: BoundaryTrace, domain: AnnularDomain) -> float:
     """Same derivative regrouped over the half circle right of x1 = s.
 
@@ -119,9 +113,9 @@ def half_boundary_tau_prime(trace: BoundaryTrace, domain: AnnularDomain) -> floa
     ``(dudn(mirror)^2 - dudn^2) n1 length``; this is an exact rearrangement
     of the full sum because the inner circle is built mirror symmetric.
     """
-    mesh = trace.mesh
-    n = mesh.n_theta
-    mirror = _mirror_edge_indices(n)
+    n = trace.mesh.res.n_theta
+    # index of the x1 = s mirror image of each inner edge
+    mirror = (n // 2 - 1 - np.arange(n)) % n
     mid_x = trace.midpoints[:, 0]
     tol = 1e-10 * domain.R1
     bad = np.abs(mid_x[mirror] - (2.0 * domain.s - mid_x)) > tol
@@ -174,7 +168,7 @@ def translation_field(mesh: Mesh) -> VectorField:
     normals = d.inner_center - mid
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     inner_vn = normals[:, 0]
-    outer_vn = np.zeros(mesh.n_theta)
+    outer_vn = np.zeros(mesh.res.n_theta)
     return VectorField(vertex, inner_vn, outer_vn, mesh)
 
 
@@ -245,10 +239,8 @@ def offset_difference(f, domain: AnnularDomain, h: float) -> float:
 
 def finite_difference_tau_prime(
     domain: AnnularDomain,
-    h: float = 0.05,
-    n_theta: int = 256,
-    n_rad: int = 64,
-    grading: float = 1.5,
+    h: float,
+    res: Resolution,
     kind: ProblemKind = ProblemKind.ND,
     tol: float = 1e-9,
 ) -> float:
@@ -259,8 +251,8 @@ def finite_difference_tau_prime(
     """
 
     def tau_at(s):
-        dd = AnnularDomain(domain.R0, domain.R1, s)
-        return solve_eigenproblem(dd, n_theta, n_rad, grading, kind, tol=tol).value
+        disc = discretize(AnnularDomain(domain.R0, domain.R1, s), res)
+        return solve_eigenproblem(disc, kind, tol).value
 
     return offset_difference(tau_at, domain, h)
 
@@ -283,7 +275,7 @@ def reflected_neumann_margin(
     if grad is None:
         grad = recover_gradient(u)
     corners_y = np.sqrt(max(d.R1**2 - d.s**2, 0.0))
-    outer = mesh.vertices[mesh.lattice[:, mesh.n_rad]]
+    outer = mesh.vertices[mesh.lattice[:, mesh.res.n_rad]]
     sel = outer[:, 0] > d.s
     for cy in (corners_y, -corners_y):
         sel &= np.hypot(outer[:, 0] - d.s, outer[:, 1] - cy) > exclusion

@@ -17,7 +17,7 @@ from .eigensolver import EigenPair, smallest_eigenpair
 from .export import write_csv
 from .fem import Discretization, Field, ProblemKind
 from .geometry import AnnularDomain
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, Resolution, build_mesh
 
 
 @dataclass
@@ -29,36 +29,19 @@ class EigenSolution:
     pair: EigenPair
 
 
-def discretize(
-    domain: AnnularDomain,
-    n_theta: int,
-    n_rad: int,
-    grading: float,
-    disc: Discretization | None = None,
-) -> Discretization:
-    """``disc`` when given, which must belong to ``domain``; else a fresh one."""
-    if disc is None:
-        return Discretization(build_mesh(domain, n_theta, n_rad, grading))
-    if disc.mesh.domain != domain:
-        raise ValueError("discretization belongs to a different domain")
-    return disc
+def discretize(domain: AnnularDomain, res: Resolution) -> Discretization:
+    """The discretization of ``domain`` at resolution ``res``.
+
+    Related solves on one mesh pass one discretization so that they share
+    its operators and factorizations.
+    """
+    return Discretization(build_mesh(domain, res))
 
 
 def solve_eigenproblem(
-    domain: AnnularDomain,
-    n_theta: int = 256,
-    n_rad: int = 64,
-    grading: float = 1.5,
-    kind: ProblemKind = ProblemKind.ND,
-    tol: float = 1e-9,
-    disc: Discretization | None = None,
+    disc: Discretization, kind: ProblemKind = ProblemKind.ND, tol: float = 1e-9
 ) -> EigenSolution:
-    """First eigenpair of the Laplacian on ``domain`` for the given kind.
-
-    Related solves on one mesh pass one ``disc`` so that they share its
-    operators and factorizations; the resolution arguments are then unused.
-    """
-    disc = discretize(domain, n_theta, n_rad, grading, disc)
+    """First eigenpair of the Laplacian on ``disc`` for the given kind."""
     system = disc.system(kind)
     pair = smallest_eigenpair(system.K, system.M, system.lu, tol=tol)
     u = Field(system.expand(pair.vector), disc.mesh)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .checks import geometry_report
 from .export import svg_line_chart, write_csv
 from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
+from .mesh import Resolution
 from .shape import (
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
@@ -37,18 +38,6 @@ SWEEP_COLUMNS = (
     "s", "tau1", "lambda1", "nu1", "T",
     "dtau_hadamard", "dtau_half", "dtau_fd", "dT_boundary", "checks_pass",
 )
-
-
-@dataclass
-class Resolution:
-    """Mesh resolution bundle shared by all solves of a sweep."""
-
-    n_theta: int = 256
-    n_rad: int = 64
-    # exponent > 1 refines toward the inner circle, where normal derivatives
-    # are extracted; 1.5 keeps the boundary-integral derivative within a few
-    # permille of finite differences at the default resolution
-    grading: float = 1.5
 
 
 @dataclass
@@ -80,11 +69,11 @@ def _solve_record(
     R0, R1, s, res: Resolution, fd_step, tol, keep_fields, exclusion
 ) -> SweepRecord:
     d = AnnularDomain(R0, R1, s)
-    disc = discretize(d, res.n_theta, res.n_rad, res.grading)
-    nd = solve_eigenproblem(d, kind=ProblemKind.ND, tol=tol, disc=disc)
-    dd = solve_eigenproblem(d, kind=ProblemKind.DD, tol=tol, disc=disc)
-    dn = solve_eigenproblem(d, kind=ProblemKind.DN, tol=tol, disc=disc)
-    tor = solve_torsion(d, disc=disc)
+    disc = discretize(d, res)
+    nd = solve_eigenproblem(disc, ProblemKind.ND, tol)
+    dd = solve_eigenproblem(disc, ProblemKind.DD, tol)
+    dn = solve_eigenproblem(disc, ProblemKind.DN, tol)
+    tor = solve_torsion(disc)
     # its factorizations are most of a record's memory: free them before the
     # finite-difference re-solves and the geometry reports
     del disc
@@ -93,10 +82,7 @@ def _solve_record(
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
     h = min(fd_step, max_fd_step(d))
-    fd = finite_difference_tau_prime(
-        d, h, res.n_theta, res.n_rad, res.grading,
-        kind=ProblemKind.ND, tol=tol,
-    )
+    fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol)
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v, ProblemKind.ND))
 
     excl = 0.05 * R1 if exclusion is None else exclusion
@@ -118,7 +104,7 @@ def sweep_translation(
     R0: float,
     R1: float,
     s_grid,
-    resolution: Resolution | None = None,
+    resolution: Resolution = Resolution(),
     fd_step: float = 0.05,
     tol: float = 1e-9,
     threads: int = 1,
@@ -126,7 +112,6 @@ def sweep_translation(
     exclusion: float | None = None,
 ) -> list[SweepRecord]:
     """One record per offset; logs monotonicity violations, returns all rows."""
-    res = resolution or Resolution()
     s_grid = [float(s) for s in s_grid]
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("s_grid must be strictly increasing")
@@ -134,7 +119,9 @@ def sweep_translation(
         raise ValueError("s_grid must lie inside [0, R1 - R0)")
 
     def work(s):
-        return _solve_record(R0, R1, s, res, fd_step, tol, keep_fields, exclusion)
+        return _solve_record(
+            R0, R1, s, resolution, fd_step, tol, keep_fields, exclusion
+        )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -206,9 +193,8 @@ class DNAnalysis:
 
 
 def _nu1(R0, R1, s, res: Resolution, tol) -> float:
-    d = AnnularDomain(R0, R1, s)
     return solve_eigenproblem(
-        d, res.n_theta, res.n_rad, res.grading, kind=ProblemKind.DN, tol=tol
+        discretize(AnnularDomain(R0, R1, s), res), ProblemKind.DN, tol
     ).value
 
 
@@ -233,7 +219,7 @@ def analyze_dn_ratio(
     R1: float,
     ratio: float,
     s_points: int = 12,
-    resolution: Resolution | None = None,
+    resolution: Resolution = Resolution(),
     tol: float = 1e-9,
 ) -> DNAnalysis:
     """Classify nu1(s) for ``R0 = ratio R1`` on a uniform interior grid.
@@ -247,13 +233,12 @@ def analyze_dn_ratio(
         raise ValueError("ratio must lie in (0, 1)")
     if s_points < 3:
         raise ValueError("need at least 3 sweep points")
-    res = resolution or Resolution()
     R0 = ratio * R1
     width = R1 - R0
     # midpoint grid: uniform over the open interval with end coverage
     # 0.5 dx from either endpoint, where the shallow minimum tends to sit
     grid = (np.arange(s_points) + 0.5) * (width / s_points)
-    nu = np.array([_nu1(R0, R1, s, res, tol) for s in grid])
+    nu = np.array([_nu1(R0, R1, s, resolution, tol) for s in grid])
 
     diffs = np.diff(nu)
     signs = np.sign(diffs)
@@ -268,7 +253,7 @@ def analyze_dn_ratio(
     lo = grid[max(first_pos - 1, 0)]
     hi = grid[min(first_pos + 1, len(grid) - 1)]
     s0 = _golden_minimize(
-        lambda s: _nu1(R0, R1, s, res, tol), lo, hi, width / 200.0
+        lambda s: _nu1(R0, R1, s, resolution, tol), lo, hi, width / 200.0
     )
     return DNAnalysis(ratio, "interior_minimum", float(s0), grid, nu)
 
@@ -277,7 +262,7 @@ def analyze_dn_family(
     R1: float,
     ratios,
     s_points: int = 12,
-    resolution: Resolution | None = None,
+    resolution: Resolution = Resolution(),
     tol: float = 1e-9,
 ) -> list[DNAnalysis]:
     return [analyze_dn_ratio(R1, r, s_points, resolution, tol) for r in ratios]
@@ -289,7 +274,7 @@ def bracket_critical_ratio(
     hi: float,
     width: float = 0.05,
     s_points: int = 12,
-    resolution: Resolution | None = None,
+    resolution: Resolution = Resolution(),
     tol: float = 1e-9,
 ):
     """Bisect the ratio axis for the crossover between the two behaviors.
@@ -329,8 +314,7 @@ def bracket_critical_ratio(
 @dataclass
 class ConvergenceRow:
     h: float
-    n_theta: int
-    n_rad: int
+    res: Resolution
     value: float
     observed_order: float | None
     error: float | None
@@ -338,14 +322,13 @@ class ConvergenceRow:
 
 def convergence_study(
     domain: AnnularDomain,
-    kind: ProblemKind = ProblemKind.ND,
+    kind: ProblemKind,
+    base: Resolution,
     levels: int = 3,
-    base: tuple[int, int] = (64, 16),
-    grading: float = 1.5,
     tol: float = 1e-10,
     reference: float | None = None,
 ) -> list[ConvergenceRow]:
-    """Eigenvalue at dyadically refined meshes with observed orders.
+    """Eigenvalue at dyadic refinements of ``base`` with observed orders.
 
     Orders come from Richardson triplets of computed values; when an
     independent ``reference`` is supplied (the radial solver at s = 0),
@@ -356,11 +339,10 @@ def convergence_study(
     values = []
     rows = []
     for lvl in range(levels):
-        nt = base[0] * 2**lvl
-        nr = base[1] * 2**lvl
-        val = solve_eigenproblem(domain, nt, nr, grading, kind, tol=tol).value
+        res = replace(base, n_theta=base.n_theta * 2**lvl, n_rad=base.n_rad * 2**lvl)
+        val = solve_eigenproblem(discretize(domain, res), kind, tol).value
         values.append(val)
-        rows.append(ConvergenceRow(1.0 / 2**lvl, nt, nr, val, None, None))
+        rows.append(ConvergenceRow(1.0 / 2**lvl, res, val, None, None))
     if reference is not None:
         for row in rows:
             row.error = abs(row.value - reference)

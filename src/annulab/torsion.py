@@ -20,8 +20,8 @@ import numpy as np
 
 from .fem import Discretization, Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
-from .mesh import Mesh
-from .shape import BoundaryTrace, dirichlet_normal_derivative, offset_difference
+from .mesh import Mesh, Resolution
+from .shape import BoundaryTrace, offset_difference
 from .spectral import discretize
 
 
@@ -34,19 +34,12 @@ class TorsionSolution:
     T: float
 
 
-def solve_torsion(
-    domain: AnnularDomain,
-    n_theta: int = 256,
-    n_rad: int = 64,
-    grading: float = 1.5,
-    disc: Discretization | None = None,
-) -> TorsionSolution:
-    """Torsion function of ``domain``: positive inside, zero on the inner circle.
+def solve_torsion(disc: Discretization) -> TorsionSolution:
+    """Torsion function on ``disc``: positive inside, zero on the inner circle.
 
-    With ``disc`` the solve reuses its ``nd`` factorization; the resolution
-    arguments are then unused.
+    The solve shares the ``nd`` factorization with ``nd`` eigen-solves on
+    ``disc``.
     """
-    disc = discretize(domain, n_theta, n_rad, grading, disc)
     system = disc.system(ProblemKind.ND)
     v = Field(system.expand(system.lu.solve(system.b)), disc.mesh)
     return TorsionSolution(v=v, mesh=disc.mesh, T=float(disc.b @ v.values))
@@ -70,20 +63,12 @@ def rigidity_derivative(trace: BoundaryTrace) -> float:
     return float(np.sum(trace.dudn**2 * trace.normals[:, 0] * trace.lengths))
 
 
-def torsion_trace(v: Field) -> BoundaryTrace:
-    return dirichlet_normal_derivative(v, ProblemKind.ND)
-
-
 def finite_difference_rigidity_prime(
-    domain: AnnularDomain,
-    h: float = 0.05,
-    n_theta: int = 256,
-    n_rad: int = 64,
-    grading: float = 1.5,
+    domain: AnnularDomain, h: float, res: Resolution
 ) -> float:
     """:func:`annulab.shape.offset_difference` of the rigidity in the offset."""
 
     def t_at(s):
-        return solve_torsion(AnnularDomain(domain.R0, domain.R1, s), n_theta, n_rad, grading).T
+        return solve_torsion(discretize(AnnularDomain(domain.R0, domain.R1, s), res)).T
 
     return offset_difference(t_at, domain, h)

@@ -4,7 +4,8 @@ import pytest
 
 from annulab.geometry import AnnularDomain
 from annulab.fem import ProblemKind
-from annulab.spectral import solve_eigenproblem
+from annulab.mesh import Resolution
+from annulab.spectral import discretize, solve_eigenproblem
 from annulab.torsion import solve_torsion
 
 # acceptance results registry: (criterion id, description, passed, seconds)
@@ -38,17 +39,17 @@ class Timer:
 def nd_s2_128():
     """ND eigenpair on the workhorse domain at a quick resolution."""
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
+    return solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
 
 
 @pytest.fixture(scope="session")
 def nd_s2_256():
     """ND eigenpair on the workhorse domain at the baseline resolution."""
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND)
+    return solve_eigenproblem(discretize(d, Resolution(256, 64, 1.5)), ProblemKind.ND)
 
 
 @pytest.fixture(scope="session")
 def torsion_s2_128():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    return solve_torsion(d, 128, 32, 1.5)
+    return solve_torsion(discretize(d, Resolution(128, 32, 1.5)))

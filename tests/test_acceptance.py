@@ -17,10 +17,11 @@ from conftest import Timer, record_acceptance
 from annulab.checks import geometry_report
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
+from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_eigenvalue, concentric_torsion
 from annulab.shape import reflected_neumann_margin
-from annulab.spectral import solve_eigenproblem
-from annulab.sweep import Resolution, analyze_dn_ratio, bracket_critical_ratio, convergence_study, sweep_translation
+from annulab.spectral import discretize, solve_eigenproblem
+from annulab.sweep import analyze_dn_ratio, bracket_critical_ratio, convergence_study, sweep_translation
 from annulab.symmetrize import deviation, foliated_schwarz, polarize, sample_rings, star_polarizers
 from annulab.torsion import finite_difference_rigidity_prime, solve_torsion, torsional_rigidity
 
@@ -55,8 +56,8 @@ def test_criterion_1_concentric_validation():
             for kind in ProblemKind:
                 oracle = concentric_eigenvalue(kind, R0, r1)
                 rows = convergence_study(
-                    AnnularDomain(R0, r1, 0.0), kind, levels=3, base=(64, 16),
-                    grading=BASE.grading, tol=1e-10,
+                    AnnularDomain(R0, r1, 0.0), kind, levels=3,
+                    base=Resolution(64, 16, BASE.grading), tol=1e-10,
                     reference=oracle,
                 )
                 rel = abs(rows[-1].value - oracle) / oracle
@@ -114,8 +115,10 @@ def test_criterion_5_geometry_suite(sweep_data, ring_samplings):
     for r in records:
         rings = ring_samplings[r.s]
         assert deviation(rings, foliated_schwarz(rings)) <= 0.02, r.s
-    coarse = solve_eigenproblem(AnnularDomain(R0, R1, 2.0), 128, 32,
-                                BASE.grading, ProblemKind.ND)
+    coarse = solve_eigenproblem(
+        discretize(AnnularDomain(R0, R1, 2.0), Resolution(128, 32, BASE.grading)),
+        ProblemKind.ND,
+    )
     rings_c = sample_rings(coarse.u, m=RING_M, n_rings=RING_N)
     dev_c = deviation(rings_c, foliated_schwarz(rings_c))
     rings_f = ring_samplings[2.0]
@@ -157,8 +160,7 @@ def test_criterion_7_torsion(sweep_data):
             t_energy, t_integral = torsional_rigidity(r.v)
             assert abs(t_energy - t_integral) <= 1e-10 * t_integral, r.s
         # concentric profile and rigidity against the closed form
-        conc = solve_torsion(AnnularDomain(R0, 2.0, 0.0), BASE.n_theta,
-                             BASE.n_rad, BASE.grading)
+        conc = solve_torsion(discretize(AnnularDomain(R0, 2.0, 0.0), BASE))
         profile, t0_ref = concentric_torsion(R0, 2.0)
         rr = np.clip(np.hypot(*conc.mesh.vertices.T), R0, 2.0)
         err = np.abs(conc.v.values - profile(rr)).max()
@@ -174,8 +176,7 @@ def test_criterion_7_torsion(sweep_data):
         assert abs(records[0].dT_boundary) <= 1e-3 * records[0].T / R1
         # finite-difference agreement at s = 2
         fd = finite_difference_rigidity_prime(
-            AnnularDomain(R0, R1, 2.0), 0.05, BASE.n_theta, BASE.n_rad,
-            BASE.grading,
+            AnnularDomain(R0, R1, 2.0), 0.05, BASE
         )
         rec2 = next(r for r in records if r.s == 2.0)
         assert rec2.dT_boundary == pytest.approx(fd, rel=0.05)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from annulab.checks import geometry_report, outer_axial_derivative, recover_gradient
+from annulab.export import write_json
 from annulab.fem import Field, ProblemKind
 from annulab.geometry import AnnularDomain
-from annulab.mesh import build_mesh
-from annulab.spectral import solve_eigenproblem
+from annulab.mesh import Resolution, build_mesh
+from annulab.spectral import discretize, solve_eigenproblem
 
 
 @pytest.fixture(scope="module")
 def mesh32():
-    return build_mesh(AnnularDomain(1.0, 5.0, 2.0), 32, 8)
+    return build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 8, 1.0))
 
 
 def test_gradient_linear_exact(mesh32):
@@ -23,12 +24,12 @@ def test_gradient_linear_exact(mesh32):
 
 
 def test_gradient_quadratic_interior_accuracy():
-    mesh = build_mesh(AnnularDomain(1.0, 5.0, 2.0), 128, 32)
+    mesh = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(128, 32, 1.0))
     u = Field(mesh.vertices[:, 0] ** 2, mesh)
     g = recover_gradient(u).values
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.lattice[:, 0]] = False
-    interior[mesh.lattice[:, mesh.n_rad]] = False
+    interior[mesh.lattice[:, mesh.res.n_rad]] = False
     err = np.abs(g[interior, 0] - 2.0 * mesh.vertices[interior, 0])
     # O(h) recovery; h ~ 0.25 on this mesh
     assert err.max() < 0.2
@@ -54,7 +55,7 @@ def test_report_linear_counterexample(nd_s2_128):
 
 def test_report_concentric_degenerate():
     d = AnnularDomain(1.0, 5.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
     rep = geometry_report(sol.u)
     assert rep.all_passed, {n: c.detail for n, c in rep.checks.items() if not c.passed}
     assert "concentric" in rep.checks["outer_axial"].detail
@@ -63,7 +64,7 @@ def test_report_concentric_degenerate():
 def test_outer_axial_derivative_on_radial_profile():
     # a field constant on every ray layer has zero tangential derivative on
     # the outer circle of a concentric mesh
-    mesh = build_mesh(AnnularDomain(1.0, 5.0, 0.0), 64, 8)
+    mesh = build_mesh(AnnularDomain(1.0, 5.0, 0.0), Resolution(64, 8, 1.0))
     r = np.hypot(*mesh.vertices.T)
     u = Field(r - 1.0, mesh)
     d1 = outer_axial_derivative(u)
@@ -72,8 +73,8 @@ def test_outer_axial_derivative_on_radial_profile():
 
 def test_violation_counts_nonincreasing_under_refinement():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    coarse = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
-    fine = solve_eigenproblem(d, 256, 64, 1.5, ProblemKind.ND)
+    coarse = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
+    fine = solve_eigenproblem(discretize(d, Resolution(256, 64, 1.5)), ProblemKind.ND)
     rc = geometry_report(coarse.u)
     rf = geometry_report(fine.u)
     for name in rc.violation_counts:
@@ -83,7 +84,7 @@ def test_violation_counts_nonincreasing_under_refinement():
 def test_report_json(tmp_path, nd_s2_128):
     rep = geometry_report(nd_s2_128.u)
     path = tmp_path / "report.json"
-    rep.write_json(path)
+    write_json(path, rep.to_payload())
     import json
 
     payload = json.loads(path.read_text())

@@ -1,6 +1,9 @@
 import json
 
-from annulab.cli import main
+import pytest
+
+from annulab.cli import build_parser, main
+from annulab.mesh import Resolution
 
 FAST = ["--n-theta", "32", "--n-rad", "6"]
 
@@ -42,6 +45,34 @@ def test_invalid_domain_exit_code(tmp_path, capsys):
 
 def test_unknown_flag_exit_code(capsys):
     assert main(["solve", "--no-such-flag"]) == 2
+    # each subcommand takes only the flags it reads
+    for argv in (["sweep", "--vtk"], ["solve", "--svg"], ["torsion", "--svg"],
+                 ["shape-derivative", "--out-dir", "x"],
+                 ["converge", "--out-dir", "x"],
+                 ["converge", "--base-n-theta", "16"]):
+        assert main(argv) == 2, argv
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "torsion", "symmetry-check", "shape-derivative", "sweep"]
+)
+def test_resolution_flag_defaults(command):
+    args = build_parser().parse_args([command])
+    res = Resolution()
+    assert (args.n_theta, args.n_rad, args.grading) == (
+        res.n_theta, res.n_rad, res.grading
+    )
+
+
+def test_unusable_out_dir_exit_code(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(
+        ["solve", "--R0", "1", "--R1", "2", "--out-dir", str(blocker / "sub")] + FAST,
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_torsion(tmp_path, capsys):
@@ -120,12 +151,14 @@ def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys):
 def test_converge(capsys):
     code, out, _ = run(
         ["converge", "--R0", "1", "--R1", "2", "--s", "0", "--kind", "nd",
-         "--levels", "3", "--base-n-theta", "16", "--base-n-rad", "4",
+         "--levels", "3", "--n-theta", "16", "--n-rad", "4",
          "--grading", "1.0"],
         capsys,
     )
     assert code == 0
     assert "radial reference" in out
+    # the coarsest level comes from --n-theta / --n-rad
+    assert "\n1        16       4 " in out
     assert "extrapolated limit" in out
 
 
@@ -167,6 +200,11 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(["--config", str(cfg), "solve"], capsys)
     assert code == 2
     assert "bogus_key" in err
+    # a key is checked against the flags of the chosen subcommand
+    cfg.write_text(json.dumps({"vtk": True}))
+    code, _, err = run(["--config", str(cfg), "sweep"], capsys)
+    assert code == 2
+    assert "vtk" in err
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):

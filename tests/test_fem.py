@@ -5,22 +5,29 @@ import pytest
 import scipy.linalg
 
 from annulab.geometry import AnnularDomain
-from annulab.mesh import build_mesh
-from annulab.fem import Discretization, Field, ProblemKind, dirichlet_vertices, p1_local_matrices
-from annulab.spectral import solve_eigenproblem
+from annulab.mesh import Resolution, build_mesh
+from annulab.fem import (
+    Discretization,
+    Field,
+    ProblemKind,
+    dirichlet_vertices,
+    p1_local_mass,
+    p1_local_stiffness,
+)
+from annulab.spectral import discretize, solve_eigenproblem
 from annulab.torsion import solve_torsion
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_local_stiffness_unit_right_triangle():
-    ke, _ = p1_local_matrices(UNIT_RIGHT)
+    (ke,) = p1_local_stiffness(UNIT_RIGHT[None])
     want = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     assert np.allclose(ke, want, atol=1e-15)
 
 
 def test_local_mass_unit_right_triangle():
-    _, me = p1_local_matrices(UNIT_RIGHT)
+    (me,) = p1_local_mass(np.array([0.5]))
     want = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
     assert np.allclose(me, want, atol=1e-15)
 
@@ -31,7 +38,7 @@ def quadratic_form(A, x) -> float:
 
 @pytest.fixture(scope="module")
 def disc():
-    return Discretization(build_mesh(AnnularDomain(1.0, 5.0, 2.0), 64, 8))
+    return Discretization(build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(64, 8, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +104,7 @@ def test_field_validation(assembled):
 
 def test_dirichlet_vertex_counts():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 64, 8)
+    mesh = build_mesh(d, Resolution(64, 8, 1.0))
     assert dirichlet_vertices(mesh, ProblemKind.ND).size == 64
     assert dirichlet_vertices(mesh, ProblemKind.DN).size == 64
     assert dirichlet_vertices(mesh, ProblemKind.DD).size == 128
@@ -106,7 +113,7 @@ def test_dirichlet_vertex_counts():
 def test_reduce_counts_and_expand(disc):
     mesh, b = disc.mesh, disc.b
     red = disc.system(ProblemKind.ND)
-    n_free = mesh.num_vertices - mesh.n_theta
+    n_free = mesh.num_vertices - mesh.res.n_theta
     assert red.free.size == n_free
     # one unknown per mirror orbit: pairs plus the vertices on the x1-axis
     n_fixed = int(np.count_nonzero(mesh.mirror[red.free] == red.free))
@@ -152,9 +159,9 @@ def test_reduced_quadratic_form_matches_full(disc):
 
 def test_assembly_bit_deterministic():
     d = AnnularDomain(1.0, 5.0, 1.3)
-    mesh = build_mesh(d, 32, 6, grading=1.2)
+    mesh = build_mesh(d, Resolution(32, 6, 1.2))
     K1 = Discretization(mesh).K
-    K2 = Discretization(build_mesh(d, 32, 6, grading=1.2)).K
+    K2 = Discretization(build_mesh(d, Resolution(32, 6, 1.2))).K
     assert np.array_equal(K1.data, K2.data)
     assert np.array_equal(K1.indices, K2.indices)
     assert np.array_equal(K1.indptr, K2.indptr)
@@ -171,32 +178,32 @@ def test_mirror_orbits_require_invariance(disc):
 
 def test_half_space_matches_full_free_space_dense_oracle():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    disc = Discretization(build_mesh(d, 32, 6, grading=1.5))
+    disc = Discretization(build_mesh(d, Resolution(32, 6, 1.5)))
     K, M, b = disc.K.toarray(), disc.M.toarray(), disc.b
     for kind in ProblemKind:
         free = disc.system(kind).free
         want = scipy.linalg.eigh(K[np.ix_(free, free)], M[np.ix_(free, free)],
                                  eigvals_only=True)[0]
-        got = solve_eigenproblem(d, kind=kind, disc=disc).value
+        got = solve_eigenproblem(disc, kind).value
         assert got == pytest.approx(want, rel=1e-10), kind
     free = disc.system(ProblemKind.ND).free
     want = np.linalg.solve(K[np.ix_(free, free)], b[free])
-    got = solve_torsion(d, disc=disc).v.values[free]
+    got = solve_torsion(disc).v.values[free]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_shared_discretization_matches_fresh_solves():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    res = (48, 8, 1.5)
-    disc = Discretization(build_mesh(d, *res))
+    res = Resolution(48, 8, 1.5)
+    disc = discretize(d, res)
     for kind in ProblemKind:
-        shared = solve_eigenproblem(d, kind=kind, disc=disc)
-        fresh = solve_eigenproblem(d, *res, kind=kind)
+        shared = solve_eigenproblem(disc, kind)
+        fresh = solve_eigenproblem(discretize(d, res), kind)
         assert shared.value == fresh.value, kind
         assert np.array_equal(shared.u.values, fresh.u.values), kind
         assert shared.pair.iterations == fresh.pair.iterations, kind
-    shared = solve_torsion(d, disc=disc)
-    fresh = solve_torsion(d, *res)
+    shared = solve_torsion(disc)
+    fresh = solve_torsion(discretize(d, res))
     assert np.array_equal(shared.v.values, fresh.v.values)
     assert shared.T == fresh.T
     assert disc.system(ProblemKind.ND) is disc.system(ProblemKind.ND)

@@ -3,7 +3,7 @@ import pytest
 
 from annulab.fem import Field, ProblemKind
 from annulab.geometry import AnnularDomain
-from annulab.mesh import build_mesh
+from annulab.mesh import Resolution, build_mesh
 from annulab.shape import (
     dilation_field,
     dirichlet_normal_derivative,
@@ -14,12 +14,14 @@ from annulab.shape import (
     reflected_neumann_margin,
     translation_field,
 )
-from annulab.spectral import solve_eigenproblem
+from annulab.spectral import discretize, solve_eigenproblem
+
+QUICK = Resolution(128, 32, 1.5)
 
 
 def test_trace_unit_ramp():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 128, 32, grading=1.5)
+    mesh = build_mesh(d, Resolution(128, 32, 1.5))
     ramp = np.hypot(mesh.vertices[:, 0] - d.s, mesh.vertices[:, 1]) - d.R0
     trace = dirichlet_normal_derivative(Field(ramp, mesh), ProblemKind.ND)
     # outward normal points toward the inner center, the ramp grows away
@@ -32,7 +34,7 @@ def test_trace_unit_ramp():
 
 def test_trace_requires_vanishing_values():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 32, 8)
+    mesh = build_mesh(d, Resolution(32, 8, 1.0))
     with pytest.raises(ValueError):
         dirichlet_normal_derivative(Field(np.ones(mesh.num_vertices), mesh), ProblemKind.ND)
     with pytest.raises(ValueError):
@@ -41,7 +43,7 @@ def test_trace_requires_vanishing_values():
 
 def test_trace_concentric_constant_and_negative():
     d = AnnularDomain(1.0, 2.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
     trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
     assert np.all(trace.dudn < 0.0)
     spread = trace.dudn.max() - trace.dudn.min()
@@ -66,7 +68,7 @@ def test_paired_trace_ordering(nd_s2_128):
     # the mirror partner left of the line x1 = s carries the larger slope
     d = nd_s2_128.mesh.domain
     trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
-    n = nd_s2_128.mesh.n_theta
+    n = nd_s2_128.mesh.res.n_theta
     mirror = (n // 2 - 1 - np.arange(n)) % n
     right = trace.midpoints[:, 0] > d.s
     assert np.all(
@@ -79,7 +81,7 @@ def test_derivative_negative_and_fd_agreement(nd_s2_128):
     trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
     had = hadamard_tau_prime(trace)
     assert had < 0.0
-    fd = finite_difference_tau_prime(d, 0.05, 128, 32, 1.5)
+    fd = finite_difference_tau_prime(d, 0.05, QUICK)
     assert had == pytest.approx(fd, rel=0.05)
 
 
@@ -87,8 +89,8 @@ def test_eulerian_zero_field(nd_s2_128):
     mesh = nd_s2_128.mesh
     V = translation_field(mesh)
     V.vertex_values[:] = 0.0
-    V.inner_vn = np.zeros(mesh.n_theta)
-    V.outer_vn = np.zeros(mesh.n_theta)
+    V.inner_vn = np.zeros(mesh.res.n_theta)
+    V.outer_vn = np.zeros(mesh.res.n_theta)
     assert eulerian_derivative(nd_s2_128.u, nd_s2_128.value, V) == 0.0
 
 
@@ -101,25 +103,29 @@ def test_eulerian_translation_matches_boundary_integral(nd_s2_128):
     assert abs(eul - had) <= 1e-12 * abs(had)
     # translation field geometry: plateau 1 near the hole, 0 at the outer circle
     ring_in = mesh.lattice[:, 0]
-    ring_out = mesh.lattice[:, mesh.n_rad]
+    ring_out = mesh.lattice[:, mesh.res.n_rad]
     assert np.allclose(V.vertex_values[ring_in, 0], 1.0, atol=1e-14)
     assert np.allclose(V.vertex_values[ring_out], 0.0, atol=1e-14)
-    assert np.array_equal(V.outer_vn, np.zeros(mesh.n_theta))
+    assert np.array_equal(V.outer_vn, np.zeros(mesh.res.n_theta))
 
 
 def test_eulerian_dilation_scaling():
     d = AnnularDomain(1.0, 5.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
     V = dilation_field(sol.mesh)
     eul = eulerian_derivative(sol.u, sol.value, V)
     # scaling law: the eigenvalue of the dilated annulus is value / t^2
     assert eul == pytest.approx(-2.0 * sol.value, rel=0.05)
     # explicit re-solve at radii scaled by (1 +- h)
     h = 0.01
-    up = solve_eigenproblem(AnnularDomain(1.0 * (1 + h), 5.0 * (1 + h), 0.0),
-                            128, 32, 1.5, ProblemKind.ND)
-    dn = solve_eigenproblem(AnnularDomain(1.0 * (1 - h), 5.0 * (1 - h), 0.0),
-                            128, 32, 1.5, ProblemKind.ND)
+    up = solve_eigenproblem(
+        discretize(AnnularDomain(1.0 * (1 + h), 5.0 * (1 + h), 0.0), QUICK),
+        ProblemKind.ND,
+    )
+    dn = solve_eigenproblem(
+        discretize(AnnularDomain(1.0 * (1 - h), 5.0 * (1 - h), 0.0), QUICK),
+        ProblemKind.ND,
+    )
     fd = (up.value - dn.value) / (2 * h)
     assert eul == pytest.approx(fd, rel=0.05)
 
@@ -127,11 +133,11 @@ def test_eulerian_dilation_scaling():
 def test_fd_step_validation():
     d = AnnularDomain(1.0, 5.0, 0.1)
     with pytest.raises(ValueError):
-        finite_difference_tau_prime(d, 0.05)  # central needs h <= s/4
+        finite_difference_tau_prime(d, 0.05, QUICK)  # central needs h <= s/4
     with pytest.raises(ValueError):
-        finite_difference_tau_prime(AnnularDomain(1.0, 5.0, 0.0), 0.6)
+        finite_difference_tau_prime(AnnularDomain(1.0, 5.0, 0.0), 0.6, QUICK)
     with pytest.raises(ValueError):
-        finite_difference_tau_prime(d, -0.1)
+        finite_difference_tau_prime(d, -0.1, QUICK)
 
 
 def test_reflected_neumann_margin_positive(nd_s2_128):
@@ -145,7 +151,7 @@ def test_fd_richardson_order():
     # tested where the third derivative is large enough to dominate
     d = AnnularDomain(1.0, 5.0, 0.8)
     fds = [
-        finite_difference_tau_prime(d, h, 128, 32, 1.5)
+        finite_difference_tau_prime(d, h, QUICK)
         for h in (0.2, 0.1, 0.05)
     ]
     ratio = (fds[0] - fds[1]) / (fds[1] - fds[2])

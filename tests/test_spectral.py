@@ -3,17 +3,16 @@ import pytest
 
 from annulab.fem import Discretization, ProblemKind
 from annulab.geometry import AnnularDomain
-from annulab.mesh import build_mesh
+from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_eigenvalue
-from annulab.spectral import solve_eigenproblem, write_field_csv, write_field_vtk
-from annulab.torsion import solve_torsion
+from annulab.spectral import discretize, solve_eigenproblem, write_field_csv, write_field_vtk
 
 
 @pytest.fixture(scope="module", params=[k.value for k in ProblemKind])
 def concentric_solution(request):
     kind = ProblemKind.parse(request.param)
     d = AnnularDomain(1.0, 2.0, 0.0)
-    sol = solve_eigenproblem(d, 128, 32, 1.0, kind, tol=1e-10)
+    sol = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.0)), kind, tol=1e-10)
     return kind, sol
 
 
@@ -40,51 +39,41 @@ def test_value_is_rayleigh_quotient(concentric_solution):
 
 def test_exact_lattice_mirror_symmetry():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    sol = solve_eigenproblem(d, 64, 16, 1.5, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.5)), ProblemKind.ND)
     u = sol.u.values
     lat = sol.mesh.lattice
-    n = sol.mesh.n_theta
+    n = sol.mesh.res.n_theta
     for i in range(n):
         assert np.array_equal(u[lat[i]], u[lat[(n - i) % n]])
 
 
 def test_peak_location_eccentric():
     d = AnnularDomain(1.0, 5.0, 3.0)
-    sol = solve_eigenproblem(d, 96, 24, 1.5, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(96, 24, 1.5)), ProblemKind.ND)
     peak = sol.mesh.vertices[np.argmax(sol.u.values)]
     assert np.hypot(peak[0] + 5.0, peak[1]) < 0.4
 
 
 def test_mixed_below_dirichlet_same_mesh():
     d = AnnularDomain(1.0, 5.0, 1.0)
-    disc = Discretization(build_mesh(d, 64, 16, 1.0))
-    nd = solve_eigenproblem(d, kind=ProblemKind.ND, disc=disc)
-    dd = solve_eigenproblem(d, kind=ProblemKind.DD, disc=disc)
+    disc = discretize(d, Resolution(64, 16, 1.0))
+    nd = solve_eigenproblem(disc, ProblemKind.ND)
+    dd = solve_eigenproblem(disc, ProblemKind.DD)
     assert nd.value < dd.value
 
 
 def test_dirichlet_values_pinned():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    sol = solve_eigenproblem(d, 64, 16, 1.0, ProblemKind.DD)
+    sol = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.0)), ProblemKind.DD)
     inner = sol.u.values[sol.mesh.lattice[:, 0]]
-    outer = sol.u.values[sol.mesh.lattice[:, sol.mesh.n_rad]]
+    outer = sol.u.values[sol.mesh.lattice[:, sol.mesh.res.n_rad]]
     assert np.all(inner == 0.0)
     assert np.all(outer == 0.0)
 
 
-def test_mesh_domain_mismatch_rejected():
-    d1 = AnnularDomain(1.0, 5.0, 2.0)
-    d2 = AnnularDomain(1.0, 5.0, 1.0)
-    disc = Discretization(build_mesh(d1, 32, 6, 1.0))
-    with pytest.raises(ValueError):
-        solve_eigenproblem(d2, kind=ProblemKind.ND, disc=disc)
-    with pytest.raises(ValueError):
-        solve_torsion(d2, disc=disc)
-
-
 def test_field_exports(tmp_path):
     d = AnnularDomain(1.0, 2.0, 0.5)
-    sol = solve_eigenproblem(d, 32, 6, 1.0, ProblemKind.ND)
+    sol = solve_eigenproblem(discretize(d, Resolution(32, 6, 1.0)), ProblemKind.ND)
     csv = tmp_path / "f.csv"
     vtk = tmp_path / "f.vtk"
     write_field_csv(sol.u, csv)
@@ -100,7 +89,7 @@ def test_field_exports(tmp_path):
 
 def test_repeat_solve_bit_identical():
     d = AnnularDomain(1.0, 5.0, 1.5)
-    a = solve_eigenproblem(d, 48, 8, 1.0, ProblemKind.ND)
-    b = solve_eigenproblem(d, 48, 8, 1.0, ProblemKind.ND)
+    a = solve_eigenproblem(discretize(d, Resolution(48, 8, 1.0)), ProblemKind.ND)
+    b = solve_eigenproblem(discretize(d, Resolution(48, 8, 1.0)), ProblemKind.ND)
     assert a.value == b.value
     assert np.array_equal(a.u.values, b.u.values)

@@ -5,9 +5,9 @@ import pytest
 
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
+from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_eigenvalue
 from annulab.sweep import (
-    Resolution,
     SWEEP_COLUMNS,
     analyze_dn_ratio,
     bracket_critical_ratio,
@@ -85,8 +85,8 @@ def test_sweep_svg(tmp_path, short_sweep):
 def test_convergence_study_against_oracle():
     d = AnnularDomain(1.0, 2.0, 0.0)
     ref = concentric_eigenvalue(ProblemKind.ND, 1.0, 2.0)
-    rows = convergence_study(d, ProblemKind.ND, levels=3, base=(32, 8),
-                             grading=1.0, reference=ref)
+    rows = convergence_study(d, ProblemKind.ND, levels=3,
+                             base=Resolution(32, 8, 1.0), reference=ref)
     assert rows[-1].observed_order == pytest.approx(2.0, abs=0.3)
     values = [r.value for r in rows]
     assert values[0] >= values[1] >= values[2] >= ref - 1e-10
@@ -96,8 +96,8 @@ def test_convergence_study_against_oracle():
 
 def test_convergence_study_without_reference():
     d = AnnularDomain(1.0, 2.0, 0.4)
-    rows = convergence_study(d, ProblemKind.ND, levels=3, base=(32, 8),
-                             grading=1.0)
+    rows = convergence_study(d, ProblemKind.ND, levels=3,
+                             base=Resolution(32, 8, 1.0))
     assert rows[-1].observed_order == pytest.approx(2.0, abs=0.5)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from annulab.fem import Field
 from annulab.geometry import AnnularDomain, Polarizer
-from annulab.mesh import build_mesh
+from annulab.mesh import Resolution, build_mesh
 from annulab.symmetrize import (
     AlignmentError,
     RingSampling,
@@ -30,7 +30,7 @@ def ring_of(values, m=None, radius=1.0, center=(0.0, 0.0)):
 @pytest.fixture(scope="module")
 def mesh_and_fields():
     d = AnnularDomain(1.0, 5.0, 2.0)
-    mesh = build_mesh(d, 64, 16)
+    mesh = build_mesh(d, Resolution(64, 16, 1.0))
     ones = Field(np.ones(mesh.num_vertices), mesh)
     radial = Field(np.hypot(*mesh.vertices.T), mesh)
     return mesh, ones, radial
@@ -50,7 +50,7 @@ def test_sample_constant_field(mesh_and_fields):
 def test_sample_radial_field_constant_rings(mesh_and_fields):
     mesh, _, radial = mesh_and_fields
     d0 = AnnularDomain(1.0, 5.0, 0.0)
-    mesh0 = build_mesh(d0, 64, 16)
+    mesh0 = build_mesh(d0, Resolution(64, 16, 1.0))
     f = Field(np.hypot(*mesh0.vertices.T), mesh0)
     rs = sample_rings(f, m=32, n_rings=8, center="origin")
     live = rs.radii > d0.R0  # rings outside the hole
@@ -206,13 +206,13 @@ def test_other_boundary_configurations_symmetric_arrangement():
     # the outer-pinned eigenfunction is symmetric-decreasing about the inner
     # center; the fully pinned one about both centers
     from annulab.fem import ProblemKind
-    from annulab.spectral import solve_eigenproblem
+    from annulab.spectral import discretize, solve_eigenproblem
 
     d = AnnularDomain(1.0, 5.0, 2.0)
-    dn = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DN)
+    dn = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.DN)
     rs = sample_rings(dn.u, m=128, n_rings=32, center="inner")
     assert deviation(rs, foliated_schwarz(rs)) <= 0.02
-    dd = solve_eigenproblem(d, 128, 32, 1.5, ProblemKind.DD)
+    dd = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.DD)
     for center in ("origin", "inner"):
         r = sample_rings(dd.u, m=128, n_rings=32, center=center)
         assert deviation(r, foliated_schwarz(r)) <= 0.02

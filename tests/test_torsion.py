@@ -2,20 +2,25 @@ import numpy as np
 import pytest
 
 from annulab.checks import geometry_report
+from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
+from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_torsion
+from annulab.shape import dirichlet_normal_derivative
+from annulab.spectral import discretize
 from annulab.torsion import (
     finite_difference_rigidity_prime,
     rigidity_derivative,
     solve_torsion,
-    torsion_trace,
     torsional_rigidity,
 )
+
+QUICK = Resolution(128, 32, 1.5)
 
 
 @pytest.fixture(scope="module")
 def concentric12():
-    return solve_torsion(AnnularDomain(1.0, 2.0, 0.0), 128, 32, 1.5)
+    return solve_torsion(discretize(AnnularDomain(1.0, 2.0, 0.0), QUICK))
 
 
 def test_energy_integral_identity(concentric12, torsion_s2_128):
@@ -53,17 +58,17 @@ def test_geometry_checks_for_torsion(torsion_s2_128):
 
 
 def test_rigidity_derivative_signs(concentric12, torsion_s2_128):
-    d_conc = rigidity_derivative(torsion_trace(concentric12.v))
+    d_conc = rigidity_derivative(dirichlet_normal_derivative(concentric12.v, ProblemKind.ND))
     _, t0 = torsional_rigidity(concentric12.v)
     assert abs(d_conc) <= 1e-3 * t0 / 2.0
-    d_ecc = rigidity_derivative(torsion_trace(torsion_s2_128.v))
+    d_ecc = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v, ProblemKind.ND))
     assert d_ecc > 0.0
 
 
 def test_rigidity_derivative_fd_agreement(torsion_s2_128):
     d = torsion_s2_128.mesh.domain
-    boundary = rigidity_derivative(torsion_trace(torsion_s2_128.v))
-    fd = finite_difference_rigidity_prime(d, 0.05, 128, 32, 1.5)
+    boundary = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v, ProblemKind.ND))
+    fd = finite_difference_rigidity_prime(d, 0.05, QUICK)
     assert boundary == pytest.approx(fd, rel=0.05)
 
 
@@ -74,7 +79,7 @@ def test_mirror_symmetry_exact(torsion_s2_128):
 
 def test_fd_step_validation():
     with pytest.raises(ValueError):
-        finite_difference_rigidity_prime(AnnularDomain(1.0, 5.0, 0.1), 0.5)
+        finite_difference_rigidity_prime(AnnularDomain(1.0, 5.0, 0.1), 0.5, QUICK)
 
 
 def test_torsion_symmetric_arrangement_deviation(torsion_s2_128):
