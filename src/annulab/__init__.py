@@ -26,6 +26,7 @@ from .symmetrize import (
     polarize,
     sample_rings,
     star_polarizers,
+    worst_polarization_deviation,
 )
 from .checks import GeometryReport, geometry_report, recover_gradient
 from .shape import (
@@ -64,7 +65,7 @@ __all__ = [
     "EigenSolution", "discretize", "solve_eigenproblem",
     "write_field_csv", "write_field_vtk",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
-    "sample_rings", "star_polarizers",
+    "sample_rings", "star_polarizers", "worst_polarization_deviation",
     "GeometryReport", "geometry_report", "recover_gradient",
     "BoundaryTrace", "VectorField", "dilation_field",
     "dirichlet_normal_derivative", "eulerian_derivative",

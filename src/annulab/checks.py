@@ -268,32 +268,36 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     gnorm = np.hypot(g[:, 0], g[:, 1])
     record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
 
-    # (f) strict ordering under star-family reflections
+    # (f) strict ordering under star-family reflections; the reflected points
+    # of all polarizers are located in one call
     tol = INTERP_RTOL * umax
+    tested = []  # per polarizer: vertices strictly outside H, image inside
+    reflected = []
+    for j in range(REPORT_POLARIZERS):
+        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
+        side = pol.side(v)
+        idx = np.nonzero(interior & (side > 1e-12 * d.R1))[0]
+        refl = pol.reflect(v[idx])
+        ok_ref = d.contains(refl)
+        tested.append(idx[ok_ref])
+        reflected.append(refl[ok_ref])
+    u_refs = np.split(u.at(np.concatenate(reflected), outside="clamp"),
+                      np.cumsum([idx.size for idx in tested])[:-1])
     nviol = 0
     ntest = 0
     worst = np.inf
     wloc = (0.0, 0.0)
-    for j in range(REPORT_POLARIZERS):
-        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
-        side = pol.side(v)
-        cand = interior & (side > 1e-12 * d.R1)  # strictly outside H
-        pts = v[cand]
-        refl = pol.reflect(pts)
-        ok_ref = d.contains(refl)
-        pts = pts[ok_ref]
-        refl = refl[ok_ref]
-        if pts.shape[0] == 0:
+    for idx, u_ref in zip(tested, u_refs):
+        if idx.size == 0:
             continue
-        u_ref = u.at(refl, outside="clamp")
-        margin = u_ref - u.values[cand.nonzero()[0][ok_ref]]
-        ntest += pts.shape[0]
+        margin = u_ref - u.values[idx]
+        ntest += idx.size
         bad = margin <= -tol
         nviol += int(bad.sum())
         wpos = int(np.argmin(margin))
         if margin[wpos] < worst:
             worst = float(margin[wpos])
-            wloc = tuple(float(c) for c in pts[wpos])
+            wloc = tuple(float(c) for c in v[idx[wpos]])
     checks["reflection_ordering"] = CheckResult(
         "reflection_ordering", worst, wloc, bool(nviol == 0),
         f"{nviol} of {ntest} beyond tolerance {tol:.2e}",

@@ -40,7 +40,12 @@ from .sweep import (
     write_sweep_csv,
     write_sweep_svg,
 )
-from .symmetrize import deviation, foliated_schwarz, polarize, sample_rings, star_polarizers
+from .symmetrize import (
+    deviation,
+    foliated_schwarz,
+    sample_rings,
+    worst_polarization_deviation,
+)
 from .torsion import solve_torsion, torsional_rigidity
 
 EXIT_OK = 0
@@ -235,10 +240,7 @@ def cmd_symmetry_check(args) -> int:
     rings = sample_rings(sol.u, m=args.ring_samples, n_rings=args.rings)
     star = foliated_schwarz(rings)
     dev_star = deviation(rings, star)
-    dev_pol = max(
-        deviation(rings, polarize(rings, pol))
-        for pol in star_polarizers(args.ring_samples)
-    )
+    dev_pol = worst_polarization_deviation(rings)
     payload = report.to_payload()
     payload["rearrangement_deviation"] = dev_star
     payload["worst_polarization_deviation"] = dev_pol

@@ -193,6 +193,11 @@ def deviation(a: RingSampling, b: RingSampling) -> float:
     return math.sqrt(num / den)
 
 
+def _star_indices(m: int) -> range:
+    """Indices ``-m/2 < k < m/2`` of the star polarizers, normal angle ``k pi / m``."""
+    return range(-(m // 2) + 1, m // 2)
+
+
 def star_polarizers(m: int, center=(0.0, 0.0), include_axis: bool = False):
     """All grid-aligned polarizers through ``center`` with ``h . e1 > 0``.
 
@@ -200,11 +205,45 @@ def star_polarizers(m: int, center=(0.0, 0.0), include_axis: bool = False):
     boundary line (``h = (0, +-1)``), the closure of the family; invariance
     under those forces exact axial symmetry.
     """
-    pols = [
-        Polarizer.from_angle(k * math.pi / m, b=center)
-        for k in range(-(m // 2) + 1, m // 2)
-    ]
+    pols = [Polarizer.from_angle(k * math.pi / m, b=center) for k in _star_indices(m)]
     if include_axis:
         pols.append(Polarizer(h=(0.0, 1.0), b=(float(center[0]), float(center[1]))))
         pols.append(Polarizer(h=(0.0, -1.0), b=(float(center[0]), float(center[1]))))
     return pols
+
+
+def worst_polarization_deviation(rs: RingSampling) -> float:
+    """Largest ``deviation(rs, polarize(rs, pol))`` over the star polarizers.
+
+    The polarizers are ``star_polarizers(rs.m, center=rs.center)``.  No
+    polarized sampling is built: star polarizer ``k`` pairs sample ``q``
+    with ``(c - q) mod m``, ``c = k + m/2``, and its half plane holds exactly
+    the samples ``q`` with ``c/2 < q < c/2 + m/2``, one of each pair off the
+    boundary line.  The polarization swaps a pair only where the half-plane
+    value is the smaller one, which adds ``2 w_r (v_q - v_q')**2`` to the
+    numerator of :func:`deviation`; its denominator is the same for every
+    polarizer.  On the ring values reversed and tiled twice, the partners of
+    that contiguous half-ring slice are again a contiguous slice, so each
+    polarizer costs a few passes over half a ring in one reused buffer.
+    """
+    m = rs.m
+    vals = rs.values
+    n_rings = vals.shape[0]
+    w = 2.0 * math.pi * rs.radii / m
+    den = float(np.sum(w[:, None] * vals**2))
+    # rev2[:, j] == vals[:, (-1 - j) % m] for 0 <= j < 2m
+    rev2 = np.tile(vals[:, ::-1], 2)
+    buf = np.empty(n_rings * (m // 2))
+    worst_num = 0.0  # sqrt(num / den) grows with num, so the worst num decides
+    for k in _star_indices(m):
+        c = k + m // 2
+        lo, hi = c // 2 + 1, (c - 1) // 2 + m // 2 + 1  # half-plane samples lo..hi-1
+        # partner of sample lo + j: vals[:, (c - lo - j) % m] == rev2[:, start + j]
+        start = m - 1 - c + lo
+        d = buf[: n_rings * (hi - lo)].reshape(n_rings, hi - lo)
+        np.subtract(vals[:, lo:hi], rev2[:, start : start + hi - lo], out=d)
+        np.minimum(d, 0.0, out=d)
+        worst_num = max(worst_num, 2.0 * float(w @ np.einsum("ij,ij->i", d, d)))
+    if den == 0.0:
+        return 0.0 if worst_num == 0.0 else math.inf
+    return math.sqrt(worst_num / den)

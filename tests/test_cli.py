@@ -136,6 +136,7 @@ def test_symmetry_check(tmp_path, capsys):
     payload = json.loads((tmp_path / "symmetry_s2.json").read_text())
     assert payload["all_passed"] is True
     assert payload["rearrangement_deviation"] <= 0.02
+    assert payload["worst_polarization_deviation"] <= 0.02
 
 
 def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys):

@@ -12,6 +12,7 @@ from annulab.symmetrize import (
     polarize,
     sample_rings,
     star_polarizers,
+    worst_polarization_deviation,
 )
 
 
@@ -174,6 +175,55 @@ def test_deviation_basic():
     assert deviation(a, b) > 0.0
     with pytest.raises(ValueError):
         deviation(a, ring_of([1.0, 2.0, 3.0, 2.0], radius=2.0))
+
+
+def reference_worst_deviation(rs):
+    return max(
+        deviation(rs, polarize(rs, pol))
+        for pol in star_polarizers(rs.m, center=rs.center)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 64, 256])
+def test_worst_polarization_deviation_matches_reference(m):
+    rng = np.random.default_rng(m)
+    refs = []
+    for n_rings in (1, 3, 7):
+        vals = rng.uniform(-0.5, 1.0, (n_rings, m))
+        vals[:, : m // 2] = np.round(vals[:, : m // 2], 1)  # ties
+        vals[0, m // 4 : m // 4 + m // 3 + 1] = 0.0  # a zero run
+        vals[-1] = np.maximum(vals[-1], 0.0)  # zero runs and ties at zero
+        radii = np.sort(rng.uniform(0.1, 4.0, n_rings))
+        rs = RingSampling(np.zeros(2), radii, m, vals, "ball")
+        refs.append(reference_worst_deviation(rs))
+        new = worst_polarization_deviation(rs)
+        assert new == pytest.approx(refs[-1], rel=1e-12, abs=0.0)
+    assert max(refs) > 0.0
+
+
+@pytest.mark.parametrize("center", ["origin", "inner"])
+def test_worst_polarization_deviation_of_an_eigenfunction(center):
+    from annulab.fem import ProblemKind
+    from annulab.spectral import discretize, solve_eigenproblem
+
+    d = AnnularDomain(1.0, 5.0, 2.0)
+    nd = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.5)), ProblemKind.ND)
+    mesh = nd.u.mesh
+    skew = 1.0 + 0.4 * np.sin(mesh.vertices[:, 0] + 0.7 * mesh.vertices[:, 1])
+    for u in (nd.u, Field(nd.u.values * skew, mesh)):
+        rs = sample_rings(u, m=64, n_rings=16, center=center)
+        ref = reference_worst_deviation(rs)
+        assert worst_polarization_deviation(rs) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert ref > 0.0  # the skewed field is not polarization invariant
+
+
+def test_worst_polarization_deviation_fixed_points():
+    assert worst_polarization_deviation(ring_of(np.zeros(16))) == 0.0
+    rng = np.random.default_rng(5)
+    vals = np.round(rng.uniform(0, 3, (4, 32)))  # with ties
+    vals[1, :10] = 0.0
+    rs = RingSampling(np.zeros(2), np.linspace(1, 2, 4), 32, vals, "ball")
+    assert worst_polarization_deviation(foliated_schwarz(rs)) == 0.0
 
 
 def ring_dirichlet_energy(rs):
