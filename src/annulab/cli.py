@@ -41,6 +41,7 @@ from .sweep import (
     write_sweep_svg,
 )
 from .symmetrize import (
+    WORKERS,
     deviation,
     foliated_schwarz,
     sample_rings,
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offset grid start:step:end (default 0:0.4:3.6)")
     p.add_argument("--fd-step", type=float, default=0.05,
                    help="finite difference step (default 0.05)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=int, default=WORKERS,
                    help="worker cap (default: machine parallelism)")
     p.set_defaults(func=cmd_sweep)
 

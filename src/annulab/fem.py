@@ -25,7 +25,8 @@ fields are mirror symmetric by construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,15 +176,34 @@ class ReducedSystem:
     the Dirichlet set.  With ``P`` the 0/1 matrix of :meth:`expand`,
     ``K = P^T K_full P``, ``M = P^T M_full P`` and ``b = P^T b_full``, so
     quadratic forms are preserved: ``x^T K x = (P x)^T K_full (P x)``.
+
+    ``M`` is folded on first use, from the mass of the discretization,
+    which must still be alive then; torsion solves never read it.
     """
 
     K: sp.csr_matrix
-    M: sp.csr_matrix
     b: np.ndarray
     free: np.ndarray
     orbit: np.ndarray
     full_size: int
     lu: spla.SuperLU
+    P: sp.csr_matrix
+    Pt: sp.csr_matrix
+    # weak, so that a discretization and its cached systems form no cycle
+    # and their factorizations are freed as soon as the last user lets go
+    owner: weakref.ref
+    # a plain lazy attribute: functools.cached_property would serialize the
+    # folds of all systems behind one lock on Python < 3.12
+    _M: sp.csr_matrix | None = field(default=None, init=False, repr=False)
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        if self._M is None:
+            disc = self.owner()
+            if disc is None:
+                raise ReferenceError("the discretization of this system is gone")
+            self._M = _exactly_symmetric(_transpose_average(self.Pt @ disc.M @ self.P))
+        return self._M
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Full vertex vector: each orbit value copied to its vertices."""
@@ -195,22 +215,29 @@ class ReducedSystem:
 class Discretization:
     """The P1 operators of one mesh, shared by every problem kind and torsion.
 
-    ``K``, ``M`` and ``b`` are assembled once, on construction.  The reduced
-    system of a kind, with the one LU of its stiffness, is built on the first
-    :meth:`system` request and kept, so the ``nd`` eigen-solve and the
-    torsion solve share one factorization.  The ``assemble_*`` and
-    :meth:`reduce_system` methods do the work uncached; the constructor and
-    :meth:`system` call each at most once.  The factorizations are most of
-    the memory: keep a discretization only as long as the solves that share
-    it.  Solutions hold the mesh, never the discretization.
+    ``K`` and ``b`` are assembled on construction and ``M`` on first use.
+    The reduced system of a kind, with the one LU of its stiffness, is built
+    on the first :meth:`system` request and kept, so the ``nd`` eigen-solve
+    and the torsion solve share one factorization.  The ``assemble_*`` and
+    :meth:`reduce_system` methods do the work uncached; each is called at
+    most once per discretization.  The factorizations are most of the
+    memory: keep a discretization only as long as the solves that share it.
+    Solutions hold the mesh, never the discretization.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.K = self.assemble_stiffness()
-        self.M = self.assemble_mass()
         self.b = self.assemble_load()
+        self._M: sp.csr_matrix | None = None
         self._systems: dict[ProblemKind, ReducedSystem] = {}
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        """The mass matrix, assembled on first use."""
+        if self._M is None:
+            self._M = self.assemble_mass()
+        return self._M
 
     def assemble_stiffness(self) -> sp.csr_matrix:
         """Stiffness matrix of the Laplacian: K_ij = integral grad phi_i . grad phi_j."""
@@ -256,8 +283,7 @@ class Discretization:
         )
         Pt = P.T.tocsr()
         K = _exactly_symmetric(_transpose_average(Pt @ self.K @ P))
-        M = _exactly_symmetric(_transpose_average(Pt @ self.M @ P))
         return ReducedSystem(
-            K=K, M=M, b=Pt @ self.b, free=free, orbit=orbit, full_size=n,
-            lu=factorize(K),
+            K=K, b=Pt @ self.b, free=free, orbit=orbit, full_size=n,
+            lu=factorize(K), P=P, Pt=Pt, owner=weakref.ref(self),
         )

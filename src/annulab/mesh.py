@@ -18,10 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import AnnularDomain
+
+# points located and evaluated per step of :meth:`Mesh.interpolate`; it bounds
+# the location temporaries (a few hundred bytes per point) and leaves every
+# result unchanged, since each point's result depends only on that point
+INTERPOLATE_BLOCK = 32768
 
 
 class MeshQualityError(ValueError):
@@ -96,7 +102,6 @@ class Mesh:
     outer_edges: np.ndarray  # (n_theta, 2) vertex pairs on layer n_rad
     mirror: np.ndarray  # (nv,) vertex permutation for x2 -> -x2
     areas: np.ndarray = field(repr=False, default=None)
-    max_angle_deg: float = float("nan")
 
     @property
     def num_vertices(self) -> int:
@@ -111,6 +116,11 @@ class Mesh:
 
     def total_area(self) -> float:
         return float(self.areas.sum())
+
+    @cached_property
+    def max_angle_deg(self) -> float:
+        """Largest interior angle over all triangles, in degrees."""
+        return _max_angle_deg(self.vertices, self.triangles)
 
     # -- point location -------------------------------------------------
 
@@ -151,18 +161,27 @@ class Mesh:
         points not inside any tested triangle, in which case the best
         candidate (largest minimal barycentric coordinate) is reported for
         clamped evaluation.
+
+        Both triangles of the guessed quad are tested for every point; only
+        the points that neither contains try the other quads of
+        ``_NEIGHBOR_OFFSETS``, in order.  A candidate replaces the best one
+        only with a strictly larger score.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        npts = pts.shape[0]
         n_theta, n_rad = self.res.n_theta, self.res.n_rad
         i0, j0 = self._cell_guess(pts)
-        tri = np.full(npts, -1, dtype=int)
-        bary = np.zeros((npts, 3))
-        best_tri = np.zeros(npts, dtype=int)
-        best_score = np.full(npts, -np.inf)
-        best_bary = np.zeros((npts, 3))
-        pending = np.arange(npts)
-        for di, dj in self._NEIGHBOR_OFFSETS:
+        first = 2 * (i0 * n_rad + j0)
+        best_bary = self._bary(first, pts)
+        best_score = best_bary.min(axis=1)
+        lam = self._bary(first + 1, pts)
+        score = lam.min(axis=1)
+        second = score > best_score
+        best_tri = first + second
+        best_score[second] = score[second]
+        best_bary[second] = lam[second]
+        found = best_score >= -tol
+        pending = np.flatnonzero(~found)
+        for di, dj in self._NEIGHBOR_OFFSETS[1:]:
             if pending.size == 0:
                 break
             ii = (i0[pending] + di) % n_theta
@@ -178,10 +197,10 @@ class Mesh:
                 best_tri[upd] = tids[better]
                 best_bary[upd] = lam[better]
             done = best_score[pending] >= -tol
-            hit = pending[done]
-            tri[hit] = best_tri[hit]
-            bary[hit] = best_bary[hit]
+            found[pending[done]] = True
             pending = pending[~done]
+        tri = np.where(found, best_tri, -1)
+        bary = np.where(found[:, None], best_bary, 0.0)
         return tri, bary, best_tri, best_bary
 
     def interpolate(self, values, pts, outside: str = "error", tol: float = 1e-10):
@@ -189,26 +208,31 @@ class Mesh:
 
         ``outside`` controls points not located in any triangle: ``"zero"``
         yields 0, ``"clamp"`` evaluates the nearest candidate triangle with
-        clipped barycentric weights, ``"error"`` raises.
+        clipped barycentric weights, ``"error"`` raises.  Points are located
+        ``INTERPOLATE_BLOCK`` at a time.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         values = np.asarray(values, dtype=float)
-        tri, bary, best_tri, best_bary = self.locate(pts, tol=tol)
         out = np.zeros(pts.shape[0])
-        ok = tri >= 0
-        if np.any(ok):
-            out[ok] = np.einsum("ij,ij->i", bary[ok], values[self.triangles[tri[ok]]])
-        miss = ~ok
-        if np.any(miss):
-            if outside == "error":
-                raise ValueError(f"{int(miss.sum())} points outside the mesh")
-            if outside == "clamp":
+        misses = 0
+        for start in range(0, pts.shape[0], INTERPOLATE_BLOCK):
+            block = slice(start, start + INTERPOLATE_BLOCK)
+            tri, bary, best_tri, best_bary = self.locate(pts[block], tol=tol)
+            dest = out[block]  # a view: writes land in ``out``
+            ok = tri >= 0
+            if np.any(ok):
+                dest[ok] = np.einsum("ij,ij->i", bary[ok], values[self.triangles[tri[ok]]])
+            miss = ~ok
+            misses += int(miss.sum())
+            if outside == "clamp" and np.any(miss):
                 lam = np.clip(best_bary[miss], 0.0, None)
                 lam /= lam.sum(axis=1, keepdims=True)
-                out[miss] = np.einsum(
+                dest[miss] = np.einsum(
                     "ij,ij->i", lam, values[self.triangles[best_tri[miss]]]
                 )
-            # "zero": leave zeros
+            # "zero" leaves zeros; "error" raises once every block is counted
+        if misses and outside == "error":
+            raise ValueError(f"{misses} points outside the mesh")
         return out
 
     # -- export ----------------------------------------------------------
@@ -240,23 +264,27 @@ class Mesh:
             fh.write("\n".join(lines) + "\n")
 
 
-def _triangle_quality(vertices, triangles):
-    """Signed areas and the largest interior angle in degrees."""
+def _triangle_edges(vertices, triangles):
     p = vertices[triangles]
-    e0 = p[:, 1] - p[:, 0]
-    e1 = p[:, 2] - p[:, 1]
-    e2 = p[:, 0] - p[:, 2]
-    cross = e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0])
-    areas = 0.5 * cross
+    return p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]
+
+
+def _signed_areas(vertices, triangles):
+    e0, _, e2 = _triangle_edges(vertices, triangles)
+    return 0.5 * (e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
+
+
+def _max_angle_deg(vertices, triangles) -> float:
+    """The largest interior angle of the triangles, in degrees."""
+    edges = _triangle_edges(vertices, triangles)
     # law of cosines for the angle opposite each edge; unlike the sine rule
     # it tells an obtuse angle from its acute supplement
-    sq = np.stack([np.einsum("ij,ij->i", e, e) for e in (e0, e1, e2)], axis=1)
+    sq = np.stack([np.einsum("ij,ij->i", e, e) for e in edges], axis=1)
     adj1 = sq[:, [1, 2, 0]]
     adj2 = sq[:, [2, 0, 1]]
     with np.errstate(invalid="ignore", divide="ignore"):
         cosines = (adj1 + adj2 - sq) / (2.0 * np.sqrt(adj1 * adj2))
-    max_angle = math.degrees(math.acos(max(float(cosines.min()), -1.0)))
-    return areas, max_angle
+    return math.degrees(math.acos(max(float(cosines.min()), -1.0)))
 
 
 def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
@@ -316,7 +344,7 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
     tris[t0[nb]] = np.stack([v00[nb], v01[nb], v10[nb]], axis=1)
     tris[t1[nb]] = np.stack([v01[nb], v11[nb], v10[nb]], axis=1)
 
-    areas, max_angle = _triangle_quality(vertices, tris)
+    areas = _signed_areas(vertices, tris)
     bad = np.nonzero(areas <= 0.0)[0]
     if bad.size:
         raise MeshQualityError(
@@ -336,5 +364,4 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
         outer_edges=outer_edges,
         mirror=mirror,
         areas=areas,
-        max_angle_deg=max_angle,
     )

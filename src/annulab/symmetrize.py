@@ -19,6 +19,8 @@ conjugate angles, which only axially symmetric inputs satisfy.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,9 @@ from .geometry import Polarizer
 
 BALL = "ball"
 CONCENTRIC = "concentric"
+
+# threads of the polarization scan, and the CLI's default sweep pool size
+WORKERS = os.cpu_count() or 1
 
 
 class AlignmentError(ValueError):
@@ -212,30 +217,23 @@ def star_polarizers(m: int, center=(0.0, 0.0), include_axis: bool = False):
     return pols
 
 
-def worst_polarization_deviation(rs: RingSampling) -> float:
-    """Largest ``deviation(rs, polarize(rs, pol))`` over the star polarizers.
+def _worst_numerator(vals, rev2, w, ks) -> float:
+    """Largest deviation numerator over the star polarizers ``ks``.
 
-    The polarizers are ``star_polarizers(rs.m, center=rs.center)``.  No
-    polarized sampling is built: star polarizer ``k`` pairs sample ``q``
-    with ``(c - q) mod m``, ``c = k + m/2``, and its half plane holds exactly
-    the samples ``q`` with ``c/2 < q < c/2 + m/2``, one of each pair off the
-    boundary line.  The polarization swaps a pair only where the half-plane
-    value is the smaller one, which adds ``2 w_r (v_q - v_q')**2`` to the
-    numerator of :func:`deviation`; its denominator is the same for every
-    polarizer.  On the ring values reversed and tiled twice, the partners of
-    that contiguous half-ring slice are again a contiguous slice, so each
-    polarizer costs a few passes over half a ring in one reused buffer.
+    Star polarizer ``k`` pairs sample ``q`` with ``(c - q) mod m``,
+    ``c = k + m/2``, and its half plane holds exactly the samples ``q`` with
+    ``c/2 < q < c/2 + m/2``, one of each pair off the boundary line.  The
+    polarization swaps a pair only where the half-plane value is the smaller
+    one, which adds ``2 w_r (v_q - v_q')**2`` to the numerator of
+    :func:`deviation`.  On the ring values reversed and tiled twice
+    (``rev2``), the partners of that contiguous half-ring slice are again a
+    contiguous slice, so each polarizer costs a few passes over half a ring
+    in one buffer of this call's own.
     """
-    m = rs.m
-    vals = rs.values
-    n_rings = vals.shape[0]
-    w = 2.0 * math.pi * rs.radii / m
-    den = float(np.sum(w[:, None] * vals**2))
-    # rev2[:, j] == vals[:, (-1 - j) % m] for 0 <= j < 2m
-    rev2 = np.tile(vals[:, ::-1], 2)
+    n_rings, m = vals.shape
     buf = np.empty(n_rings * (m // 2))
-    worst_num = 0.0  # sqrt(num / den) grows with num, so the worst num decides
-    for k in _star_indices(m):
+    worst = 0.0
+    for k in ks:
         c = k + m // 2
         lo, hi = c // 2 + 1, (c - 1) // 2 + m // 2 + 1  # half-plane samples lo..hi-1
         # partner of sample lo + j: vals[:, (c - lo - j) % m] == rev2[:, start + j]
@@ -243,7 +241,31 @@ def worst_polarization_deviation(rs: RingSampling) -> float:
         d = buf[: n_rings * (hi - lo)].reshape(n_rings, hi - lo)
         np.subtract(vals[:, lo:hi], rev2[:, start : start + hi - lo], out=d)
         np.minimum(d, 0.0, out=d)
-        worst_num = max(worst_num, 2.0 * float(w @ np.einsum("ij,ij->i", d, d)))
+        worst = max(worst, 2.0 * float(w @ np.einsum("ij,ij->i", d, d)))
+    return worst
+
+
+def worst_polarization_deviation(rs: RingSampling) -> float:
+    """Largest ``deviation(rs, polarize(rs, pol))`` over the star polarizers.
+
+    The polarizers are ``star_polarizers(rs.m, center=rs.center)``.  No
+    polarized sampling is built (see :func:`_worst_numerator`), and the
+    denominator of :func:`deviation` is the same for every polarizer.  The
+    polarizers are cut into ``WORKERS`` contiguous blocks scanned on as many
+    threads; the maximum is exact, so every partition gives the same bits.
+    """
+    m = rs.m
+    vals = rs.values
+    w = 2.0 * math.pi * rs.radii / m
+    den = float(np.sum(w[:, None] * vals**2))
+    # rev2[:, j] == vals[:, (-1 - j) % m] for 0 <= j < 2m
+    rev2 = np.tile(vals[:, ::-1], 2)
+    ks = _star_indices(m)
+    blocks = [ks[len(ks) * i // WORKERS : len(ks) * (i + 1) // WORKERS]
+              for i in range(WORKERS)]
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        # sqrt(num / den) grows with num, so the worst num decides
+        worst_num = max(pool.map(lambda b: _worst_numerator(vals, rev2, w, b), blocks))
     if den == 0.0:
         return 0.0 if worst_num == 0.0 else math.inf
     return math.sqrt(worst_num / den)

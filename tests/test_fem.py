@@ -15,7 +15,7 @@ from annulab.fem import (
     p1_local_stiffness,
 )
 from annulab.spectral import discretize, solve_eigenproblem
-from annulab.torsion import solve_torsion
+from annulab.torsion import finite_difference_rigidity_prime, solve_torsion
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -207,3 +207,25 @@ def test_shared_discretization_matches_fresh_solves():
     assert np.array_equal(shared.v.values, fresh.v.values)
     assert shared.T == fresh.T
     assert disc.system(ProblemKind.ND) is disc.system(ProblemKind.ND)
+
+
+def test_torsion_solves_assemble_no_mass(monkeypatch):
+    def no_mass(self):
+        raise AssertionError("a torsion solve assembled the mass matrix")
+
+    monkeypatch.setattr(Discretization, "assemble_mass", no_mass)
+    d = AnnularDomain(1.0, 5.0, 2.0)
+    res = Resolution(32, 6, 1.5)
+    assert solve_torsion(discretize(d, res)).T > 0.0
+    assert finite_difference_rigidity_prime(d, 0.05, res) > 0.0
+
+
+def test_reduced_mass_is_folded_once_from_a_live_discretization():
+    d = AnnularDomain(1.0, 5.0, 2.0)
+    disc = discretize(d, Resolution(32, 6, 1.5))
+    system = disc.system(ProblemKind.DD)
+    assert system.M is system.M
+    assert disc.M is disc.M
+    orphan = discretize(d, Resolution(32, 6, 1.5)).system(ProblemKind.DD)
+    with pytest.raises(ReferenceError):
+        orphan.M

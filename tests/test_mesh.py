@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from annulab import mesh as mesh_module
 from annulab.geometry import AnnularDomain
-from annulab.mesh import Resolution, build_mesh
+from annulab.mesh import INTERPOLATE_BLOCK, Resolution, build_mesh
 
 
 def canonical_triangle_keys(tris):
@@ -134,6 +135,113 @@ def test_interpolate_outside_policies():
     assert m.interpolate(vals, hole_pt, outside="clamp")[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         m.interpolate(vals, hole_pt, outside="error")
+
+
+def reference_locate(mesh, pts, tol=1e-10):
+    """The full neighbour search: every point tries the offsets in order,
+    from the guessed quad on, until a triangle contains it."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    npts = pts.shape[0]
+    n_theta, n_rad = mesh.res.n_theta, mesh.res.n_rad
+    i0, j0 = mesh._cell_guess(pts)
+    tri = np.full(npts, -1, dtype=int)
+    bary = np.zeros((npts, 3))
+    best_tri = np.zeros(npts, dtype=int)
+    best_score = np.full(npts, -np.inf)
+    best_bary = np.zeros((npts, 3))
+    pending = np.arange(npts)
+    for di, dj in mesh._NEIGHBOR_OFFSETS:
+        if pending.size == 0:
+            break
+        ii = (i0[pending] + di) % n_theta
+        jj = np.clip(j0[pending] + dj, 0, n_rad - 1)
+        quad = ii * n_rad + jj
+        for k in (0, 1):
+            tids = 2 * quad + k
+            lam = mesh._bary(tids, pts[pending])
+            score = lam.min(axis=1)
+            better = score > best_score[pending]
+            upd = pending[better]
+            best_score[upd] = score[better]
+            best_tri[upd] = tids[better]
+            best_bary[upd] = lam[better]
+        done = best_score[pending] >= -tol
+        hit = pending[done]
+        tri[hit] = best_tri[hit]
+        bary[hit] = best_bary[hit]
+        pending = pending[~done]
+    return tri, bary, best_tri, best_bary
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def probe_points(mesh, n, seed):
+    """Seeded points in and around the annulus, the lattice vertices and
+    points on the lattice edges."""
+    rng = np.random.default_rng(seed)
+    R1 = mesh.domain.R1
+    scattered = rng.uniform(-1.1 * R1, 1.1 * R1, (n, 2))
+    lat = mesh.lattice
+    radial = 0.5 * (mesh.vertices[lat[:, :-1]] + mesh.vertices[lat[:, 1:]])
+    angular = 0.5 * (mesh.vertices[lat] + mesh.vertices[np.roll(lat, -1, axis=0)])
+    diagonal = mesh.vertices[mesh.triangles[:, [0, 2]]].mean(axis=1)
+    return np.concatenate([
+        scattered, mesh.vertices, radial.reshape(-1, 2), angular.reshape(-1, 2),
+        diagonal,
+    ])
+
+
+@pytest.mark.parametrize("s, res", [
+    (0.0, Resolution(32, 6, 1.0)),
+    (2.0, Resolution(64, 16, 1.5)),
+    (3.9, Resolution(50, 8, 0.7)),  # nearly touching, n_theta = 2 mod 4
+])
+def test_locate_matches_full_neighbour_search(s, res):
+    m = build_mesh(AnnularDomain(1.0, 5.0, s), res)
+    pts = probe_points(m, 4000, seed=int(10 * s))
+    got = m.locate(pts)
+    want = reference_locate(m, pts)
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+    tri = got[0]
+    # every kind of point occurs: first-quad hits, neighbour hits, misses
+    i0, j0 = m._cell_guess(pts)
+    first = 2 * (i0 * res.n_rad + j0)
+    assert np.any((tri == first) | (tri == first + 1))
+    assert np.any((tri >= 0) & (tri != first) & (tri != first + 1))
+    assert np.any(tri < 0)
+
+
+def test_interpolate_blocks_match_single_points():
+    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.5))
+    vals = np.sin(m.vertices[:, 0]) * np.cos(0.3 * m.vertices[:, 1])
+    rng = np.random.default_rng(3)
+    # inside, in the hole and beyond the outer circle
+    pts = rng.uniform(-5.5, 5.5, (INTERPOLATE_BLOCK + 1, 2))
+    got = m.interpolate(vals, pts, outside="clamp")
+    assert same_bits(got[-1:], m.interpolate(vals, pts[-1:], outside="clamp"))
+    # one point at a time, on a seeded subset of the first block
+    for i in rng.choice(INTERPOLATE_BLOCK, 400, replace=False):
+        assert same_bits(got[i : i + 1], m.interpolate(vals, pts[i], outside="clamp"))
+    zero = m.interpolate(vals, pts, outside="zero")
+    miss = m.locate(pts)[0] < 0
+    assert np.all(zero[miss] == 0.0)
+    assert same_bits(zero[~miss], got[~miss])
+
+
+def test_interpolate_error_counts_misses_over_all_blocks(monkeypatch):
+    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.0))
+    vals = np.ones(m.num_vertices)
+    inside = np.array([[-3.0, 0.5]])
+    hole = np.array([[2.0, 0.0]])
+    pts = np.concatenate([inside, hole, inside, hole, hole, inside, inside])
+    monkeypatch.setattr(mesh_module, "INTERPOLATE_BLOCK", 2)
+    with pytest.raises(ValueError, match="^3 points outside the mesh$"):
+        m.interpolate(vals, pts, outside="error")
+    assert np.array_equal(m.interpolate(vals, pts, outside="zero"),
+                          [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def test_deterministic_build():

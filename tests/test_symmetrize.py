@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from annulab import symmetrize
 from annulab.fem import Field
 from annulab.geometry import AnnularDomain, Polarizer
 from annulab.mesh import Resolution, build_mesh
@@ -224,6 +225,20 @@ def test_worst_polarization_deviation_fixed_points():
     vals[1, :10] = 0.0
     rs = RingSampling(np.zeros(2), np.linspace(1, 2, 4), 32, vals, "ball")
     assert worst_polarization_deviation(foliated_schwarz(rs)) == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 4, 256])
+def test_worst_polarization_deviation_is_the_same_for_every_partition(m, monkeypatch):
+    # m = 2 has one polarizer, so two or three workers leave blocks empty
+    rng = np.random.default_rng(11)
+    vals = np.round(rng.uniform(-0.5, 1.0, (5, m)), 2)
+    rs = RingSampling(np.zeros(2), np.linspace(0.5, 3.0, 5), m, vals, "ball")
+    got = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(symmetrize, "WORKERS", workers)
+        got.append(worst_polarization_deviation(rs))
+    assert got[0] > 0.0
+    assert [g.hex() for g in got] == [got[0].hex()] * 3
 
 
 def ring_dirichlet_energy(rs):
