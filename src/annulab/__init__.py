@@ -12,13 +12,8 @@ from .geometry import AnnularDomain, DomainError, Polarizer
 from .mesh import Mesh, MeshQualityError, Resolution, build_mesh
 from .fem import Discretization, Field, ProblemKind
 from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair
-from .spectral import (
-    EigenSolution,
-    discretize,
-    solve_eigenproblem,
-    write_field_csv,
-    write_field_vtk,
-)
+from .export import write_field
+from .spectral import EigenSolution, discretize, solve_eigenproblem
 from .symmetrize import (
     RingSampling,
     deviation,
@@ -62,8 +57,7 @@ __all__ = [
     "Mesh", "MeshQualityError", "Resolution", "build_mesh",
     "Discretization", "Field", "ProblemKind",
     "EigenPair", "SolverConvergenceError", "smallest_eigenpair",
-    "EigenSolution", "discretize", "solve_eigenproblem",
-    "write_field_csv", "write_field_vtk",
+    "EigenSolution", "discretize", "solve_eigenproblem", "write_field",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
     "sample_rings", "star_polarizers", "worst_polarization_deviation",
     "GeometryReport", "geometry_report", "recover_gradient",

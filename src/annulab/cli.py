@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import geometry_report
 from .eigensolver import SolverConvergenceError
-from .export import write_json
+from .export import write_field, write_json
 from .fem import ProblemKind
 from .geometry import AnnularDomain, DomainError
 from .mesh import MeshQualityError, Resolution
@@ -29,7 +29,7 @@ from .shape import (
     hadamard_tau_prime,
     half_boundary_tau_prime,
 )
-from .spectral import discretize, solve_eigenproblem, write_field_csv, write_field_vtk
+from .spectral import discretize, solve_eigenproblem
 from .sweep import (
     analyze_dn_family,
     bracket_critical_ratio,
@@ -210,9 +210,7 @@ def cmd_solve(args) -> int:
     sol = solve_eigenproblem(discretize(d, _resolution(args)), kind, args.tol)
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"eig_{kind.value}_s{args.s:g}")
-    write_field_csv(sol.u, base + ".csv")
-    if args.vtk:
-        write_field_vtk(sol.u, base + ".vtk")
+    write_field(sol.u, base, vtk=args.vtk)
     print(f"first eigenvalue ({kind.value}, s={args.s:g}): {sol.value!r}")
     print(f"residual {sol.pair.residual:.3e} after {sol.pair.iterations} iterations")
     print(f"field written to {base}.csv")
@@ -225,9 +223,7 @@ def cmd_torsion(args) -> int:
     t_energy, t_integral = torsional_rigidity(sol.v)
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"torsion_s{args.s:g}")
-    write_field_csv(sol.v, base + ".csv")
-    if args.vtk:
-        write_field_vtk(sol.v, base + ".vtk", name="v")
+    write_field(sol.v, base, name="v", vtk=args.vtk)
     print(f"torsional rigidity (s={args.s:g}): {sol.T!r}")
     print(f"energy/integral mismatch: {abs(t_energy - t_integral) / t_integral:.3e}")
     print(f"field written to {base}.csv")

@@ -1,4 +1,4 @@
-"""Deterministic text exports: CSV, JSON and minimal SVG line charts.
+"""Deterministic text exports: CSV, JSON, fields and minimal SVG line charts.
 
 All writers emit LF line endings and format floats with ``repr`` (shortest
 round-trip), so identical inputs produce byte-identical files.
@@ -7,6 +7,13 @@ round-trip), so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+
+import numpy as np
+
+# triangles formatted per string in the CELLS section of write_field; it
+# bounds the index tuple and the text built at once, and leaves the file
+# unchanged
+CELLS_BLOCK = 16384
 
 
 def fmt(value) -> str:
@@ -23,6 +30,39 @@ def write_csv(path, header, rows):
         lines.append(",".join(fmt(v) for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _reprs(a) -> list:
+    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+
+
+def write_field(field, base, name: str = "u", vtk: bool = False):
+    """Write a vertex field to ``base.csv`` and, with ``vtk``, ``base.vtk``.
+
+    The CSV has the columns ``x,y,u``.  The VTK is a legacy ASCII 2.0
+    unstructured grid of the mesh triangles with the values as the point
+    scalars ``name``.  Each coordinate and value is formatted once and the
+    same text goes into both files.
+    """
+    mesh = field.mesh
+    x, y, v = map(_reprs, (mesh.vertices[:, 0], mesh.vertices[:, 1], field.values))
+    with open(f"{base}.csv", "w", newline="\n") as fh:
+        fh.write("x,y,u\n")
+        fh.write("\n".join(map(",".join, zip(x, y, v))) + "\n")
+    if not vtk:
+        return
+    n, nt = mesh.num_vertices, mesh.num_triangles
+    with open(f"{base}.vtk", "w", newline="\n") as fh:
+        fh.write("# vtk DataFile Version 2.0\nannulab mesh\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+        fh.write(" 0.0\n".join(map(" ".join, zip(x, y))) + " 0.0\n")
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        for i in range(0, nt, CELLS_BLOCK):
+            block = mesh.triangles[i:i + CELLS_BLOCK]
+            fh.write("3 %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        fh.write(f"POINT_DATA {n}\nSCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        fh.write("\n".join(v) + "\n")
 
 
 def write_json(path, payload):

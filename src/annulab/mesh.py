@@ -235,34 +235,6 @@ class Mesh:
             raise ValueError(f"{misses} points outside the mesh")
         return out
 
-    # -- export ----------------------------------------------------------
-
-    def write_vtk(self, path, point_data: dict | None = None, title: str = "annulab mesh"):
-        """Legacy ASCII VTK 2.0 unstructured grid with optional point scalars."""
-        lines = [
-            "# vtk DataFile Version 2.0",
-            title,
-            "ASCII",
-            "DATASET UNSTRUCTURED_GRID",
-            f"POINTS {self.num_vertices} double",
-        ]
-        for x, y in self.vertices:
-            lines.append(f"{x!r} {y!r} 0.0")
-        nt = self.num_triangles
-        lines.append(f"CELLS {nt} {4 * nt}")
-        for a, b, c in self.triangles:
-            lines.append(f"3 {a} {b} {c}")
-        lines.append(f"CELL_TYPES {nt}")
-        lines.extend(["5"] * nt)
-        if point_data:
-            lines.append(f"POINT_DATA {self.num_vertices}")
-            for name, vals in point_data.items():
-                lines.append(f"SCALARS {name} double 1")
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(f"{float(v)!r}" for v in vals)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def _triangle_edges(vertices, triangles):
     p = vertices[triangles]

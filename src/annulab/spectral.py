@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eigensolver import EigenPair, smallest_eigenpair
-from .export import write_csv
 from .fem import Discretization, Field, ProblemKind
 from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution, build_mesh
@@ -51,14 +48,3 @@ def solve_eigenproblem(
     u = Field(system.expand(pair.vector), disc.mesh)
     return EigenSolution(value=pair.value, u=u, mesh=disc.mesh, kind=kind, pair=pair)
 
-
-def write_field_csv(field: Field, path):
-    rows = (
-        (float(x), float(y), float(v))
-        for (x, y), v in zip(field.mesh.vertices, field.values)
-    )
-    write_csv(path, ("x", "y", "u"), rows)
-
-
-def write_field_vtk(field: Field, path, name: str = "u"):
-    field.mesh.write_vtk(path, point_data={name: field.values})

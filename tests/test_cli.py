@@ -219,3 +219,28 @@ def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "converge" in err
+
+
+def test_outputs_hold_no_numpy_reprs(tmp_path, capsys):
+    # numpy 2 scalars format as ``np.float64(...)``; every writer must
+    # convert to Python numbers first
+    sweep_res = ["--n-theta", "48", "--n-rad", "8"]
+    commands = [
+        ["solve", "--R0", "1", "--R1", "2", "--s", "0.5", "--vtk"] + FAST,
+        ["torsion", "--R0", "1", "--R1", "2", "--s", "0.5", "--vtk"] + FAST,
+        ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
+         "--n-theta", "64", "--n-rad", "16", "--rings", "16", "--ring-samples", "64"],
+        ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "0.5:1:2.5", "--svg",
+         "--threads", "1"] + sweep_res,
+        ["dn-analyze", "--R1", "5", "--ratios", "0.6", "--s-points", "12"] + sweep_res,
+    ]
+    for argv in commands:
+        code, out, _ = run(argv + ["--out-dir", str(tmp_path)], capsys)
+        assert code == 0, argv
+        out = out.replace(str(tmp_path), "")
+        assert "np." not in out and "float64" not in out, argv
+    assert {"eig_nd_s0.5.vtk", "torsion_s0.5.vtk", "symmetry_s2.json", "sweep.csv",
+            "sweep.svg", "dn_analysis.json"} <= {p.name for p in tmp_path.iterdir()}
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        assert "np." not in text and "float64" not in text, path.name

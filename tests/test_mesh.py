@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from annulab import mesh as mesh_module
+from annulab.export import write_field
+from annulab.fem import Field
 from annulab.geometry import AnnularDomain
 from annulab.mesh import INTERPOLATE_BLOCK, Resolution, build_mesh
 
@@ -256,7 +258,7 @@ def test_vtk_export(tmp_path):
     d = AnnularDomain(1.0, 2.0, 0.0)
     m = build_mesh(d, Resolution(16, 4, 1.0))
     path = tmp_path / "mesh.vtk"
-    m.write_vtk(path, point_data={"one": np.ones(m.num_vertices)})
+    write_field(Field(np.ones(m.num_vertices), m), tmp_path / "mesh", name="one", vtk=True)
     text = path.read_text()
     assert text.startswith("# vtk DataFile Version 2.0")
     assert "DATASET UNSTRUCTURED_GRID" in text

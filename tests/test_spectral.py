@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from annulab.fem import Discretization, ProblemKind
+from annulab.export import CELLS_BLOCK, write_field
+from annulab.fem import Discretization, Field, ProblemKind
 from annulab.geometry import AnnularDomain
-from annulab.mesh import Resolution
+from annulab.mesh import Resolution, build_mesh
 from annulab.radial_oracle import concentric_eigenvalue
-from annulab.spectral import discretize, solve_eigenproblem, write_field_csv, write_field_vtk
+from annulab.spectral import discretize, solve_eigenproblem
+from annulab.torsion import solve_torsion
 
 
 @pytest.fixture(scope="module", params=[k.value for k in ProblemKind])
@@ -76,8 +78,7 @@ def test_field_exports(tmp_path):
     sol = solve_eigenproblem(discretize(d, Resolution(32, 6, 1.0)), ProblemKind.ND)
     csv = tmp_path / "f.csv"
     vtk = tmp_path / "f.vtk"
-    write_field_csv(sol.u, csv)
-    write_field_vtk(sol.u, vtk)
+    write_field(sol.u, tmp_path / "f", vtk=True)
     lines = csv.read_text().splitlines()
     assert lines[0] == "x,y,u"
     assert len(lines) == sol.mesh.num_vertices + 1
@@ -85,6 +86,83 @@ def test_field_exports(tmp_path):
     assert [x, y] == list(sol.mesh.vertices[0])
     assert u == sol.u.values[0]
     assert "SCALARS u double 1" in vtk.read_text()
+
+
+def read_vtk(path):
+    """Sections of a legacy ASCII VTK file as written by ``write_field``."""
+    lines = path.read_text().splitlines()
+    assert lines[:4] == [
+        "# vtk DataFile Version 2.0", "annulab mesh", "ASCII", "DATASET UNSTRUCTURED_GRID"
+    ]
+    at = 4
+
+    def section(head, count):
+        nonlocal at
+        assert lines[at] == head
+        rows = [r.split() for r in lines[at + 1:at + 1 + count]]
+        at += 1 + count
+        return rows
+
+    n = int(lines[at].split()[1])
+    points = section(f"POINTS {n} double", n)
+    nt = int(lines[at].split()[1])
+    cells = section(f"CELLS {nt} {4 * nt}", nt)
+    types = section(f"CELL_TYPES {nt}", nt)
+    assert lines[at] == f"POINT_DATA {n}"
+    name = lines[at + 1].split()[1]
+    assert lines[at + 1] == f"SCALARS {name} double 1"
+    at += 2
+    scalars = section("LOOKUP_TABLE default", n)
+    assert at == len(lines)
+    return {
+        "points": np.array([[float(t) for t in r] for r in points]),
+        "cells": np.array([[int(t) for t in r] for r in cells]),
+        "types": types,
+        "name": name,
+        "scalars": np.array([float(r[0]) for r in scalars]),
+    }
+
+
+def assert_bitwise(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def check_round_trip(field, base, name):
+    mesh = field.mesh
+    vtk = read_vtk(base.with_suffix(".vtk"))
+    assert_bitwise(vtk["points"][:, :2], mesh.vertices)
+    assert np.all(vtk["points"][:, 2] == 0.0)
+    assert np.array_equal(vtk["cells"][:, 0], np.full(mesh.num_triangles, 3))
+    assert np.array_equal(vtk["cells"][:, 1:], mesh.triangles)
+    assert vtk["types"] == [["5"]] * mesh.num_triangles
+    assert vtk["name"] == name
+    assert_bitwise(vtk["scalars"], field.values)
+    lines = base.with_suffix(".csv").read_text().splitlines()
+    assert lines[0] == "x,y,u"
+    rows = np.array([[float(t) for t in r.split(",")] for r in lines[1:]])
+    assert_bitwise(rows[:, :2], mesh.vertices)
+    assert_bitwise(rows[:, 2], field.values)
+
+
+def test_field_export_round_trips_eigen_and_torsion(tmp_path):
+    disc = discretize(AnnularDomain(1.0, 3.0, 1.2), Resolution(32, 6, 1.5))
+    u = solve_eigenproblem(disc, ProblemKind.ND).u
+    v = solve_torsion(disc).v
+    write_field(u, tmp_path / "eig", vtk=True)
+    write_field(v, tmp_path / "torsion", name="v", vtk=True)
+    check_round_trip(u, tmp_path / "eig", "u")
+    check_round_trip(v, tmp_path / "torsion", "v")
+
+
+def test_field_export_cells_cross_a_block_boundary(tmp_path):
+    mesh = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(130, 64, 1.5))
+    assert mesh.num_triangles > CELLS_BLOCK
+    assert mesh.num_triangles % CELLS_BLOCK != 0
+    field = Field(np.hypot(*mesh.vertices.T), mesh)
+    write_field(field, tmp_path / "big", vtk=True)
+    check_round_trip(field, tmp_path / "big", "u")
 
 
 def test_repeat_solve_bit_identical():
