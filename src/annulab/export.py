@@ -39,15 +39,15 @@ def _reprs(a) -> list:
 def write_field(field, base, name: str = "u", vtk: bool = False):
     """Write a vertex field to ``base.csv`` and, with ``vtk``, ``base.vtk``.
 
-    The CSV has the columns ``x,y,u``.  The VTK is a legacy ASCII 2.0
-    unstructured grid of the mesh triangles with the values as the point
-    scalars ``name``.  Each coordinate and value is formatted once and the
-    same text goes into both files.
+    The CSV has the columns ``x,y`` and ``name``.  The VTK is a legacy
+    ASCII 2.0 unstructured grid of the mesh triangles with the values as the
+    point scalars ``name``.  Each coordinate and value is formatted once and
+    the same text goes into both files.
     """
     mesh = field.mesh
     x, y, v = map(_reprs, (mesh.vertices[:, 0], mesh.vertices[:, 1], field.values))
     with open(f"{base}.csv", "w", newline="\n") as fh:
-        fh.write("x,y,u\n")
+        fh.write(f"x,y,{name}\n")
         fh.write("\n".join(map(",".join, zip(x, y, v))) + "\n")
     if not vtk:
         return

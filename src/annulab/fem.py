@@ -1,6 +1,6 @@
 """P1 discretization: one :class:`Discretization` per mesh.
 
-A discretization assembles the stiffness, mass and load of its mesh once and
+A discretization assembles the stiffness, mass and load of its mesh and
 builds, per boundary configuration, the reduced system and its one sparse LU.
 
 The three boundary configurations share one code path: ``ND`` pins the inner
@@ -9,10 +9,11 @@ by eliminating the pinned rows/columns, never by penalties, so the reduced
 stiffness stays well conditioned.  Neumann conditions are natural and add no
 terms.
 
-Assembled operators are made *exactly* symmetric and *exactly* invariant
-under the mesh mirror permutation by averaging with their transpose/mirrored
-images; both averages are exact in floating point because addition is
-commutative and halving is lossless.
+Assembled operators are *exactly* symmetric: the local blocks are, and an
+edge's at most two contributions sum to the same double in either order.
+They are made *exactly* invariant under the mesh mirror permutation by
+averaging with their mirrored images; the average is exact in floating point
+because addition is commutative and halving is lossless.
 
 The reduction also folds the x2-mirror: a free vertex and its mirror image
 share one unknown.  The first eigenfunctions and the torsion function of a
@@ -20,11 +21,27 @@ domain symmetric about the x1-axis are symmetric (each is the positive
 ground state of a simple eigenvalue, or the unique solution), so the folded
 systems have the same solutions with about half the unknowns, and expanded
 fields are mirror symmetric by construction.
+
+All index work depends on the triangulation only, so it is done once per
+triangulation, in an index plan that every mesh with the same triangle,
+mirror and lattice arrays shares: a sweep's meshes have two triangulations
+(s = 0 and s > 0), and a dn family's usually one.  The plan holds the CSR
+pattern of the vertex pairs, the order in which the contributions of each
+entry are summed, the slot permutation of the mirror and, per kind, the
+gathers that fold pair slots into the reduced system.  Assembly, the mirror
+average and the folds are then gathers on value arrays.  They give bit for
+bit the matrices of the sparse-matrix route (COO to CSR conversion, the two
+averages and ``P^T A P`` with ``P`` the 0/1 expansion of
+:class:`ReducedSystem`), down to the column order of each reduced row,
+which the eigensolver's matrix-vector products sum in.  The last
+:data:`PLAN_CACHE_SIZE` plans are kept; full-size CSR matrices are built
+only when :attr:`Discretization.K` or :attr:`Discretization.M` is read.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -37,6 +54,11 @@ from .mesh import Mesh
 
 # explicit stored values smaller than this are pruned after assembly
 ZERO_PRUNE = 1e-300
+
+# index plans kept for reuse: a sweep meets two triangulations and a dn
+# family one; the plan of a 512x128 mesh holds 5.5 MB, and 3.7 MB more for
+# each kind folded
+PLAN_CACHE_SIZE = 2
 
 
 class ProblemKind(enum.Enum):
@@ -109,51 +131,17 @@ MASS_BLOCK = (np.ones((3, 3)) + np.eye(3)) / 12.0
 def p1_local_stiffness(coords: np.ndarray) -> np.ndarray:
     """Per-triangle stiffness blocks for (nt, 3, 2) coordinates."""
     b, c, area = _p1_geometry(coords)
-    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area
-    )[:, None, None]
+    q = 4.0 * area
+    ke = np.empty((coords.shape[0], 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            ke[:, i, j] = ke[:, j, i] = (b[:, i] * b[:, j] + c[:, i] * c[:, j]) / q
+    return ke
 
 
 def p1_local_mass(area: np.ndarray) -> np.ndarray:
     """Per-triangle consistent mass blocks for the (nt,) triangle areas."""
     return area[:, None, None] * MASS_BLOCK[None, :, :]
-
-
-def _scatter(mesh: Mesh, local):
-    """Sum (nt, 3, 3) local matrices into a global CSR matrix."""
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.num_vertices
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    return a
-
-
-def _transpose_average(a) -> sp.csr_matrix:
-    # an exact projection: fl(x + y) = fl(y + x) and the halving is a power
-    # of two
-    return (0.5 * (a + a.T)).tocsr()
-
-
-def _symmetrize(a: sp.csr_matrix, mirror: np.ndarray) -> sp.csr_matrix:
-    # the mirror average is exact for the same reason
-    a = _transpose_average(a)
-    a = (0.5 * (a + a[mirror][:, mirror])).tocsr()
-    a.sort_indices()
-    return a
-
-
-def _exactly_symmetric(a) -> sp.csr_matrix:
-    """``a`` as CSR with explicit near-zeros pruned; raises unless ``a == a^T``."""
-    a = a.tocsr()
-    if a.nnz:
-        a.data[np.abs(a.data) < ZERO_PRUNE] = 0.0
-        a.eliminate_zeros()
-    diff = a - a.T
-    if diff.nnz and np.abs(diff.data).max() > 0.0:
-        raise ValueError("matrix is not symmetric")
-    return a
 
 
 def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
@@ -166,9 +154,191 @@ def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
+def _csr(data: np.ndarray, indptr, indices, dim: int) -> sp.csr_matrix:
+    """``data`` on a CSR pattern, without the entries smaller than ZERO_PRUNE."""
+    keep = np.abs(data) >= ZERO_PRUNE
+    if not keep.all():
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+        indices, data = indices[keep], data[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+class _Plan:
+    """The index work of one triangulation and mirror.
+
+    Assembled operators are exactly symmetric, so the plan keeps one slot per
+    pair of vertices ``i <= j`` of a triangle: the upper triangle of the
+    vertex adjacency, as the CSR pattern ``indptr``/``indices``.  ``order``
+    lists the entries of the flattened (nt, 3, 3) local blocks that go into
+    the slots, by their position in their slot's run, then by slot: one
+    contribution of every slot, then the second of every slot with two or
+    more, and so on.  A diagonal run is in the order in which scipy's COO to
+    CSR conversion sums it; an edge has at most two contributions, which sum
+    to the same double in either order, and the same two go into the
+    transposed entry, so the transpose average of the full matrix is exact
+    and leaves it unchanged.  ``mp`` maps each slot to that of its mirror
+    image.
+    """
+
+    def __init__(self, mesh: Mesh):
+        # the arrays the plan depends on; sharing them costs no copy
+        self.key = (mesh.triangles, mesh.mirror, mesh.lattice)
+        tri = mesh.triangles
+        n = self.n = mesh.num_vertices
+        # entry 9t + 3a + b of the blocks lands in row tri[t, a] and column
+        # tri[t, b]; group the entries by row, each row in entry order, as
+        # the COO to CSR conversion does
+        by_row = np.argsort(tri.ravel(), kind="stable")
+        counts = 3 * np.bincount(tri.ravel(), minlength=n)
+        tagged = sp.csr_matrix(
+            ((3 * by_row[:, None] + np.arange(3.0)).ravel(),
+             tri[by_row // 3].astype(np.int32).ravel(),
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(n, n),
+        )
+        del by_row
+        # scipy's sort by column is not stable: carried as data, the entry
+        # numbers give the order in which it sums each run of duplicates
+        tagged.sort_indices()
+        rows = np.repeat(np.arange(n, dtype=np.int32), counts)
+        upper = tagged.indices >= rows
+        rows, cols, entries = rows[upper], tagged.indices[upper], tagged.data[upper]
+        del tagged, upper
+        first = np.ones(cols.size, dtype=bool)
+        first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+        starts = np.flatnonzero(first)
+        runs = np.diff(np.append(starts, cols.size))
+        rows = rows[starts]
+        self.indices = cols[starts]
+        if np.any(runs[rows != self.indices] > 2):
+            raise ValueError("an edge is shared by more than two triangles")
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(
+            np.int32
+        )
+        self.runs = runs.astype(np.min_scalar_type(runs.max()))
+        position = (np.arange(cols.size) - np.repeat(starts, runs)).astype(self.runs.dtype)
+        self.order = entries[np.argsort(position, kind="stable")].astype(np.int32)
+        del cols, entries, first, starts, runs, position
+        self.mp = self.slot(mesh.mirror[rows], mesh.mirror[self.indices])
+        if np.any(self.mp < 0):
+            raise ValueError("mirror does not map the triangulation onto itself")
+        self._folds: dict[ProblemKind, _Fold] = {}
+        self._lock = threading.Lock()
+
+    def slot(self, i, j) -> np.ndarray:
+        """Slot of each vertex pair ``{i[k], j[k]}``; -1 where no triangle has both."""
+        numbers = np.arange(1, self.indices.size + 1, dtype=np.int32)
+        slots = sp.csr_array((numbers, self.indices, self.indptr), shape=(self.n, self.n))
+        return slots[np.minimum(i, j), np.maximum(i, j)] - 1
+
+    def assemble(self, local: np.ndarray) -> np.ndarray:
+        """Slot values of the exactly symmetric (nt, 3, 3) blocks ``local``,
+        averaged with their mirror images; values below ZERO_PRUNE become 0."""
+        c = local.ravel()[self.order]
+        d = c[: self.indices.size].copy()
+        done = d.size
+        # each run of duplicates is summed left to right, like scipy does
+        for k in range(1, int(self.runs.max())):
+            more = np.flatnonzero(self.runs > k)
+            d[more] += c[done : done + more.size]
+            done += more.size
+        del c
+        d = 0.5 * (d + d[self.mp])
+        if not np.array_equal(d, d[self.mp]):
+            raise ValueError("matrix is not invariant under the mirror")
+        d[np.abs(d) < ZERO_PRUNE] = 0.0
+        return d
+
+    def matrix(self, d: np.ndarray) -> sp.csr_matrix:
+        """The full symmetric matrix of the slot values ``d``, zeros left out."""
+        upper = _csr(d, self.indptr, self.indices, self.n)
+        return (upper + sp.triu(upper, k=1).T).tocsr()
+
+    def fold(self, mesh: Mesh, kind: ProblemKind, live=None) -> "_Fold":
+        """The fold of ``kind``; built once, unless ``live`` masks out slots."""
+        if live is not None:
+            return _Fold(self, mesh, kind, live)
+        with self._lock:
+            if kind not in self._folds:
+                self._folds[kind] = _Fold(self, mesh, kind)
+            return self._folds[kind]
+
+
+class _Fold:
+    """Gathers from pattern slots to one kind's reduced system.
+
+    ``free``/``orbit`` are those of :class:`ReducedSystem`; ``rep`` is the
+    smaller vertex of each orbit.  Reduced entry ``e`` of orbits ``(I, J)``
+    is ``2^scale[e] (d[g0] + d[g1])`` with ``g0``/``g1`` the slots of ``rep[I]``
+    and the two vertices of ``J``: the exact value of ``(P^T A P)_IJ`` and of
+    its transpose average, because ``A`` is exactly symmetric and mirror
+    invariant.  The reduced pattern is the one the sparse products give for
+    the pattern of ``A`` (or its ``live`` slots), in their column order.
+    """
+
+    def __init__(self, plan: _Plan, mesh: Mesh, kind: ProblemKind, live=None):
+        n = mesh.num_vertices
+        free = np.setdiff1d(np.arange(n), dirichlet_vertices(mesh, kind))
+        pos = np.full(n, -1)
+        pos[free] = np.arange(free.size)
+        image = pos[mesh.mirror[free]]
+        if np.any(image < 0):
+            raise ValueError("mirror does not preserve the free vertex set")
+        # an orbit is named by its smaller free position
+        _, first, orbit = np.unique(
+            np.minimum(np.arange(free.size), image), return_index=True, return_inverse=True
+        )
+        self.free, self.orbit = free.astype(np.int32), orbit.astype(np.int32)
+        self.dim = first.size
+        self.rep = self.free[first]
+        twin = mesh.mirror[self.rep]
+        self.paired = (twin != self.rep).astype(np.int8)
+        pattern = plan.matrix(np.ones(plan.indices.size) if live is None else live * 1.0)
+        P = sp.csr_matrix((np.ones(free.size), (free, orbit)), shape=(n, self.dim))
+        a = P.T.tocsr() @ pattern @ P
+        a = a + a.T
+        self.indptr, self.indices = a.indptr, a.indices
+        rows = np.repeat(np.arange(self.dim), np.diff(a.indptr))
+        g0 = plan.slot(self.rep[rows], self.rep[a.indices])
+        g1 = plan.slot(self.rep[rows], twin[a.indices])
+        # a vertex pair missing from the pattern, or an orbit of one vertex,
+        # adds one slot twice and halves the sum
+        g0 = np.where(g0 < 0, g1, g0)
+        g1 = np.where(g1 < 0, g0, g1)
+        self.gather = np.stack([g0, g1])
+        self.scale = self.paired[rows] - (g0 == g1)
+
+    def matrix(self, d: np.ndarray) -> sp.csr_matrix:
+        return _csr(np.ldexp(d[self.gather[0]] + d[self.gather[1]], self.scale),
+                    self.indptr, self.indices, self.dim)
+
+    def vector(self, b: np.ndarray) -> np.ndarray:
+        return np.ldexp(b[self.rep], self.paired)
+
+
+# the most recently used plan last
+_plans: list[_Plan] = []
+_plans_lock = threading.Lock()
+
+
+def _plan_for(mesh: Mesh) -> _Plan:
+    """The cached plan of ``mesh``'s triangulation, built on first request."""
+    key = (mesh.triangles, mesh.mirror, mesh.lattice)
+    with _plans_lock:
+        for plan in _plans:
+            if all(a is b or np.array_equal(a, b) for a, b in zip(plan.key, key)):
+                _plans.remove(plan)
+                break
+        else:
+            plan = _Plan(mesh)
+            del _plans[: max(len(_plans) + 1 - PLAN_CACHE_SIZE, 0)]
+        _plans.append(plan)
+        return plan
+
+
 @dataclass
 class ReducedSystem:
-    """One kind's Dirichlet-reduced, mirror-folded system and the LU of ``K``.
+    """One kind's Dirichlet-reduced, mirror-folded system.
 
     The unknowns are the mirror orbits of the free (unpinned) vertices:
     ``orbit[k]`` is the unknown of vertex ``free[k]``, shared with its mirror
@@ -178,7 +348,8 @@ class ReducedSystem:
     quadratic forms are preserved: ``x^T K x = (P x)^T K_full (P x)``.
 
     ``M`` is folded on first use, from the mass of the discretization,
-    which must still be alive then; torsion solves never read it.
+    which must still be alive then; torsion solves never read it.  ``lu``,
+    the LU of ``K``, is computed on first use.
     """
 
     K: sp.csr_matrix
@@ -186,15 +357,14 @@ class ReducedSystem:
     free: np.ndarray
     orbit: np.ndarray
     full_size: int
-    lu: spla.SuperLU
-    P: sp.csr_matrix
-    Pt: sp.csr_matrix
+    kind: ProblemKind
     # weak, so that a discretization and its cached systems form no cycle
     # and their factorizations are freed as soon as the last user lets go
     owner: weakref.ref
-    # a plain lazy attribute: functools.cached_property would serialize the
+    # plain lazy attributes: functools.cached_property would serialize the
     # folds of all systems behind one lock on Python < 3.12
     _M: sp.csr_matrix | None = field(default=None, init=False, repr=False)
+    _lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
 
     @property
     def M(self) -> sp.csr_matrix:
@@ -202,8 +372,15 @@ class ReducedSystem:
             disc = self.owner()
             if disc is None:
                 raise ReferenceError("the discretization of this system is gone")
-            self._M = _exactly_symmetric(_transpose_average(self.Pt @ disc.M @ self.P))
+            m = disc._mass()
+            self._M = disc._fold(m, self.kind).matrix(m)
         return self._M
+
+    @property
+    def lu(self) -> spla.SuperLU:
+        if self._lu is None:
+            self._lu = factorize(self.K)
+        return self._lu
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Full vertex vector: each orbit value copied to its vertices."""
@@ -215,10 +392,10 @@ class ReducedSystem:
 class Discretization:
     """The P1 operators of one mesh, shared by every problem kind and torsion.
 
-    ``K`` and ``b`` are assembled on construction and ``M`` on first use.
-    The reduced system of a kind, with the one LU of its stiffness, is built
-    on the first :meth:`system` request and kept, so the ``nd`` eigen-solve
-    and the torsion solve share one factorization.  The ``assemble_*`` and
+    ``b`` is assembled on construction; the stiffness and mass values on the
+    plan's slots on first use.  The reduced system of a kind is built on the
+    first :meth:`system` request and kept, so the ``nd`` eigen-solve and the
+    torsion solve share one factorization.  The ``assemble_*`` and
     :meth:`reduce_system` methods do the work uncached; each is called at
     most once per discretization.  The factorizations are most of the
     memory: keep a discretization only as long as the solves that share it.
@@ -227,29 +404,57 @@ class Discretization:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.K = self.assemble_stiffness()
         self.b = self.assemble_load()
+        self._plan: _Plan | None = None
+        self._k: np.ndarray | None = None
+        self._m: np.ndarray | None = None
+        self._K: sp.csr_matrix | None = None
         self._M: sp.csr_matrix | None = None
         self._systems: dict[ProblemKind, ReducedSystem] = {}
 
+    def _index_plan(self) -> _Plan:
+        if self._plan is None:
+            self._plan = _plan_for(self.mesh)
+        return self._plan
+
+    def _stiffness(self) -> np.ndarray:
+        if self._k is None:
+            self._k = self.assemble_stiffness()
+        return self._k
+
+    def _mass(self) -> np.ndarray:
+        if self._m is None:
+            self._m = self.assemble_mass()
+        return self._m
+
+    def _fold(self, d: np.ndarray, kind: ProblemKind) -> _Fold:
+        # a slot pruned to 0 is missing from the pattern the products see
+        live = d != 0.0
+        return self._index_plan().fold(self.mesh, kind, None if live.all() else live)
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        """The full stiffness matrix, built on first read."""
+        if self._K is None:
+            self._K = self._index_plan().matrix(self._stiffness())
+        return self._K
+
     @property
     def M(self) -> sp.csr_matrix:
-        """The mass matrix, assembled on first use."""
+        """The full mass matrix, built on first read."""
         if self._M is None:
-            self._M = self.assemble_mass()
+            self._M = self._index_plan().matrix(self._mass())
         return self._M
 
-    def assemble_stiffness(self) -> sp.csr_matrix:
-        """Stiffness matrix of the Laplacian: K_ij = integral grad phi_i . grad phi_j."""
+    def assemble_stiffness(self) -> np.ndarray:
+        """Stiffness K_ij = integral grad phi_i . grad phi_j, on the plan's slots."""
         mesh = self.mesh
-        ke = p1_local_stiffness(mesh.vertices[mesh.triangles])
-        return _exactly_symmetric(_symmetrize(_scatter(mesh, ke), mesh.mirror))
+        return self._index_plan().assemble(p1_local_stiffness(mesh.vertices[mesh.triangles]))
 
-    def assemble_mass(self) -> sp.csr_matrix:
-        """Consistent P1 mass matrix: local block area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
-        mesh = self.mesh
-        me = p1_local_mass(mesh.areas)
-        return _exactly_symmetric(_symmetrize(_scatter(mesh, me), mesh.mirror))
+    def assemble_mass(self) -> np.ndarray:
+        """Consistent P1 mass, local block area/12 * [[2,1,1],[1,2,1],[1,1,2]],
+        on the plan's slots."""
+        return self._index_plan().assemble(p1_local_mass(self.mesh.areas))
 
     def assemble_load(self) -> np.ndarray:
         """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""
@@ -259,31 +464,16 @@ class Discretization:
         return 0.5 * (b + b[mesh.mirror])
 
     def system(self, kind: ProblemKind) -> ReducedSystem:
-        """The reduced system of ``kind``, built and factored on first request."""
+        """The reduced system of ``kind``, built on first request."""
         if kind not in self._systems:
             self._systems[kind] = self.reduce_system(kind)
         return self._systems[kind]
 
     def reduce_system(self, kind: ProblemKind) -> ReducedSystem:
-        """Eliminate the Dirichlet rows/columns of ``kind``, fold the mirror and
-        factor the reduced stiffness."""
-        mesh = self.mesh
-        pinned = dirichlet_vertices(mesh, kind)
-        n = mesh.num_vertices
-        free = np.setdiff1d(np.arange(n), pinned, assume_unique=False)
-        pos = np.full(n, -1)
-        pos[free] = np.arange(free.size)
-        image = pos[mesh.mirror[free]]
-        if np.any(image < 0):
-            raise ValueError("mirror does not preserve the free vertex set")
-        # an orbit is named by its smaller free position
-        _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
-        P = sp.csr_matrix(
-            (np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1)
-        )
-        Pt = P.T.tocsr()
-        K = _exactly_symmetric(_transpose_average(Pt @ self.K @ P))
+        """Eliminate the Dirichlet rows/columns of ``kind`` and fold the mirror."""
+        k = self._stiffness()
+        fold = self._fold(k, kind)
         return ReducedSystem(
-            K=K, b=Pt @ self.b, free=free, orbit=orbit, full_size=n,
-            lu=factorize(K), P=P, Pt=Pt, owner=weakref.ref(self),
+            K=fold.matrix(k), b=fold.vector(self.b), free=fold.free, orbit=fold.orbit,
+            full_size=self.mesh.num_vertices, kind=kind, owner=weakref.ref(self),
         )

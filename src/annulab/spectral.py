@@ -39,12 +39,12 @@ def solve_eigenproblem(
     disc: Discretization, kind: ProblemKind = ProblemKind.ND, tol: float = 1e-9
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``disc`` for the given kind."""
-    # assemble the mass before the reduced system and its LU exist, so that
-    # the assembly temporaries are freed before those arrays are allocated
-    # and do not raise the peak memory of a large solve
-    disc.M
     system = disc.system(kind)
-    pair = smallest_eigenpair(system.K, system.M, system.lu, tol=tol)
+    # fold the mass before the LU exists, so that the assembly temporaries
+    # are freed before the factors are allocated and do not raise the peak
+    # memory of a large solve
+    m = system.M
+    pair = smallest_eigenpair(system.K, m, system.lu, tol=tol)
     u = Field(system.expand(pair.vector), disc.mesh)
     return EigenSolution(value=pair.value, u=u, mesh=disc.mesh, kind=kind, pair=pair)
 

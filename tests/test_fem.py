@@ -1,10 +1,15 @@
 import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from annulab.geometry import AnnularDomain
+from annulab import fem
 from annulab.mesh import Resolution, build_mesh
 from annulab.fem import (
     Discretization,
@@ -229,3 +234,146 @@ def test_reduced_mass_is_folded_once_from_a_live_discretization():
     orphan = discretize(d, Resolution(32, 6, 1.5)).system(ProblemKind.DD)
     with pytest.raises(ReferenceError):
         orphan.M
+
+
+# -- reference: the sparse-matrix route that the index plan replaces ------
+
+
+def reference_exactly_symmetric(a):
+    a = a.tocsr()
+    if a.nnz:
+        a.data[np.abs(a.data) < fem.ZERO_PRUNE] = 0.0
+        a.eliminate_zeros()
+    diff = a - a.T
+    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    return a
+
+
+def reference_transpose_average(a):
+    return (0.5 * (a + a.T)).tocsr()
+
+
+def reference_local_stiffness(coords):
+    b, c, area = fem._p1_geometry(coords)
+    return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area
+    )[:, None, None]
+
+
+def reference_operator(mesh, local):
+    """COO to CSR scatter, then the transpose and mirror averages."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    n = mesh.num_vertices
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    a.sum_duplicates()
+    a = reference_transpose_average(a)
+    a = (0.5 * (a + a[mesh.mirror][:, mesh.mirror])).tocsr()
+    a.sort_indices()
+    return reference_exactly_symmetric(a)
+
+
+def reference_system(mesh, K, M, b, kind):
+    """``(K, M, b, free, orbit)`` of ``kind`` by ``P^T A P`` products."""
+    pinned = dirichlet_vertices(mesh, kind)
+    n = mesh.num_vertices
+    free = np.setdiff1d(np.arange(n), pinned)
+    pos = np.full(n, -1)
+    pos[free] = np.arange(free.size)
+    image = pos[mesh.mirror[free]]
+    _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
+    P = sp.csr_matrix((np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1))
+    Pt = P.T.tocsr()
+    fold = [reference_exactly_symmetric(reference_transpose_average(Pt @ A @ P))
+            for A in (K, M)]
+    return fold[0], fold[1], Pt @ b, free, orbit
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+def assert_matches_reference(disc):
+    mesh = disc.mesh
+    K = reference_operator(mesh, reference_local_stiffness(mesh.vertices[mesh.triangles]))
+    M = reference_operator(mesh, p1_local_mass(mesh.areas))
+    assert_same_csr(disc.K, K)
+    assert_same_csr(disc.M, M)
+    for kind in ProblemKind:
+        want = reference_system(mesh, K, M, disc.b, kind)
+        system = disc.system(kind)
+        assert_same_csr(system.K, want[0])
+        assert_same_csr(system.M, want[1])
+        assert np.array_equal(system.b.view(np.uint64), want[2].view(np.uint64))
+        assert np.array_equal(system.free, want[3])
+        assert np.array_equal(system.orbit, want[4])
+
+
+@pytest.mark.parametrize("n_theta", [32, 66])
+@pytest.mark.parametrize("ratio", [0.01, 0.2, 0.9])
+@pytest.mark.parametrize("s_frac", [0.0, 0.4, 0.999])
+def test_plan_matches_sparse_matrix_route_bitwise(monkeypatch, n_theta, ratio, s_frac):
+    monkeypatch.setattr(fem, "_plans", [])
+    R1 = 5.0
+    R0 = ratio * R1
+    res = Resolution(n_theta, 8, 1.5)
+    # the second mesh reuses the plan of the first whenever the two share
+    # their triangulation
+    for s in (s_frac, s_frac + 0.3 * (1.0 - s_frac) * (s_frac > 0.0)):
+        assert_matches_reference(Discretization(build_mesh(
+            AnnularDomain(R0, R1, s * (R1 - R0)), res)))
+
+
+def test_plan_covers_stiffness_entries_pruned_to_zero():
+    # at s = 0 with n_theta = 2 mod 4 some stiffness entries cancel exactly,
+    # so the products see a pattern without them and order the reduced
+    # columns differently
+    disc = Discretization(build_mesh(AnnularDomain(4.5, 5.0, 0.0), Resolution(66, 8, 1.5)))
+    assert disc.K.nnz < disc.M.nnz
+    assert_matches_reference(disc)
+
+
+def test_plan_cache_under_threads(monkeypatch):
+    # more threads than cores, with frequent thread switches
+    builds = []
+    build = fem._Plan
+    monkeypatch.setattr(fem, "_Plan", lambda mesh: builds.append(mesh) or build(mesh))
+    cases = [(AnnularDomain(1.0, 5.0, s), Resolution(n_theta, 24, 1.5))
+             for n_theta in (32, 34, 36) for s in (0.0, 1.0)]
+    want = [Discretization(build_mesh(*c)).system(ProblemKind.DN).K for c in cases]
+
+    def work(case, start):
+        mesh = build_mesh(*case)
+        if start is not None:
+            start.wait(timeout=60)
+        system = Discretization(mesh).system(ProblemKind.DN)
+        assert len(fem._plans) <= fem.PLAN_CACHE_SIZE
+        return system.K
+
+    def run(n_cases):
+        monkeypatch.setattr(fem, "_plans", [])
+        del builds[:]
+        # the first eight ask for their plans at once
+        start = threading.Barrier(8)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, cases[i % n_cases], start if i < 8 else None)
+                       for i in range(48)]
+            for i, f in enumerate(futures):
+                assert_same_csr(f.result(timeout=60), want[i % n_cases])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # as many triangulations as the cache keeps: each is planned once
+        for _ in range(4):
+            run(fem.PLAN_CACHE_SIZE)
+            assert len(builds) == fem.PLAN_CACHE_SIZE
+        # more than it keeps: plans are evicted and built again
+        run(len(cases))
+        assert len(builds) >= len(cases)
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -83,3 +87,25 @@ def test_torsion_rigidity_frozen():
     assert t0 == pytest.approx(4.4616190263709194, rel=1e-10)
     _, t5 = concentric_torsion(1.0, 5.0)
     assert t5 == pytest.approx(882.6284065630231, rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [0.002, 0.2, 0.5, 0.9, 0.98])
+def test_torsion_rigidity_matches_50_digit_quadrature(ratio):
+    mpmath = pytest.importorskip("mpmath")
+    R1 = 5.0
+    R0 = ratio * R1
+    with mpmath.workdps(50):
+        r0, r1 = mpmath.mpf(R0), mpmath.mpf(R1)
+        want = 2 * mpmath.pi * mpmath.quad(
+            lambda r: ((r0**2 - r**2) / 4 + r1**2 / 2 * mpmath.log(r / r0)) * r, [r0, r1]
+        )
+        _, got = concentric_torsion(R0, R1)
+        assert abs((got - want) / want) <= 1e-12
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, annulab.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -140,7 +140,7 @@ def check_round_trip(field, base, name):
     assert vtk["name"] == name
     assert_bitwise(vtk["scalars"], field.values)
     lines = base.with_suffix(".csv").read_text().splitlines()
-    assert lines[0] == "x,y,u"
+    assert lines[0] == f"x,y,{name}"
     rows = np.array([[float(t) for t in r.split(",")] for r in lines[1:]])
     assert_bitwise(rows[:, :2], mesh.vertices)
     assert_bitwise(rows[:, 2], field.values)
