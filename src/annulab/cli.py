@@ -3,8 +3,9 @@
 Subcommands: ``solve``, ``torsion``, ``symmetry-check``, ``shape-derivative``,
 ``sweep``, ``dn-analyze``, ``converge``.  Exit codes: 0 success, 2 validation
 error or unusable output directory, 3 solver non-convergence, 4 failed
-assertion suite.  A JSON config file may preload the flag defaults of the
-chosen subcommand; explicit flags win.
+assertion suite, 5 a system matrix that is not positive definite.  A JSON
+config file may preload the flag defaults of the chosen subcommand; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .checks import geometry_report
-from .eigensolver import SolverConvergenceError
+from .eigensolver import NotPositiveDefiniteError, SolverConvergenceError
 from .export import write_field, write_json
 from .fem import ProblemKind
 from .geometry import AnnularDomain, DomainError
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_ASSERTIONS = 4
+EXIT_NOT_POSITIVE_DEFINITE = 5
 
 
 def _parse_grid(text: str):
@@ -363,6 +365,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    # a LinAlgError is a ValueError: catch it before the validation errors
+    except NotPositiveDefiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_POSITIVE_DEFINITE
     except (DomainError, MeshQualityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,8 +1,12 @@
-"""Sparse SPD factorization and the smallest generalized eigenpair.
+"""Banded SPD factorization and the smallest generalized eigenpair.
 
-Every linear solve in the package goes through :func:`factorize`: one sparse
-LU in symmetric mode, computed once per matrix by
+Every linear solve in the package goes through :func:`factorize`: one
+LAPACK band Cholesky (``dpbtrf``, lower storage), computed once per matrix by
 :class:`annulab.fem.Discretization` and reused for every right-hand side.
+The reduced unknowns are numbered ray by ray, so every reduced stiffness is
+banded with half-bandwidth at most ``n_rad + 1``: the band needs no ordering
+and no pivoting, and holds ``(kd + 1) n`` doubles.
+
 The eigenpair comes from inverse power iteration on ``K y = M x`` with
 M-normalization and a Rayleigh-quotient stopping rule.  Everything is
 deterministic: the start vector is all ones and there is no randomness.
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 RAYLEIGH_RTOL = 1e-12
 
@@ -28,19 +32,56 @@ class SolverConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def factorize(A):
-    """Sparse LU of a symmetric positive definite matrix; ``.solve(b)`` solves.
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
+    """A Cholesky pivot is not positive; ``pivot`` is its 1-based index."""
 
-    Symmetric mode orders by minimum degree on the pattern of ``A + A^T`` and
-    takes diagonal pivots, which is safe for SPD matrices and keeps roughly
-    half the fill of the default column ordering.
+    def __init__(self, pivot: int, dim: int):
+        super().__init__(
+            f"matrix is not positive definite: pivot {pivot} of {dim} is not positive"
+        )
+        self.pivot = pivot
+
+
+class BandCholesky:
+    """Cholesky factor of a symmetric positive definite band matrix.
+
+    ``band`` is the lower band of ``A`` in LAPACK storage: ``band[i - j, j]
+    = A[i, j]`` for ``j <= i <= j + kd``, as an F-ordered ``(kd + 1, n)``
+    array.  It is factored in place.  Raises
+    :class:`NotPositiveDefiniteError` at the first non-positive pivot.
     """
-    return spla.splu(
-        A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+
+    def __init__(self, band: np.ndarray):
+        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefiniteError(info, band.shape[1])
+        if info < 0:
+            raise ValueError(f"dpbtrf: illegal argument {-info}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``A^-1 b``, in a new array."""
+        x, info = dpbtrs(self.band, b, lower=1)
+        if info != 0:
+            raise ValueError(f"dpbtrs: illegal argument {-info}")
+        return x
+
+
+def factorize(A) -> BandCholesky:
+    """Band Cholesky of a symmetric positive definite sparse matrix.
+
+    Only the lower triangle of ``A`` is read.  The half-bandwidth ``kd`` is
+    the largest ``i - j`` of its stored entries, so the factor costs
+    ``O(n kd^2)`` time and ``(kd + 1) n`` doubles; the unknown order is kept.
+    """
+    A = A.tocsr()
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    lower = rows >= A.indices
+    rows, cols = rows[lower], A.indices[lower]
+    kd = int((rows - cols).max(initial=0))
+    band = np.zeros((kd + 1, n), order="F")
+    band.reshape(-1, order="F")[cols * (kd + 1) + (rows - cols)] = A.data[lower]
+    return BandCholesky(band)
 
 
 @dataclass
@@ -59,13 +100,13 @@ class EigenPair:
 
 
 def smallest_eigenpair(
-    k, m, lu: spla.SuperLU, tol: float = 1e-9, max_outer: int = 400
+    k, m, factor: BandCholesky, tol: float = 1e-9, max_outer: int = 400
 ) -> EigenPair:
     """Smallest eigenpair of ``k u = value m u`` by inverse power iteration.
 
-    ``lu`` is the :func:`factorize` LU of ``k``; each step is one pair of
-    triangular solves with it.  Raises :class:`SolverConvergenceError` after
-    ``max_outer`` steps.
+    ``factor`` is the :func:`factorize` factor of ``k``; each step is one
+    pair of triangular solves with it.  Raises
+    :class:`SolverConvergenceError` after ``max_outer`` steps.
     """
     x = np.ones(k.shape[0])
     x = x / np.sqrt(float(x @ (m @ x)))
@@ -75,7 +116,7 @@ def smallest_eigenpair(
     history = [rho]
     residual = np.inf
     for it in range(1, max_outer + 1):
-        y = lu.solve(m @ x)
+        y = factor.solve(m @ x)
         my = m @ y
         nrm = np.sqrt(float(y @ my))
         y /= nrm

@@ -1,7 +1,8 @@
 """P1 discretization: one :class:`Discretization` per mesh.
 
 A discretization assembles the stiffness, mass and load of its mesh and
-builds, per boundary configuration, the reduced system and its one sparse LU.
+builds, per boundary configuration, the reduced system and its one band
+Cholesky factor.
 
 The three boundary configurations share one code path: ``ND`` pins the inner
 circle, ``DN`` the outer one, ``DD`` both.  Dirichlet conditions are imposed
@@ -47,9 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .eigensolver import factorize
+from .eigensolver import BandCholesky, factorize
 from .mesh import Mesh
 
 # explicit stored values smaller than this are pruned after assembly
@@ -231,18 +231,21 @@ class _Plan:
         slots = sp.csr_array((numbers, self.indices, self.indptr), shape=(self.n, self.n))
         return slots[np.minimum(i, j), np.maximum(i, j)] - 1
 
-    def assemble(self, local: np.ndarray) -> np.ndarray:
-        """Slot values of the exactly symmetric (nt, 3, 3) blocks ``local``,
-        averaged with their mirror images; values below ZERO_PRUNE become 0."""
-        c = local.ravel()[self.order]
-        d = c[: self.indices.size].copy()
+    def assemble(self, entries) -> np.ndarray:
+        """Slot values of exactly symmetric (nt, 3, 3) local blocks, averaged
+        with their mirror images; values below ZERO_PRUNE become 0.
+
+        ``entries(e)`` returns the entries ``e`` of the flattened blocks; it
+        is asked for one contribution of every slot at a time, so neither the
+        blocks nor their reordered copy need to exist whole.
+        """
+        d = entries(self.order[: self.indices.size])
         done = d.size
         # each run of duplicates is summed left to right, like scipy does
         for k in range(1, int(self.runs.max())):
             more = np.flatnonzero(self.runs > k)
-            d[more] += c[done : done + more.size]
+            d[more] += entries(self.order[done : done + more.size])
             done += more.size
-        del c
         d = 0.5 * (d + d[self.mp])
         if not np.array_equal(d, d[self.mp]):
             raise ValueError("matrix is not invariant under the mirror")
@@ -274,33 +277,82 @@ class _Fold:
     its transpose average, because ``A`` is exactly symmetric and mirror
     invariant.  The reduced pattern is the one the sparse products give for
     the pattern of ``A`` (or its ``live`` slots), in their column order.
+
+    That order follows from the sorted pattern rows: scipy's product lists
+    the columns of a row in reverse order of first occurrence, and the
+    transpose sum reverses them again.  So row ``I`` lists its orbits by the
+    last position at which one of their vertices first occurs in the row of
+    ``v = rep[I]`` followed by the row of its mirror image ``w``, latest
+    first.  The pattern is mirror invariant, so the vertices new in the row
+    of ``w`` are the images of the vertices of the row of ``v`` whose images
+    are not in it: those orbits come first, by descending image, and the
+    others follow by descending larger vertex held in the row of ``v``.
     """
 
     def __init__(self, plan: _Plan, mesh: Mesh, kind: ProblemKind, live=None):
         n = mesh.num_vertices
-        free = np.setdiff1d(np.arange(n), dirichlet_vertices(mesh, kind))
+        pinned = np.zeros(n, dtype=bool)
+        pinned[dirichlet_vertices(mesh, kind)] = True
+        free = np.flatnonzero(~pinned)
         pos = np.full(n, -1)
         pos[free] = np.arange(free.size)
         image = pos[mesh.mirror[free]]
-        if np.any(image < 0):
+        own = np.arange(free.size)
+        if np.any(image < 0) or np.any(image[image] != own):
             raise ValueError("mirror does not preserve the free vertex set")
-        # an orbit is named by its smaller free position
-        _, first, orbit = np.unique(
-            np.minimum(np.arange(free.size), image), return_index=True, return_inverse=True
-        )
+        # an orbit is named by its smaller free position, and numbered in the
+        # order of the names
+        name = np.minimum(own, image)
+        first = np.flatnonzero(name == own)
+        orbit = (np.cumsum(name == own) - 1)[name]
         self.free, self.orbit = free.astype(np.int32), orbit.astype(np.int32)
         self.dim = first.size
         self.rep = self.free[first]
         twin = mesh.mirror[self.rep]
         self.paired = (twin != self.rep).astype(np.int8)
-        pattern = plan.matrix(np.ones(plan.indices.size) if live is None else live * 1.0)
-        P = sp.csr_matrix((np.ones(free.size), (free, orbit)), shape=(n, self.dim))
-        a = P.T.tocsr() @ pattern @ P
-        a = a + a.T
-        self.indptr, self.indices = a.indptr, a.indices
-        rows = np.repeat(np.arange(self.dim), np.diff(a.indptr))
-        g0 = plan.slot(self.rep[rows], self.rep[a.indices])
-        g1 = plan.slot(self.rep[rows], twin[a.indices])
+        of_vertex = np.full(n, -1, dtype=np.int32)
+        of_vertex[free] = orbit
+        row_of = np.full(n, -1, dtype=np.int32)
+        row_of[self.rep] = np.arange(self.dim)
+
+        # the pattern rows of the reps: each slot of vertices i <= j is read
+        # from both ends, as row vertex x and free neighbour u
+        slot = np.arange(plan.indices.size, dtype=np.int32)
+        if live is not None:
+            slot = slot[live]
+        i = np.repeat(np.arange(n, dtype=np.int32), np.diff(plan.indptr))[slot]
+        j = plan.indices[slot]
+        at_i = (row_of[i] >= 0) & (of_vertex[j] >= 0)
+        at_j = (row_of[j] >= 0) & (of_vertex[i] >= 0) & (i != j)
+        x = np.concatenate([i[at_i], j[at_j]])
+        u = np.concatenate([j[at_i], i[at_j]])
+        slot = np.concatenate([slot[at_i], slot[at_j]])
+        del i, j, at_i, at_j
+        # the slot of x and the image p of u: the other vertex of the column
+        # orbit, held in the row of x or not
+        p = mesh.mirror[u]
+        other = plan.slot(x, p)
+        held = other >= 0
+        if live is not None:
+            held &= live[other]
+        # an orbit held twice is kept once, at its larger vertex
+        keep = ~held | (u >= p)
+        rows = row_of[x[keep]]
+        key = np.where(held, u, n + p)[keep]
+        del x, p, held
+        # by row, then by descending key; keys are distinct within a row
+        order = np.argsort(rows * np.int64(2 * n) + (2 * n - 1 - key))
+        del key
+        rows = rows[order]
+        u, s, other = (a[keep][order] for a in (u, slot, other))
+        del keep, order, slot
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=self.dim))]
+        ).astype(np.int32)
+        self.indices = of_vertex[u]
+        at_rep = u == self.rep[self.indices]
+        g0 = np.where(at_rep, s, other)
+        g1 = np.where(at_rep, other, s)
         # a vertex pair missing from the pattern, or an orbit of one vertex,
         # adds one slot twice and halves the sum
         g0 = np.where(g0 < 0, g1, g0)
@@ -348,8 +400,8 @@ class ReducedSystem:
     quadratic forms are preserved: ``x^T K x = (P x)^T K_full (P x)``.
 
     ``M`` is folded on first use, from the mass of the discretization,
-    which must still be alive then; torsion solves never read it.  ``lu``,
-    the LU of ``K``, is computed on first use.
+    which must still be alive then; torsion solves never read it.
+    ``factor``, the band Cholesky of ``K``, is computed on first use.
     """
 
     K: sp.csr_matrix
@@ -364,7 +416,7 @@ class ReducedSystem:
     # plain lazy attributes: functools.cached_property would serialize the
     # folds of all systems behind one lock on Python < 3.12
     _M: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    _lu: spla.SuperLU | None = field(default=None, init=False, repr=False)
+    _factor: BandCholesky | None = field(default=None, init=False, repr=False)
 
     @property
     def M(self) -> sp.csr_matrix:
@@ -377,10 +429,10 @@ class ReducedSystem:
         return self._M
 
     @property
-    def lu(self) -> spla.SuperLU:
-        if self._lu is None:
-            self._lu = factorize(self.K)
-        return self._lu
+    def factor(self) -> BandCholesky:
+        if self._factor is None:
+            self._factor = factorize(self.K)
+        return self._factor
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Full vertex vector: each orbit value copied to its vertices."""
@@ -449,12 +501,15 @@ class Discretization:
     def assemble_stiffness(self) -> np.ndarray:
         """Stiffness K_ij = integral grad phi_i . grad phi_j, on the plan's slots."""
         mesh = self.mesh
-        return self._index_plan().assemble(p1_local_stiffness(mesh.vertices[mesh.triangles]))
+        local = p1_local_stiffness(mesh.vertices[mesh.triangles]).ravel()
+        return self._index_plan().assemble(local.take)
 
     def assemble_mass(self) -> np.ndarray:
         """Consistent P1 mass, local block area/12 * [[2,1,1],[1,2,1],[1,1,2]],
         on the plan's slots."""
-        return self._index_plan().assemble(p1_local_mass(self.mesh.areas))
+        areas, block = self.mesh.areas, MASS_BLOCK.ravel()
+        # the entries of p1_local_mass(areas), computed as they are asked for
+        return self._index_plan().assemble(lambda e: areas[e // 9] * block[e % 9])
 
     def assemble_load(self) -> np.ndarray:
         """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""

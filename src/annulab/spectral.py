@@ -40,11 +40,11 @@ def solve_eigenproblem(
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``disc`` for the given kind."""
     system = disc.system(kind)
-    # fold the mass before the LU exists, so that the assembly temporaries
-    # are freed before the factors are allocated and do not raise the peak
+    # fold the mass before the factor exists, so that the assembly temporaries
+    # are freed before the band is allocated and do not raise the peak
     # memory of a large solve
     m = system.M
-    pair = smallest_eigenpair(system.K, m, system.lu, tol=tol)
+    pair = smallest_eigenpair(system.K, m, system.factor, tol=tol)
     u = Field(system.expand(pair.vector), disc.mesh)
     return EigenSolution(value=pair.value, u=u, mesh=disc.mesh, kind=kind, pair=pair)
 

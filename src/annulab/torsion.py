@@ -7,9 +7,9 @@ hole outward *increases* the rigidity, so the boundary-integral derivative
 carries the opposite sign of the eigenvalue one.
 
 The solve uses the ``nd`` system of a :class:`annulab.fem.Discretization`,
-whose LU an ``nd`` eigen-solve on the same discretization shares; its
-mirror fold makes the torsion function exactly mirror symmetric by
-construction.
+whose band Cholesky factor an ``nd`` eigen-solve on the same discretization
+shares; its mirror fold makes the torsion function exactly mirror symmetric
+by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def solve_torsion(disc: Discretization) -> TorsionSolution:
     ``disc``.
     """
     system = disc.system(ProblemKind.ND)
-    v = Field(system.expand(system.lu.solve(system.b)), disc.mesh)
+    v = Field(system.expand(system.factor.solve(system.b)), disc.mesh)
     return TorsionSolution(v=v, mesh=disc.mesh, T=float(disc.b @ v.values))
 
 

@@ -221,6 +221,21 @@ def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     assert "converge" in err
 
 
+def test_not_positive_definite_exit_code(tmp_path, capsys, monkeypatch):
+    import annulab.fem as fem
+
+    stiffness = fem.p1_local_stiffness
+    monkeypatch.setattr(fem, "p1_local_stiffness", lambda coords: -stiffness(coords))
+    code, _, err = run(
+        ["solve", "--R0", "1", "--R1", "2", "--s", "0.3",
+         "--out-dir", str(tmp_path)] + FAST,
+        capsys,
+    )
+    # a LinAlgError is a ValueError, yet this is no validation error (2)
+    assert code == 5
+    assert "not positive definite: pivot 1 of" in err
+
+
 def test_outputs_hold_no_numpy_reprs(tmp_path, capsys):
     # numpy 2 scalars format as ``np.float64(...)``; every writer must
     # convert to Python numbers first

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from annulab.eigensolver import SolverConvergenceError, factorize, smallest_eigenpair
+from annulab.eigensolver import (
+    NotPositiveDefiniteError,
+    SolverConvergenceError,
+    factorize,
+    smallest_eigenpair,
+)
 
 
 def test_eigen_iteration_cap():
@@ -77,3 +86,46 @@ def test_eigen_deterministic():
     b = smallest_eigenpair(K, M, factorize(K))
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
+
+
+def band_spd(n, kd, seed):
+    """Seeded SPD matrix with half-bandwidth kd (diagonally dominant)."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    for k in range(1, kd + 1):
+        off = rng.standard_normal(n - k)
+        A += np.diag(off, k) + np.diag(off, -k)
+    A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    return A
+
+
+@pytest.mark.parametrize("n, kd", [(1, 0), (9, 0), (9, 2), (9, 8), (40, 5), (40, 39)])
+def test_factorize_solves_band_spd_against_dense(n, kd):
+    A = band_spd(n, kd, seed=n + 100 * kd)
+    b = np.random.default_rng(n).standard_normal(n)
+    factor = factorize(sp.csr_matrix(A))
+    assert factor.band.shape == (kd + 1, n)
+    want = np.linalg.solve(A, b)
+    got = factor.solve(b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the right-hand side is left as it was
+    assert np.array_equal(b, np.random.default_rng(n).standard_normal(n))
+
+
+def test_factorize_reports_the_first_nonpositive_pivot():
+    A = band_spd(12, 2, seed=3)
+    A[6, 6] = -1.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factorize(sp.csr_matrix(A))
+    assert exc.value.pivot == 7
+    assert "pivot 7 of 12" in str(exc.value)
+    assert isinstance(exc.value, np.linalg.LinAlgError)
+
+
+def test_cli_import_leaves_out_scipy_sparse_linalg():
+    # every solve goes through the LAPACK band Cholesky
+    code = "import sys, annulab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

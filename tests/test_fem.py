@@ -236,6 +236,18 @@ def test_reduced_mass_is_folded_once_from_a_live_discretization():
         orphan.M
 
 
+@pytest.mark.parametrize("n_theta", [16, 18, 66, 128])
+@pytest.mark.parametrize("s_frac", [0.0, 0.5, 0.999])
+def test_reduced_stiffness_is_banded_by_rays(n_theta, s_frac):
+    # the band Cholesky's cost and memory rest on this half-bandwidth
+    res = Resolution(n_theta, 8, 1.5)
+    disc = Discretization(build_mesh(AnnularDomain(1.0, 5.0, s_frac * 4.0), res))
+    for kind in ProblemKind:
+        K = disc.system(kind).K.tocoo()
+        assert np.abs(K.row - K.col).max() <= res.n_rad + 1, kind
+        assert disc.system(kind).factor.band.shape[0] <= res.n_rad + 2, kind
+
+
 # -- reference: the sparse-matrix route that the index plan replaces ------
 
 
