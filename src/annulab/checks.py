@@ -269,7 +269,9 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
 
     # (f) strict ordering under star-family reflections; the reflected points
-    # of all polarizers are located in one call
+    # of all polarizers are located in one call.  u and the polarizers are
+    # mirror symmetric, so the worst margin is taken, up to round-off, at a
+    # point and its mirror twin: (x, |y|) leaves round-off no pick
     tol = INTERP_RTOL * umax
     tested = []  # per polarizer: vertices strictly outside H, image inside
     reflected = []
@@ -297,7 +299,7 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
         wpos = int(np.argmin(margin))
         if margin[wpos] < worst:
             worst = float(margin[wpos])
-            wloc = tuple(float(c) for c in v[idx[wpos]])
+            wloc = (float(v[idx[wpos], 0]), abs(float(v[idx[wpos], 1])))
     checks["reflection_ordering"] = CheckResult(
         "reflection_ordering", worst, wloc, bool(nviol == 0),
         f"{nviol} of {ntest} beyond tolerance {tol:.2e}",

@@ -1,11 +1,12 @@
-"""Banded SPD factorization and the smallest generalized eigenpair.
+"""Symmetric band matrices, their factorization and the smallest
+generalized eigenpair.
 
-Every linear solve in the package goes through :func:`factorize`: one
-LAPACK band Cholesky (``dpbtrf``, lower storage), computed once per matrix by
-:class:`annulab.fem.Discretization` and reused for every right-hand side.
-The reduced unknowns are numbered ray by ray, so every reduced stiffness is
-banded with half-bandwidth at most ``n_rad + 1``: the band needs no ordering
-and no pivoting, and holds ``(kd + 1) n`` doubles.
+The reduced systems are :class:`SymmetricBand` matrices: a few nonzero lower
+diagonals.  Every linear solve goes through :func:`factorize`: one LAPACK
+band Cholesky (``dpbtrf``, lower storage), computed once per matrix and
+reused for every right-hand side.  The reduced unknowns are numbered ray by
+ray, so the half-bandwidth is at most ``n_rad + 1``: the band needs no
+ordering and no pivoting, and holds ``(kd + 1) n`` doubles.
 
 The eigenpair comes from inverse power iteration on ``K y = M x`` with
 M-normalization and a Rayleigh-quotient stopping rule.  Everything is
@@ -42,6 +43,27 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         self.pivot = pivot
 
 
+class SymmetricBand:
+    """A symmetric matrix stored as its nonzero lower diagonals.
+
+    ``diagonals[k][j] = A[j + offsets[k], j]`` for ``j < n - offsets[k]``;
+    ``offsets`` increase from 0.  ``A @ x`` applies each off-diagonal below
+    and above the main one.
+    """
+
+    def __init__(self, offsets, diagonals):
+        self.offsets = tuple(int(k) for k in offsets)
+        self.diagonals = tuple(diagonals)
+        self.shape = (self.diagonals[0].size,) * 2
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diagonals[0] * x
+        for k, d in zip(self.offsets[1:], self.diagonals[1:]):
+            y[k:] += d * x[:-k]
+            y[:-k] += d * x[k:]
+        return y
+
+
 class BandCholesky:
     """Cholesky factor of a symmetric positive definite band matrix.
 
@@ -66,21 +88,16 @@ class BandCholesky:
         return x
 
 
-def factorize(A) -> BandCholesky:
-    """Band Cholesky of a symmetric positive definite sparse matrix.
+def factorize(A: SymmetricBand) -> BandCholesky:
+    """Band Cholesky of a symmetric positive definite band matrix.
 
-    Only the lower triangle of ``A`` is read.  The half-bandwidth ``kd`` is
-    the largest ``i - j`` of its stored entries, so the factor costs
-    ``O(n kd^2)`` time and ``(kd + 1) n`` doubles; the unknown order is kept.
+    The half-bandwidth ``kd`` is the largest offset of ``A``, so the factor
+    costs ``O(n kd^2)`` time and ``(kd + 1) n`` doubles; the unknown order is
+    kept.
     """
-    A = A.tocsr()
-    n = A.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    lower = rows >= A.indices
-    rows, cols = rows[lower], A.indices[lower]
-    kd = int((rows - cols).max(initial=0))
-    band = np.zeros((kd + 1, n), order="F")
-    band.reshape(-1, order="F")[cols * (kd + 1) + (rows - cols)] = A.data[lower]
+    band = np.zeros((A.offsets[-1] + 1, A.shape[0]), order="F")
+    for k, d in zip(A.offsets, A.diagonals):
+        band[k, : d.size] = d
     return BandCholesky(band)
 
 
@@ -104,19 +121,21 @@ def smallest_eigenpair(
 ) -> EigenPair:
     """Smallest eigenpair of ``k u = value m u`` by inverse power iteration.
 
-    ``factor`` is the :func:`factorize` factor of ``k``; each step is one
-    pair of triangular solves with it.  Raises
+    ``k`` and ``m`` are :class:`SymmetricBand` matrices and ``factor`` is
+    the :func:`factorize` factor of ``k``; each step is one pair of
+    triangular solves with it, one ``m`` and one ``k`` product.  Raises
     :class:`SolverConvergenceError` after ``max_outer`` steps.
     """
     x = np.ones(k.shape[0])
     x = x / np.sqrt(float(x @ (m @ x)))
+    mx = m @ x
     rho = float(x @ (k @ x))
     if rho <= 0.0:
         raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
     history = [rho]
     residual = np.inf
     for it in range(1, max_outer + 1):
-        y = factor.solve(m @ x)
+        y = factor.solve(mx)
         my = m @ y
         nrm = np.sqrt(float(y @ my))
         y /= nrm
@@ -129,7 +148,8 @@ def smallest_eigenpair(
         history.append(rho)
         residual = float(np.linalg.norm(ky - rho * my) / np.linalg.norm(my))
         change = abs(rho - rho_prev) / rho
-        x = y
+        # the next step's m @ x is the m @ y just computed
+        mx = my
         if change < RAYLEIGH_RTOL and residual <= tol:
             if float(my.sum()) < 0.0:
                 y = -y

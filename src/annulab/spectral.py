@@ -2,7 +2,7 @@
 
 Normalization is the discrete L2 inner product (``u^T M u = 1``) and the sign
 is fixed globally so the first eigenfunction is nonnegative.  The eigenpair
-is computed on the mirror-folded system of a
+is computed on the mirror-folded band matrices of a
 :class:`annulab.fem.Discretization`, so the returned field is exactly mirror
 symmetric across the x-axis by construction.
 """
@@ -40,10 +40,10 @@ def solve_eigenproblem(
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``disc`` for the given kind."""
     system = disc.system(kind)
-    # fold the mass before the factor exists, so that the assembly temporaries
-    # are freed before the band is allocated and do not raise the peak
-    # memory of a large solve
-    m = system.M
+    # take the mass before the factor exists, so that the assembly
+    # temporaries are freed before the band is allocated and do not raise the
+    # peak memory of a large solve
+    m = disc.reduced_mass(kind)
     pair = smallest_eigenpair(system.K, m, system.factor, tol=tol)
     u = Field(system.expand(pair.vector), disc.mesh)
     return EigenSolution(value=pair.value, u=u, mesh=disc.mesh, kind=kind, pair=pair)

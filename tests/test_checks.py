@@ -98,3 +98,22 @@ def test_exclusion_parameter(nd_s2_128):
     rep = geometry_report(nd_s2_128.u, exclusion=0.5)
     assert rep.exclusion == 0.5
     assert rep.all_passed
+
+
+# (x, y) of the worst reflection margin of the nd field at 64x16, up to the
+# sign of y: the point or its mirror twin, as round-off picks
+REFLECTION_WORST_AT = {
+    1.0: (2.7972843788979795, 0.5452002558379843),
+    2.0: (-1.938918502902931, -0.3879496110604101),
+    3.0: (4.259283615075016, 0.8414264106749145),
+}
+
+
+@pytest.mark.parametrize("s", sorted(REFLECTION_WORST_AT))
+def test_reflection_ordering_location_is_in_the_upper_half(s):
+    u = solve_eigenproblem(discretize(AnnularDomain(1.0, 5.0, s), Resolution(64, 16)),
+                           ProblemKind.ND).u
+    x, y = geometry_report(u).checks["reflection_ordering"].location
+    want_x, want_y = REFLECTION_WORST_AT[s]
+    assert y >= 0.0
+    assert (x, y) == (want_x, abs(want_y))

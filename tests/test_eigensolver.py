@@ -4,29 +4,52 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from annulab.eigensolver import (
     NotPositiveDefiniteError,
     SolverConvergenceError,
+    SymmetricBand,
     factorize,
     smallest_eigenpair,
 )
 
 
+def band_of(A):
+    """The SymmetricBand of a dense symmetric matrix: its nonzero lower diagonals."""
+    n = A.shape[0]
+    offsets = [k for k in range(n) if k == 0 or np.any(np.diag(A, -k))]
+    return SymmetricBand(offsets, [np.diag(A, -k).copy() for k in offsets])
+
+
+def path_laplacian(n):
+    return band_of(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+def identity(n):
+    return SymmetricBand([0], [np.ones(n)])
+
+
+def test_band_product_matches_dense():
+    rng = np.random.default_rng(4)
+    A = band_spd(30, 6, seed=5)
+    A[np.abs(np.subtract.outer(np.arange(30), np.arange(30))) == 3] = 0.0
+    band = band_of(A)
+    assert band.offsets == (0, 1, 2, 4, 5, 6)
+    x = rng.standard_normal(30)
+    assert np.abs(band @ x - A @ x).max() <= 1e-13 * np.abs(A @ x).max()
+
+
 def test_eigen_iteration_cap():
     n = 30
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.eye(n, format="csr")
+    K, M = path_laplacian(n), identity(n)
     with pytest.raises(SolverConvergenceError) as exc:
         smallest_eigenpair(K, M, factorize(K), max_outer=1)
     assert exc.value.residual > 0
 
 
 def test_eigen_diag_example():
-    K = sp.diags([2.0, 5.0]).tocsr()
-    M = sp.eye(2, format="csr")
+    K = SymmetricBand([0], [np.array([2.0, 5.0])])
+    M = identity(2)
     pair = smallest_eigenpair(K, M, factorize(K), tol=1e-12)
     assert pair.value == pytest.approx(2.0, rel=1e-12)
     v = pair.vector / np.linalg.norm(pair.vector)
@@ -36,26 +59,23 @@ def test_eigen_diag_example():
 def test_eigen_k_equals_m():
     rng = np.random.default_rng(9)
     B = rng.standard_normal((12, 12))
-    A = sp.csr_matrix(B @ B.T + 12 * np.eye(12))
+    A = band_of(B @ B.T + 12 * np.eye(12))
     pair = smallest_eigenpair(A, A, factorize(A), tol=1e-12)
     assert pair.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_eigen_path_laplacian_vs_dense_oracle():
     n = 10
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.eye(n, format="csr")
-    want = float(np.linalg.eigvalsh(K.toarray()).min())
+    K, M = path_laplacian(n), identity(n)
+    want = float(np.linalg.eigvalsh(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).min())
     pair = smallest_eigenpair(K, M, factorize(K), tol=1e-12)
     assert pair.value == pytest.approx(want, rel=1e-10)
 
 
 def test_eigen_rayleigh_identity_and_history():
     n = 40
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.diags(1.0 + 0.01 * np.arange(n)).tocsr()
+    K = path_laplacian(n)
+    M = SymmetricBand([0], [1.0 + 0.01 * np.arange(n)])
     pair = smallest_eigenpair(K, M, factorize(K), tol=1e-11)
     # value is the Rayleigh quotient of the returned vector
     num = float(pair.vector @ (K @ pair.vector))
@@ -69,9 +89,7 @@ def test_eigen_rayleigh_identity_and_history():
 
 def test_eigen_sign_convention():
     n = 20
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.eye(n, format="csr")
+    K, M = path_laplacian(n), identity(n)
     pair = smallest_eigenpair(K, M, factorize(K))
     assert float((M @ pair.vector).sum()) > 0.0
     assert pair.vector.min() > 0.0  # first mode of an SPD tridiagonal
@@ -79,9 +97,7 @@ def test_eigen_sign_convention():
 
 def test_eigen_deterministic():
     n = 25
-    K = sp.diags([2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)],
-                 [0, -1, 1]).tocsr()
-    M = sp.eye(n, format="csr")
+    K, M = path_laplacian(n), identity(n)
     a = smallest_eigenpair(K, M, factorize(K))
     b = smallest_eigenpair(K, M, factorize(K))
     assert a.value == b.value
@@ -103,7 +119,7 @@ def band_spd(n, kd, seed):
 def test_factorize_solves_band_spd_against_dense(n, kd):
     A = band_spd(n, kd, seed=n + 100 * kd)
     b = np.random.default_rng(n).standard_normal(n)
-    factor = factorize(sp.csr_matrix(A))
+    factor = factorize(band_of(A))
     assert factor.band.shape == (kd + 1, n)
     want = np.linalg.solve(A, b)
     got = factor.solve(b)
@@ -116,15 +132,16 @@ def test_factorize_reports_the_first_nonpositive_pivot():
     A = band_spd(12, 2, seed=3)
     A[6, 6] = -1.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        factorize(sp.csr_matrix(A))
+        factorize(band_of(A))
     assert exc.value.pivot == 7
     assert "pivot 7 of 12" in str(exc.value)
     assert isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_cli_import_leaves_out_scipy_sparse_linalg():
-    # every solve goes through the LAPACK band Cholesky
-    code = "import sys, annulab.cli; print('scipy.sparse.linalg' in sys.modules)"
+    # the reduced systems are band matrices and every solve goes through the
+    # LAPACK band Cholesky, so no part of scipy.sparse is loaded
+    code = "import sys, annulab.cli; print('scipy.sparse' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from annulab.export import CELLS_BLOCK, write_field
-from annulab.fem import Discretization, Field, ProblemKind
+from annulab.fem import Field, ProblemKind, p1_gradient
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh
 from annulab.radial_oracle import concentric_eigenvalue
@@ -27,16 +27,17 @@ def test_concentric_matches_oracle(concentric_solution):
 def test_positivity_and_normalization(concentric_solution):
     _, sol = concentric_solution
     assert sol.u.values.min() >= -1e-10
-    u = sol.u.values
-    M = Discretization(sol.mesh).M
-    assert float(u @ (M @ u)) == pytest.approx(1.0, rel=1e-12)
+    # u^T M u, summed over the local mass blocks area/12 (I + ones)
+    uv = sol.u.values[sol.mesh.triangles]
+    norm = np.sum(sol.mesh.areas * ((uv**2).sum(axis=1) + uv.sum(axis=1) ** 2)) / 12.0
+    assert norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_value_is_rayleigh_quotient(concentric_solution):
     _, sol = concentric_solution
-    u = sol.u.values
-    K = Discretization(sol.mesh).K
-    assert sol.value == pytest.approx(float(u @ (K @ u)), rel=1e-10)
+    # u^T K u, the Dirichlet energy of the P1 field
+    gx, gy, area = p1_gradient(sol.u)
+    assert sol.value == pytest.approx(float(np.sum(area * (gx**2 + gy**2))), rel=1e-10)
 
 
 def test_exact_lattice_mirror_symmetry():

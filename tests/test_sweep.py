@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from annulab import fem
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_eigenvalue
 from annulab.sweep import (
     SWEEP_COLUMNS,
-    analyze_dn_family,
     analyze_dn_ratio,
     bracket_critical_ratio,
     convergence_study,
@@ -56,9 +54,7 @@ def test_sweep_grid_validation():
         sweep_translation(1.0, 5.0, [0.0, 4.5], resolution=QUICK)
 
 
-def test_sweep_threading_matches_serial(monkeypatch):
-    # the pool threads build and share index plans, starting from none
-    monkeypatch.setattr(fem, "_plans", [])
+def test_sweep_threading_matches_serial():
     grid = [0.0, 0.5, 1.5]
     threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
                                  threads=2)
@@ -71,16 +67,6 @@ def test_sweep_threading_matches_serial(monkeypatch):
                 assert np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64), f.name
             elif f.compare:
                 assert x == y, f.name
-
-
-def test_dn_family_builds_one_index_plan(monkeypatch):
-    builds = []
-    build = fem._Plan
-    monkeypatch.setattr(fem, "_plans", [])
-    monkeypatch.setattr(fem, "_Plan", lambda mesh: builds.append(mesh) or build(mesh))
-    analyses = analyze_dn_family(5.0, [0.1, 0.6], 12, Resolution(48, 8, 1.5))
-    assert sum(a.s_points.size for a in analyses) == 24
-    assert len(builds) == 1
 
 
 def test_sweep_csv_format(tmp_path, short_sweep):
