@@ -23,7 +23,12 @@ from .symmetrize import (
     star_polarizers,
     worst_polarization_deviation,
 )
-from .checks import GeometryReport, geometry_report, recover_gradient
+from .checks import (
+    GeometryReport,
+    geometry_report,
+    geometry_reports,
+    recover_gradient,
+)
 from .shape import (
     BoundaryTrace,
     VectorField,
@@ -60,7 +65,7 @@ __all__ = [
     "EigenSolution", "discretize", "solve_eigenproblem", "write_field",
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
     "sample_rings", "star_polarizers", "worst_polarization_deviation",
-    "GeometryReport", "geometry_report", "recover_gradient",
+    "GeometryReport", "geometry_report", "geometry_reports", "recover_gradient",
     "BoundaryTrace", "VectorField", "dilation_field",
     "dirichlet_normal_derivative", "eulerian_derivative",
     "finite_difference_tau_prime", "hadamard_tau_prime",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fem import Field, p1_gradient
 from .geometry import Polarizer
-from .mesh import Mesh
+from .mesh import Mesh, Stencil
 
 # ordering allowance for interpolated reflection comparisons, relative to
 # max |u|; covers the O(h^2) interpolation error of the reflected value
@@ -60,9 +60,17 @@ class GradientField:
     mesh: Mesh
 
     def at(self, pts, outside: str = "error"):
-        gx = self.mesh.interpolate(self.values[:, 0], pts, outside=outside)
-        gy = self.mesh.interpolate(self.values[:, 1], pts, outside=outside)
-        return np.stack([gx, gy], axis=-1)
+        st = self.mesh.stencil(pts, outside=outside)
+        g = self.values
+        return np.stack([st.apply(g[:, 0]), st.apply(g[:, 1])], axis=-1)
+
+
+def _area_sums(mesh: Mesh) -> np.ndarray:
+    """Per vertex, the total area of its triangles: the denominators of the
+    recovered gradient, which depend only on the mesh."""
+    den = np.zeros(mesh.num_vertices)
+    np.add.at(den, mesh.triangles.ravel(), np.repeat(mesh.areas, 3))
+    return den
 
 
 def recover_gradient(u: Field) -> GradientField:
@@ -70,15 +78,17 @@ def recover_gradient(u: Field) -> GradientField:
 
     Exact for globally linear fields; O(h) accurate at interior vertices.
     """
+    return _recover_gradient(u, _area_sums(u.mesh))
+
+
+def _recover_gradient(u: Field, area_sums: np.ndarray) -> GradientField:
     mesh = u.mesh
     gx_tri, gy_tri, area = p1_gradient(u)
     num = np.zeros((mesh.num_vertices, 2))
-    den = np.zeros(mesh.num_vertices)
     flat = mesh.triangles.ravel()
     np.add.at(num[:, 0], flat, np.repeat(area * gx_tri, 3))
     np.add.at(num[:, 1], flat, np.repeat(area * gy_tri, 3))
-    np.add.at(den, flat, np.repeat(area, 3))
-    return GradientField(values=num / den[:, None], mesh=mesh)
+    return GradientField(values=num / area_sums[:, None], mesh=mesh)
 
 
 def outer_axial_derivative(u: Field) -> np.ndarray:
@@ -158,6 +168,72 @@ def _ring_spread(u: Field) -> float:
     return float(spread.max() / max(np.abs(u.values).max(), 1e-300))
 
 
+@dataclass
+class _Frame:
+    """The part of a geometry report that depends only on the mesh, built
+    once for the reports of all fields on it."""
+
+    exclusion: float
+    interior: np.ndarray  # interior vertices outside the pole discs
+    cap: np.ndarray  # interior vertices left of x1 = s - exclusion
+    off_axis: np.ndarray  # vertices off the x1 axis
+    ring_mask: np.ndarray  # outer-ring vertices outside the pole discs
+    area_sums: np.ndarray  # per vertex, the area of its triangles
+    # per polarizer: the vertices strictly outside H whose image lies inside
+    tested: list[np.ndarray]
+    reflected: Stencil  # at the images of all tested vertices, in order
+    cell_size: float  # largest edge of the cells at (-R1, 0); nan at s = 0
+
+
+def _frame(mesh: Mesh, exclusion: float) -> _Frame:
+    """Masks, reflected-point stencil and peak cell size of ``mesh``."""
+    d = mesh.domain
+    v = mesh.vertices
+    interior = _interior_mask(mesh) & _outside_poles(v, d.R1, exclusion)
+    ring = mesh.lattice[:, mesh.res.n_rad]
+
+    # the reflected points of all polarizers are located in one call
+    tested = []
+    reflected = []
+    for j in range(REPORT_POLARIZERS):
+        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
+        side = pol.side(v)
+        idx = np.nonzero(interior & (side > 1e-12 * d.R1))[0]
+        refl = pol.reflect(v[idx])
+        ok_ref = d.contains(refl)
+        tested.append(idx[ok_ref])
+        reflected.append(refl[ok_ref])
+
+    # the cells at the lattice vertex (-R1, 0) lie in the two outermost
+    # quads on either side of its ray
+    cell_size = float("nan")
+    if d.s != 0.0:
+        half, n_rad = mesh.res.n_theta // 2, mesh.res.n_rad
+        ref_vertex = mesh.vertex_index(half, n_rad)
+        quads = np.array([(half - 1) * n_rad, half * n_rad]) + (n_rad - 1)
+        cand = (2 * quads[:, None] + np.arange(2)).ravel()
+        adj = cand[np.any(mesh.triangles[cand] == ref_vertex, axis=1)]
+        pts = v[mesh.triangles[adj]]
+        cell_size = float(
+            max(
+                np.linalg.norm(pts[:, a] - pts[:, b], axis=1).max()
+                for a, b in ((0, 1), (1, 2), (2, 0))
+            )
+        )
+
+    return _Frame(
+        exclusion=exclusion,
+        interior=interior,
+        cap=interior & (v[:, 0] < d.s - exclusion),
+        off_axis=np.abs(v[:, 1]) > 1e-12 * d.R1,
+        ring_mask=_outside_poles(v[ring], d.R1, exclusion),
+        area_sums=_area_sums(mesh),
+        tested=tested,
+        reflected=mesh.stencil(np.concatenate(reflected), outside="clamp"),
+        cell_size=cell_size,
+    )
+
+
 def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     """Evaluate the seven sign checks on a positive first eigenfunction.
 
@@ -165,18 +241,37 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     affine-radial and axial inequalities.  Interior vertices within
     ``exclusion`` (default ``0.05 R1``) of ``(+-R1, 0)`` are skipped.
     """
-    mesh = u.mesh
-    d = mesh.domain
+    return geometry_reports([u], exclusion)[0]
+
+
+def geometry_reports(
+    fields: list[Field], exclusion: float | None = None
+) -> list[GeometryReport]:
+    """:func:`geometry_report` of every field, all on one mesh.
+
+    The field-independent work, the reflected points' location above all,
+    is done once for all of them.
+    """
+    mesh = fields[0].mesh
+    if any(u.mesh is not mesh for u in fields):
+        raise ValueError("the fields lie on different meshes")
     if exclusion is None:
-        exclusion = 0.05 * d.R1
+        exclusion = 0.05 * mesh.domain.R1
+    frame = _frame(mesh, exclusion)
+    return [_report(u, frame) for u in fields]
+
+
+def _report(u: Field, frame: _Frame) -> GeometryReport:
+    mesh = u.mesh
+    exclusion = frame.exclusion
+    d = mesh.domain
     degenerate = d.s == 0.0
-    grad = recover_gradient(u)
+    grad = _recover_gradient(u, frame.area_sums)
     g = grad.values
     v = mesh.vertices
     umax = float(np.abs(u.values).max())
 
-    interior = _interior_mask(mesh) & _outside_poles(v, d.R1, exclusion)
-    off_axis = np.abs(v[:, 1]) > 1e-12 * d.R1
+    interior = frame.interior
     checks: dict[str, CheckResult] = {}
     counts: dict[str, int] = {}
 
@@ -207,14 +302,13 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
            "min of grad u . (x - s e1)")
 
     # (b) decreasing in x1 on the cap left of the inner center
-    cap = interior & (v[:, 0] < d.s - exclusion)
-    record("axial_cap", cap, g[:, 0], "max<0",
+    record("axial_cap", frame.cap, g[:, 0], "max<0",
            "max of du/dx1 over {x1 < s - exclusion}")
 
     # (c) decreasing in x1 along the outer circle
     ring = mesh.lattice[:, mesh.res.n_rad]
     ring_pts = v[ring]
-    ring_mask = _outside_poles(ring_pts, d.R1, exclusion)
+    ring_mask = frame.ring_mask
     d1 = outer_axial_derivative(u)
     spread = _ring_spread(u)
     if degenerate:
@@ -238,7 +332,7 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
 
     # (d) tangential derivative sign: grad u . eta and eta . e1 have opposite
     # signs for the tangential direction eta = (-x2, x1)/|x|
-    mask_d = interior & off_axis
+    mask_d = interior & frame.off_axis
     idx = np.nonzero(mask_d)[0]
     rr = np.hypot(v[idx, 0], v[idx, 1])
     eta = np.stack([-v[idx, 1], v[idx, 0]], axis=1) / rr[:, None]
@@ -268,28 +362,18 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     gnorm = np.hypot(g[:, 0], g[:, 1])
     record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
 
-    # (f) strict ordering under star-family reflections; the reflected points
-    # of all polarizers are located in one call.  u and the polarizers are
-    # mirror symmetric, so the worst margin is taken, up to round-off, at a
-    # point and its mirror twin: (x, |y|) leaves round-off no pick
+    # (f) strict ordering under star-family reflections.  u and the
+    # polarizers are mirror symmetric, so the worst margin is taken, up to
+    # round-off, at a point and its mirror twin: (x, |y|) leaves round-off
+    # no pick
     tol = INTERP_RTOL * umax
-    tested = []  # per polarizer: vertices strictly outside H, image inside
-    reflected = []
-    for j in range(REPORT_POLARIZERS):
-        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
-        side = pol.side(v)
-        idx = np.nonzero(interior & (side > 1e-12 * d.R1))[0]
-        refl = pol.reflect(v[idx])
-        ok_ref = d.contains(refl)
-        tested.append(idx[ok_ref])
-        reflected.append(refl[ok_ref])
-    u_refs = np.split(u.at(np.concatenate(reflected), outside="clamp"),
-                      np.cumsum([idx.size for idx in tested])[:-1])
+    u_refs = np.split(frame.reflected.apply(u.values),
+                      np.cumsum([idx.size for idx in frame.tested])[:-1])
     nviol = 0
     ntest = 0
     worst = np.inf
     wloc = (0.0, 0.0)
-    for idx, u_ref in zip(tested, u_refs):
+    for idx, u_ref in zip(frame.tested, u_refs):
         if idx.size == 0:
             continue
         margin = u_ref - u.values[idx]
@@ -320,15 +404,7 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
     else:
         target = np.array([-d.R1, 0.0])
         dist = float(np.hypot(*(v[peak] - target)))
-        ref_vertex = mesh.vertex_index(mesh.res.n_theta // 2, mesh.res.n_rad)
-        adj = np.nonzero(np.any(mesh.triangles == ref_vertex, axis=1))[0]
-        pts = mesh.vertices[mesh.triangles[adj]]
-        diam = float(
-            max(
-                np.linalg.norm(pts[:, a] - pts[:, b], axis=1).max()
-                for a, b in ((0, 1), (1, 2), (2, 0))
-            )
-        )
+        diam = frame.cell_size
         checks["peak_location"] = CheckResult(
             "peak_location", dist, ploc, bool(dist <= 1.5 * diam),
             f"peak vertex {dist:.3e} from (-R1, 0), cell size {diam:.3e}",

@@ -19,15 +19,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import AnnularDomain
 
-# points located and evaluated per step of :meth:`Mesh.interpolate`; it bounds
-# the location temporaries (a few hundred bytes per point) and leaves every
-# result unchanged, since each point's result depends only on that point
-INTERPOLATE_BLOCK = 32768
+# points located per step of :meth:`Mesh.stencil` and evaluated per step of
+# :meth:`Mesh.interpolate`; it bounds the temporaries (at their peak about
+# 250 bytes per point of a block, 4 MB, under tracemalloc with numpy 2.4)
+# and leaves every result unchanged, since each point's result depends only
+# on that point
+INTERPOLATE_BLOCK = 16384
 
 
 class MeshQualityError(ValueError):
@@ -124,18 +127,52 @@ class Mesh:
 
     # -- point location -------------------------------------------------
 
-    def _bary(self, tids, pts):
-        tri = self.triangles[tids]
-        a = self.vertices[tri[:, 0]]
-        b = self.vertices[tri[:, 1]]
-        c = self.vertices[tri[:, 2]]
-        v0 = b - a
-        v1 = c - a
-        v2 = pts - a
-        den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-        l1 = (v2[:, 0] * v1[:, 1] - v2[:, 1] * v1[:, 0]) / den
-        l2 = (v0[:, 0] * v2[:, 1] - v0[:, 1] * v2[:, 0]) / den
-        return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+    @cached_property
+    def _quad_table(self) -> np.ndarray:
+        """Per lattice quad, for both of its triangles: corner ``a``, edges
+        ``v0 = b - a`` and ``v1 = c - a`` and ``den = v0 x v1``.
+
+        Shape ``(7, 2, n_quads)``, rows ``ax, ay, v0x, v0y, v1x, v1y, den``:
+        triangles ``2q`` and ``2q + 1`` split quad ``q``, so one gather per
+        row fetches that quantity for both candidates of every point's quad.
+        Built on first use with the arithmetic of the textbook formula, so
+        the barycentrics come out bit for bit the same."""
+        x, y = _corner_coordinates(self.vertices, self.triangles)
+        v0x, v0y = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+        v1x, v1y = x[:, 2] - x[:, 0], y[:, 2] - y[:, 0]
+        den = v0x * v1y - v0y * v1x
+        rows = (x[:, 0], y[:, 0], v0x, v0y, v1x, v1y, den)
+        return np.stack(rows).reshape(7, -1, 2).transpose(0, 2, 1).copy()
+
+    def _bary(self, quads, pts):
+        """Barycentric coordinates ``(3, 2, n)`` of ``pts`` in both triangles
+        of ``quads``, and their minima ``(2, n)``.
+
+        Computed in place, in the operation order of the textbook formula
+        ``l1 = (v2 x v1) / den``, ``l2 = (v0 x v2) / den`` with
+        ``v2 = p - a``, ``l0 = 1 - l1 - l2``."""
+        table = self._quad_table
+
+        def row(k):  # gathered one at a time, which bounds the temporaries
+            return np.take(table[k], quads, axis=1)
+
+        v2x = pts[:, 0] - row(0)
+        v2y = pts[:, 1] - row(1)
+        lam = np.empty((3,) + v2x.shape)
+        l0, l1, l2 = lam
+        den = row(6)
+        np.multiply(v2x, row(5), out=l1)
+        l1 -= v2y * row(4)
+        l1 /= den
+        np.multiply(row(2), v2y, out=l2)
+        l2 -= row(3) * v2x
+        l2 /= den
+        del v2x, v2y, den
+        np.subtract(1.0, l1, out=l0)
+        l0 -= l2
+        score = np.minimum(l0, l1)
+        np.minimum(score, l2, out=score)
+        return lam, score
 
     def _cell_guess(self, pts):
         d, res = self.domain, self.res
@@ -165,20 +202,19 @@ class Mesh:
         Both triangles of the guessed quad are tested for every point; only
         the points that neither contains try the other quads of
         ``_NEIGHBOR_OFFSETS``, in order.  A candidate replaces the best one
-        only with a strictly larger score.
+        only with a strictly larger score, the quad's first triangle before
+        its second.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n_theta, n_rad = self.res.n_theta, self.res.n_rad
         i0, j0 = self._cell_guess(pts)
-        first = 2 * (i0 * n_rad + j0)
-        best_bary = self._bary(first, pts)
-        best_score = best_bary.min(axis=1)
-        lam = self._bary(first + 1, pts)
-        score = lam.min(axis=1)
-        second = score > best_score
-        best_tri = first + second
-        best_score[second] = score[second]
-        best_bary[second] = lam[second]
+        quad = i0 * n_rad + j0
+        lam, score = self._bary(quad, pts)
+        second = score[1] > score[0]
+        best_tri = 2 * quad + second
+        best_score = np.where(second, score[1], score[0])
+        best_bary = np.ascontiguousarray(np.where(second, lam[:, 1], lam[:, 0]).T)
+        del lam, score
         found = best_score >= -tol
         pending = np.flatnonzero(~found)
         for di, dj in self._NEIGHBOR_OFFSETS[1:]:
@@ -187,15 +223,13 @@ class Mesh:
             ii = (i0[pending] + di) % n_theta
             jj = np.clip(j0[pending] + dj, 0, n_rad - 1)
             quad = ii * n_rad + jj
+            lam, score = self._bary(quad, pts[pending])
             for k in (0, 1):
-                tids = 2 * quad + k
-                lam = self._bary(tids, pts[pending])
-                score = lam.min(axis=1)
-                better = score > best_score[pending]
+                better = score[k] > best_score[pending]
                 upd = pending[better]
-                best_score[upd] = score[better]
-                best_tri[upd] = tids[better]
-                best_bary[upd] = lam[better]
+                best_score[upd] = score[k, better]
+                best_tri[upd] = 2 * quad[better] + k
+                best_bary[upd] = lam[:, k, better].T
             done = best_score[pending] >= -tol
             found[pending[done]] = True
             pending = pending[~done]
@@ -203,36 +237,79 @@ class Mesh:
         bary = np.where(found[:, None], best_bary, 0.0)
         return tri, bary, best_tri, best_bary
 
+    def stencil(self, pts, outside: str = "error") -> Stencil:
+        """The three vertices and P1 weights of every point, so that several
+        fields are evaluated at the same points with one location.
+
+        ``outside`` treats points not located in any triangle as in
+        :meth:`interpolate`.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        st = self._stencil(pts, outside)
+        misses = np.count_nonzero(st.zeroed)
+        if outside == "error" and misses:
+            raise ValueError(f"{misses} points outside the mesh")
+        return st
+
+    def _stencil(self, pts, outside, tol=1e-10):
+        """:meth:`stencil` of ``(n, 2)`` points without the raise.  Points
+        are located ``INTERPOLATE_BLOCK`` at a time."""
+        n = pts.shape[0]
+        st = Stencil(np.empty((n, 3), dtype=self.triangles.dtype),
+                     np.empty((n, 3)), np.zeros(n, dtype=bool))
+        for start in range(0, n, INTERPOLATE_BLOCK):
+            block = slice(start, start + INTERPOLATE_BLOCK)
+            tri, bary, best_tri, best_bary = self.locate(pts[block], tol=tol)
+            lost = tri < 0
+            if outside == "clamp":
+                if np.any(lost):
+                    lam = np.clip(best_bary[lost], 0.0, None)
+                    lam /= lam.sum(axis=1, keepdims=True)
+                    bary[lost] = lam
+            else:
+                st.zeroed[block] = lost
+            np.take(self.triangles, best_tri, axis=0, out=st.vertices[block])
+            st.weights[block] = bary
+        return st
+
     def interpolate(self, values, pts, outside: str = "error", tol: float = 1e-10):
         """P1 interpolation of per-vertex ``values`` at arbitrary points.
 
         ``outside`` controls points not located in any triangle: ``"zero"``
         yields 0, ``"clamp"`` evaluates the nearest candidate triangle with
-        clipped barycentric weights, ``"error"`` raises.  Points are located
-        ``INTERPOLATE_BLOCK`` at a time.
+        clipped barycentric weights, ``"error"`` raises.  The stencil of
+        ``INTERPOLATE_BLOCK`` points is built and applied at a time, which
+        bounds the temporaries; each point's value depends only on that
+        point, so the blocks change no result.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         values = np.asarray(values, dtype=float)
-        out = np.zeros(pts.shape[0])
+        out = np.empty(pts.shape[0])
         misses = 0
         for start in range(0, pts.shape[0], INTERPOLATE_BLOCK):
             block = slice(start, start + INTERPOLATE_BLOCK)
-            tri, bary, best_tri, best_bary = self.locate(pts[block], tol=tol)
-            dest = out[block]  # a view: writes land in ``out``
-            ok = tri >= 0
-            if np.any(ok):
-                dest[ok] = np.einsum("ij,ij->i", bary[ok], values[self.triangles[tri[ok]]])
-            miss = ~ok
-            misses += int(miss.sum())
-            if outside == "clamp" and np.any(miss):
-                lam = np.clip(best_bary[miss], 0.0, None)
-                lam /= lam.sum(axis=1, keepdims=True)
-                dest[miss] = np.einsum(
-                    "ij,ij->i", lam, values[self.triangles[best_tri[miss]]]
-                )
-            # "zero" leaves zeros; "error" raises once every block is counted
+            st = self._stencil(pts[block], outside, tol)
+            out[block] = st.apply(values)
+            misses += int(np.count_nonzero(st.zeroed))
         if misses and outside == "error":
             raise ValueError(f"{misses} points outside the mesh")
+        return out
+
+
+class Stencil(NamedTuple):
+    """P1 interpolation at fixed points: three vertices and their weights
+    per point, ``(n, 3)`` each, and the points outside the mesh that
+    evaluate to +0.0 (all of them unless ``outside="clamp"``)."""
+
+    vertices: np.ndarray
+    weights: np.ndarray
+    zeroed: np.ndarray
+
+    def apply(self, values) -> np.ndarray:
+        """Values at the stencil's points of the per-vertex ``values``."""
+        values = np.asarray(values, dtype=float)
+        out = np.einsum("ij,ij->i", self.weights, values[self.vertices])
+        out[self.zeroed] = 0.0  # zero weights would give -0.0 on values < 0
         return out
 
 
@@ -241,9 +318,17 @@ def _triangle_edges(vertices, triangles):
     return p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]
 
 
+def _corner_coordinates(vertices, triangles):
+    """x and y of every triangle's corners, ``(nt, 3)`` each."""
+    return vertices[:, 0][triangles], vertices[:, 1][triangles]
+
+
 def _signed_areas(vertices, triangles):
-    e0, _, e2 = _triangle_edges(vertices, triangles)
-    return 0.5 * (e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
+    # e0 x e2 with e2 = p2 - p0 is bitwise the textbook
+    # 0.5 (e0 x -(p0 - p2)), since negation is exact
+    x, y = _corner_coordinates(vertices, triangles)
+    return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                  - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def _max_angle_deg(vertices, triangles) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import geometry_report
+from .checks import geometry_reports
 from .export import svg_line_chart, write_csv
 from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
@@ -85,9 +85,8 @@ def _solve_record(
     fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol)
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v, ProblemKind.ND))
 
-    excl = 0.05 * R1 if exclusion is None else exclusion
-    rep_u = geometry_report(nd.u, exclusion=excl)
-    rep_v = geometry_report(tor.v, exclusion=excl)
+    # the reflected points are located once for both reports
+    rep_u, rep_v = geometry_reports([nd.u, tor.v], exclusion)
     checks = rep_u.all_passed and rep_v.passed(
         ("affine_radial", "axial_cap", "outer_axial")
     )

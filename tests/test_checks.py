@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from annulab.checks import geometry_report, outer_axial_derivative, recover_gradient
+from annulab.checks import (
+    _frame,
+    geometry_report,
+    geometry_reports,
+    outer_axial_derivative,
+    recover_gradient,
+)
 from annulab.export import write_json
 from annulab.fem import Field, ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh
 from annulab.spectral import discretize, solve_eigenproblem
+from annulab.torsion import solve_torsion
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +124,54 @@ def test_reflection_ordering_location_is_in_the_upper_half(s):
     want_x, want_y = REFLECTION_WORST_AT[s]
     assert y >= 0.0
     assert (x, y) == (want_x, abs(want_y))
+
+
+def payload_bytes(report):
+    # repr gives every float's shortest round-trip digits, as json does
+    return repr(report.to_payload()).encode()
+
+
+@pytest.mark.parametrize("n_theta", [128, 130])  # 130 = 2 mod 4
+@pytest.mark.parametrize("s", [0.0, 2.0, 3.6, 0.99 * 4.0])
+def test_shared_reports_match_one_field_reports(s, n_theta):
+    disc = discretize(AnnularDomain(1.0, 5.0, s), Resolution(n_theta, 32, 1.5))
+    fields = [solve_eigenproblem(disc, ProblemKind.ND).u,
+              solve_eigenproblem(disc, ProblemKind.DD).u,
+              solve_torsion(disc).v]
+    for exclusion in (None, 0.4):
+        shared = geometry_reports(fields, exclusion)
+        for u, rep in zip(fields, shared):
+            alone = geometry_report(u, exclusion=exclusion)
+            assert payload_bytes(rep) == payload_bytes(alone)
+            assert rep.violation_counts == alone.violation_counts
+
+
+def test_shared_reports_need_one_mesh(nd_s2_128):
+    u = nd_s2_128.u
+    other = discretize(AnnularDomain(1.0, 5.0, 2.0), Resolution(128, 32, 1.5))
+    v = solve_eigenproblem(other, ProblemKind.ND).u
+    with pytest.raises(ValueError, match="different meshes"):
+        geometry_reports([u, v])
+
+
+@pytest.mark.parametrize("n_theta", [128, 130])
+@pytest.mark.parametrize("s", [1.0, 2.0, 3.96])
+def test_peak_cell_size_matches_a_scan_of_all_triangles(s, n_theta):
+    mesh = build_mesh(AnnularDomain(1.0, 5.0, s), Resolution(n_theta, 32, 1.5))
+    ref_vertex = mesh.vertex_index(n_theta // 2, 32)
+    adj = np.nonzero(np.any(mesh.triangles == ref_vertex, axis=1))[0]
+    pts = mesh.vertices[mesh.triangles[adj]]
+    want = float(max(np.linalg.norm(pts[:, a] - pts[:, b], axis=1).max()
+                     for a, b in ((0, 1), (1, 2), (2, 0))))
+    assert _frame(mesh, 0.25).cell_size == want
+
+
+def test_gradient_at_matches_interpolating_each_component(nd_s2_128):
+    grad = recover_gradient(nd_s2_128.u)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-5.5, 5.5, (3000, 2))
+    for outside in ("clamp", "zero"):
+        got = grad.at(pts, outside=outside)
+        for k in (0, 1):
+            want = grad.mesh.interpolate(grad.values[:, k], pts, outside=outside)
+            assert got[:, k].tobytes() == want.tobytes()

@@ -139,6 +139,22 @@ def test_interpolate_outside_policies():
         m.interpolate(vals, hole_pt, outside="error")
 
 
+def reference_bary(mesh, tids, pts):
+    """Barycentric coordinates of ``pts`` in triangles ``tids``, formed from
+    the triangles' corners on every call."""
+    tri = mesh.triangles[tids]
+    a = mesh.vertices[tri[:, 0]]
+    b = mesh.vertices[tri[:, 1]]
+    c = mesh.vertices[tri[:, 2]]
+    v0 = b - a
+    v1 = c - a
+    v2 = pts - a
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    l1 = (v2[:, 0] * v1[:, 1] - v2[:, 1] * v1[:, 0]) / den
+    l2 = (v0[:, 0] * v2[:, 1] - v0[:, 1] * v2[:, 0]) / den
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
+
+
 def reference_locate(mesh, pts, tol=1e-10):
     """The full neighbour search: every point tries the offsets in order,
     from the guessed quad on, until a triangle contains it."""
@@ -160,7 +176,7 @@ def reference_locate(mesh, pts, tol=1e-10):
         quad = ii * n_rad + jj
         for k in (0, 1):
             tids = 2 * quad + k
-            lam = mesh._bary(tids, pts[pending])
+            lam = reference_bary(mesh, tids, pts[pending])
             score = lam.min(axis=1)
             better = score > best_score[pending]
             upd = pending[better]
@@ -231,6 +247,55 @@ def test_interpolate_blocks_match_single_points():
     miss = m.locate(pts)[0] < 0
     assert np.all(zero[miss] == 0.0)
     assert same_bits(zero[~miss], got[~miss])
+
+
+@pytest.mark.parametrize("outside", ["clamp", "zero", "error"])
+def test_stencil_matches_interpolate_across_a_block_boundary(outside):
+    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.5))
+    # negative values, so that a sum of zero-weighted products could be -0.0
+    vals = np.sin(m.vertices[:, 0]) * np.cos(0.3 * m.vertices[:, 1]) - 0.5
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-5.5, 5.5, (2 * INTERPOLATE_BLOCK, 2))
+    if outside == "error":
+        pts = pts[m.locate(pts)[0] >= 0]
+    assert pts.shape[0] > INTERPOLATE_BLOCK
+    st = m.stencil(pts, outside=outside)
+    got = st.apply(vals)
+    want = m.interpolate(vals, pts, outside=outside)
+    assert same_bits(got, want)
+    miss = m.locate(pts)[0] < 0
+    assert np.any(miss) == (outside != "error")
+    if outside == "zero":
+        assert np.array_equal(st.zeroed, miss)
+        assert np.all(st.weights[miss] == 0.0)
+        assert np.all(got[miss] == 0.0) and not np.any(np.signbit(got[miss]))
+    else:
+        assert not np.any(st.zeroed)
+
+
+def test_stencil_error_counts_misses_over_all_blocks(monkeypatch):
+    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.0))
+    inside = np.array([[-3.0, 0.5]])
+    hole = np.array([[2.0, 0.0]])
+    pts = np.concatenate([inside, hole, inside, hole, hole, inside, inside])
+    monkeypatch.setattr(mesh_module, "INTERPOLATE_BLOCK", 2)
+    with pytest.raises(ValueError, match="^3 points outside the mesh$"):
+        m.stencil(pts, outside="error")
+
+
+def old_signed_areas(vertices, triangles):
+    """The signed areas as formed from all three edge vectors."""
+    p = vertices[triangles]
+    e0 = p[:, 1] - p[:, 0]
+    e2 = p[:, 0] - p[:, 2]
+    return 0.5 * (e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
+
+
+@pytest.mark.parametrize("s", [0.0, 2.0, 3.9])
+def test_areas_match_the_edge_vector_formula_bitwise(s):
+    for res in (Resolution(128, 32, 1.5), Resolution(50, 8, 0.7)):
+        m = build_mesh(AnnularDomain(1.0, 5.0, s), res)
+        assert same_bits(m.areas, old_signed_areas(m.vertices, m.triangles))
 
 
 def test_interpolate_error_counts_misses_over_all_blocks(monkeypatch):

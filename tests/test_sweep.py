@@ -6,10 +6,11 @@ import pytest
 
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
-from annulab.mesh import Resolution
+from annulab.mesh import Mesh, Resolution
 from annulab.radial_oracle import concentric_eigenvalue
 from annulab.sweep import (
     SWEEP_COLUMNS,
+    _solve_record,
     analyze_dn_ratio,
     bracket_critical_ratio,
     convergence_study,
@@ -128,3 +129,18 @@ def test_dn_validation():
         analyze_dn_ratio(5.0, 0.5, s_points=2, resolution=QUICK)
     with pytest.raises(ValueError):
         bracket_critical_ratio(5.0, 0.5, 0.6, s_points=12, resolution=QUICK)
+
+
+def test_record_locates_each_reflected_point_once(monkeypatch):
+    located = []
+    locate = Mesh.locate
+
+    def counting(self, pts, tol=1e-10):
+        located.append(len(pts))
+        return locate(self, pts, tol)
+
+    monkeypatch.setattr(Mesh, "locate", counting)
+    rec = _solve_record(1.0, 5.0, 2.0, QUICK, 0.05, 1e-9, False, None)
+    assert rec.checks_pass
+    # the nd and torsion reports share one location of the reflected points
+    assert sum(located) == 22386
