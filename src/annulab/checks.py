@@ -111,6 +111,14 @@ def outer_axial_derivative(u: Field) -> np.ndarray:
 
 @dataclass
 class CheckResult:
+    """One check's worst value and where it occurs.
+
+    The fields and the tested sets are mirror symmetric, so the worst value
+    is taken, up to round-off, at a point and at its mirror twin; a strict
+    extremum would pick between them by the last bit of the field.  So
+    ``location`` is ``(x, |y|)``.
+    """
+
     name: str
     worst: float
     location: tuple[float, float]
@@ -261,6 +269,11 @@ def geometry_reports(
     return [_report(u, frame) for u in fields]
 
 
+def _upper_twin(point) -> tuple[float, float]:
+    """``(x, |y|)`` of a point, the :class:`CheckResult` location."""
+    return float(point[0]), abs(float(point[1]))
+
+
 def _report(u: Field, frame: _Frame) -> GeometryReport:
     mesh = u.mesh
     exclusion = frame.exclusion
@@ -292,7 +305,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
             ok = bool(vals[wpos] < 0.0)
             nviol = int((vals >= 0.0).sum())
         checks[name] = CheckResult(
-            name, float(vals[wpos]), tuple(float(c) for c in v[idx[wpos]]), ok, detail
+            name, float(vals[wpos]), _upper_twin(v[idx[wpos]]), ok, detail
         )
         counts[name] = nviol
 
@@ -316,7 +329,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         wpos = int(np.argmax(np.abs(d1 * ring_mask)))
         checks["outer_axial"] = CheckResult(
             "outer_axial", float(d1[wpos]),
-            tuple(float(c) for c in ring_pts[wpos]), ok,
+            _upper_twin(ring_pts[wpos]), ok,
             f"concentric: angular derivative vanishes; ring spread {spread:.2e}",
         )
         counts["outer_axial"] = 0 if ok else 1
@@ -325,7 +338,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         wpos = int(np.argmax(d1[idx]))
         worst = float(d1[idx[wpos]])
         checks["outer_axial"] = CheckResult(
-            "outer_axial", worst, tuple(float(c) for c in ring_pts[idx[wpos]]),
+            "outer_axial", worst, _upper_twin(ring_pts[idx[wpos]]),
             bool(worst < 0.0), "max of du/dx1 on the outer circle",
         )
         counts["outer_axial"] = int((d1[idx] >= 0.0).sum())
@@ -343,7 +356,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         wpos = int(np.argmax(np.abs(tang)))
         checks["tangential_sign"] = CheckResult(
             "tangential_sign", float(tang[wpos]),
-            tuple(float(c) for c in v[idx[wpos]]), ok,
+            _upper_twin(v[idx[wpos]]), ok,
             f"concentric: angular derivative vanishes; ring spread {spread:.2e}",
         )
         counts["tangential_sign"] = 0 if ok else 1
@@ -353,7 +366,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         wpos = int(np.argmin(prod))
         checks["tangential_sign"] = CheckResult(
             "tangential_sign", float(prod[wpos]),
-            tuple(float(c) for c in v[idx[wpos]]), bool(frac < 1e-3),
+            _upper_twin(v[idx[wpos]]), bool(frac < 1e-3),
             f"{nviol} violations of {idx.size} points",
         )
         counts["tangential_sign"] = nviol
@@ -362,10 +375,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
     gnorm = np.hypot(g[:, 0], g[:, 1])
     record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
 
-    # (f) strict ordering under star-family reflections.  u and the
-    # polarizers are mirror symmetric, so the worst margin is taken, up to
-    # round-off, at a point and its mirror twin: (x, |y|) leaves round-off
-    # no pick
+    # (f) strict ordering under star-family reflections
     tol = INTERP_RTOL * umax
     u_refs = np.split(frame.reflected.apply(u.values),
                       np.cumsum([idx.size for idx in frame.tested])[:-1])
@@ -383,7 +393,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         wpos = int(np.argmin(margin))
         if margin[wpos] < worst:
             worst = float(margin[wpos])
-            wloc = (float(v[idx[wpos], 0]), abs(float(v[idx[wpos], 1])))
+            wloc = _upper_twin(v[idx[wpos]])
     checks["reflection_ordering"] = CheckResult(
         "reflection_ordering", worst, wloc, bool(nviol == 0),
         f"{nviol} of {ntest} beyond tolerance {tol:.2e}",
@@ -393,7 +403,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
     # (g) unique maximum at (-R1, 0); at s = 0 the maximum spreads over the
     # whole outer circle, so only membership in the outer layer is required
     peak = int(np.argmax(u.values))
-    ploc = tuple(float(c) for c in v[peak])
+    ploc = _upper_twin(v[peak])
     if degenerate:
         on_outer = peak in set(int(k) for k in ring)
         checks["peak_location"] = CheckResult(

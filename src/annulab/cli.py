@@ -56,6 +56,9 @@ EXIT_NONCONVERGENCE = 3
 EXIT_ASSERTIONS = 4
 EXIT_NOT_POSITIVE_DEFINITE = 5
 
+# the first eigenvalue of each kind, as the sweep CSV names it
+EIGENVALUE_NAMES = {ProblemKind.ND: "tau1", ProblemKind.DD: "lambda1", ProblemKind.DN: "nu1"}
+
 
 def _parse_grid(text: str):
     """``start:step:end`` inclusive of both endpoints within half a step."""
@@ -214,7 +217,9 @@ def cmd_solve(args) -> int:
     base = os.path.join(args.out_dir, f"eig_{kind.value}_s{args.s:g}")
     write_field(sol.u, base, vtk=args.vtk)
     print(f"first eigenvalue ({kind.value}, s={args.s:g}): {sol.value!r}")
-    print(f"residual {sol.pair.residual:.3e} after {sol.pair.iterations} iterations")
+    pair = sol.pair
+    print(f"residual {pair.residual:.3e} after {pair.iterations} iterations; "
+          f"{EIGENVALUE_NAMES[kind]} in [{pair.lower_bound!r}, {pair.value!r}]")
     print(f"field written to {base}.csv")
     return EXIT_OK
 

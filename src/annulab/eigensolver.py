@@ -9,10 +9,21 @@ ray, so the half-bandwidth is at most ``n_rad + 1``: the band needs no
 ordering and no pivoting, and holds ``(kd + 1) n`` doubles.
 
 The eigenpair comes from inverse power iteration on ``K y = M x`` with
-M-normalization and a Rayleigh-quotient stopping rule.  Everything is
-deterministic: the start vector is all ones and there is no randomness.
-Mirror symmetry is not enforced here; the reduced systems are already posed
-on the symmetric functions.
+M-normalization and a Rayleigh-quotient stopping rule.  Plain steps converge
+at the ratio ``tau_1 / tau_2``, which tends to 1 on thin annuli.  So after
+each plain step from the third on, the ratio of the last two residuals
+predicts how many plain steps are left.  When that exceeds ``kd / 8 + 4``
+(one more band Cholesky priced in steps, plus the shifted steps that still
+follow), the iteration factors ``K - sigma M`` once, with ``sigma = theta
+rho`` just below the Rayleigh quotient ``rho``, backing ``theta`` off along
+:data:`SHIFT_THETAS` until the factorization succeeds, and goes on from its
+current vector with that factor; if none succeeds it keeps the factor of
+``K``.  By Sylvester's law of inertia a successful Cholesky proves ``sigma``
+below the smallest eigenvalue, so ``[sigma, value]`` brackets it; the
+factor of ``K`` alone proves 0.  Everything is deterministic: the start
+vector is all ones and there is no randomness.  Mirror symmetry is not
+enforced here; the reduced systems are already posed on the symmetric
+functions.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 RAYLEIGH_RTOL = 1e-12
+# sigma / rho of the shifted factor, tried in order until one is definite
+SHIFT_THETAS = (0.99, 0.95, 0.9)
 
 
 class SolverConvergenceError(RuntimeError):
@@ -95,10 +108,35 @@ def factorize(A: SymmetricBand) -> BandCholesky:
     costs ``O(n kd^2)`` time and ``(kd + 1) n`` doubles; the unknown order is
     kept.
     """
-    band = np.zeros((A.offsets[-1] + 1, A.shape[0]), order="F")
+    return BandCholesky(_lapack_band(A, A.offsets[-1]))
+
+
+def _lapack_band(A: SymmetricBand, kd: int) -> np.ndarray:
+    """The lower band of ``A`` in :class:`BandCholesky` storage, ``kd + 1``
+    rows deep."""
+    band = np.zeros((kd + 1, A.shape[0]), order="F")
     for k, d in zip(A.offsets, A.diagonals):
         band[k, : d.size] = d
-    return BandCholesky(band)
+    return band
+
+
+def _shifted_factor(k, m, rho: float):
+    """``(factor, sigma)`` for the first ``sigma = theta rho`` of
+    :data:`SHIFT_THETAS` at which ``k - sigma m`` is positive definite, or
+    ``None`` if it is at none.  The band is the union of the offsets of
+    ``k`` and ``m``: either may leave out a diagonal that is zero
+    throughout."""
+    kd = max(k.offsets[-1], m.offsets[-1])
+    for theta in SHIFT_THETAS:
+        sigma = theta * rho
+        band = _lapack_band(k, kd)
+        for o, d in zip(m.offsets, m.diagonals):
+            band[o, : d.size] -= sigma * d
+        try:
+            return BandCholesky(band), sigma
+        except NotPositiveDefiniteError:
+            continue
+    return None
 
 
 @dataclass
@@ -107,11 +145,15 @@ class EigenPair:
 
     ``vector`` is M-normalized, its sign fixed so the M-weighted mean is
     positive; ``residual`` is ``||K u - value M u|| / ||M u||``.
+    ``lower_bound`` is the shift of the last factor the iterates used, 0.0
+    for the factor of ``K``: its Cholesky proves it below the smallest
+    eigenvalue, so ``[lower_bound, value]`` brackets that eigenvalue.
     """
 
     value: float
     vector: np.ndarray
     residual: float
+    lower_bound: float
     iterations: int
     rayleigh_history: tuple = field(default=(), repr=False)
 
@@ -123,7 +165,10 @@ def smallest_eigenpair(
 
     ``k`` and ``m`` are :class:`SymmetricBand` matrices and ``factor`` is
     the :func:`factorize` factor of ``k``; each step is one pair of
-    triangular solves with it, one ``m`` and one ``k`` product.  Raises
+    triangular solves with the current factor, one ``m`` and one ``k``
+    product.  The iteration switches at most once to the factor of
+    ``k - sigma m`` (module docstring); the Rayleigh quotient, the residual
+    and the stopping rule stay on ``k`` and ``m``.  Raises
     :class:`SolverConvergenceError` after ``max_outer`` steps.
     """
     x = np.ones(k.shape[0])
@@ -134,6 +179,11 @@ def smallest_eigenpair(
         raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
     history = [rho]
     residual = np.inf
+    sigma = 0.0
+    # one more band Cholesky, priced in plain steps, plus the shifted steps
+    # that still follow it
+    shift_worth = k.offsets[-1] / 8 + 4
+    may_shift = True
     for it in range(1, max_outer + 1):
         y = factor.solve(mx)
         my = m @ y
@@ -146,6 +196,7 @@ def smallest_eigenpair(
         if rho <= 0.0:
             raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
         history.append(rho)
+        residual_prev = residual
         residual = float(np.linalg.norm(ky - rho * my) / np.linalg.norm(my))
         change = abs(rho - rho_prev) / rho
         # the next step's m @ x is the m @ y just computed
@@ -157,9 +208,17 @@ def smallest_eigenpair(
                 value=rho,
                 vector=y,
                 residual=residual,
+                lower_bound=sigma,
                 iterations=it,
                 rayleigh_history=tuple(history),
             )
+        if may_shift and it >= 3 and residual > tol:
+            rate = residual / residual_prev
+            if rate >= 1.0 or np.log(tol / residual) / np.log(rate) > shift_worth:
+                may_shift = False
+                shifted = _shifted_factor(k, m, rho)
+                if shifted is not None:
+                    factor, sigma = shifted
     raise SolverConvergenceError(
         f"inverse iteration did not converge in {max_outer} steps", residual
     )

@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
 from annulab.cli import build_parser, main
+from annulab.fem import ProblemKind
 from annulab.mesh import Resolution
+from annulab.radial_oracle import concentric_eigenvalue
 
 FAST = ["--n-theta", "32", "--n-rad", "6"]
 
@@ -23,6 +26,25 @@ def test_solve(tmp_path, capsys):
     assert code == 0
     assert "first eigenvalue" in out
     assert (tmp_path / "eig_nd_s3.csv").exists()
+
+
+def test_solve_converges_on_thin_concentric_annuli(tmp_path, capsys):
+    # tau_1 / tau_2 tends to 1 as the annulus thins, which plain inverse
+    # iteration pays for in steps: R0 = 4 ran into the 400-step cap and
+    # R0 = 3.75 took 326 steps
+    res = ["--n-theta", "128", "--n-rad", "32", "--out-dir", str(tmp_path)]
+    values, steps = {}, {}
+    for r0 in (4.0, 3.75):
+        code, out, _ = run(["solve", "--R0", f"{r0:g}", "--R1", "5", "--s", "0"] + res,
+                           capsys)
+        assert code == 0, r0
+        steps[r0] = int(re.search(r"after (\d+) iterations", out).group(1))
+        low, values[r0] = map(float, re.search(r"tau1 in \[(\S+), (\S+)\]", out).groups())
+        assert f"first eigenvalue (nd, s=0): {values[r0]!r}" in out
+        assert 0.0 < low < values[r0], r0
+    oracle = concentric_eigenvalue(ProblemKind.ND, 4.0, 5.0)
+    assert abs(values[4.0] - oracle) <= 5e-3 * oracle  # criterion 1's bound
+    assert steps[3.75] < 40
 
 
 def test_solve_with_vtk(tmp_path, capsys):

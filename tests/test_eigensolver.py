@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import annulab.eigensolver as es
 from annulab.eigensolver import (
     NotPositiveDefiniteError,
     SolverConvergenceError,
@@ -102,6 +103,90 @@ def test_eigen_deterministic():
     b = smallest_eigenpair(K, M, factorize(K))
     assert a.value == b.value
     assert np.array_equal(a.vector, b.vector)
+
+
+def count_factorizations(monkeypatch):
+    """Counts every band Cholesky attempted from here on, failed ones too."""
+    calls = []
+
+    class Counting(es.BandCholesky):
+        def __init__(self, band):
+            calls.append(band.shape)
+            super().__init__(band)
+
+    monkeypatch.setattr(es, "BandCholesky", Counting)
+    return calls
+
+
+def test_shift_backs_off_when_the_first_theta_overshoots(monkeypatch):
+    # tau_2 / tau_1 = 1.02, so the plain steps crawl; after 3 of them the
+    # Rayleigh quotient is near 1.02, 0.99 rho lies above tau_1 = 1 and the
+    # next theta, 0.95, gives the factor
+    K = SymmetricBand([0], [np.r_[1.0, np.full(99, 1.02)]])
+    M = identity(100)
+    calls = count_factorizations(monkeypatch)
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-10)
+    assert len(calls) == 3  # K, then 0.99 (not definite), then 0.95
+    assert pair.value == pytest.approx(1.0, rel=1e-12)
+    assert pair.lower_bound == 0.95 * pair.rayleigh_history[3]
+    assert 0.0 < pair.lower_bound < 1.0
+    # the plain steps alone contract by 1 / 1.02 and run into the cap
+    monkeypatch.setattr(es, "SHIFT_THETAS", ())
+    with pytest.raises(SolverConvergenceError):
+        smallest_eigenpair(K, M, factorize(K), tol=1e-10)
+
+
+def test_shift_falls_back_to_the_plain_factor_when_every_theta_fails(monkeypatch):
+    # after 3 plain steps rho is near 1.25, so even 0.9 rho lies above tau_1
+    K = SymmetricBand([0], [np.r_[1.0, np.full(999, 1.25)]])
+    M = identity(1000)
+    calls = count_factorizations(monkeypatch)
+    pair = smallest_eigenpair(K, M, factorize(K))
+    assert len(calls) == 1 + len(es.SHIFT_THETAS)
+    assert pair.value == pytest.approx(1.0, rel=1e-12)
+    assert pair.lower_bound == 0.0
+    # the failed attempts leave the plain iteration as it was
+    monkeypatch.setattr(es, "SHIFT_THETAS", ())
+    alone = smallest_eigenpair(K, M, factorize(K))
+    assert (pair.iterations, pair.value) == (alone.iterations, alone.value)
+    assert np.array_equal(pair.vector, alone.vector)
+
+
+def test_shifted_iteration_keeps_the_rayleigh_history_monotone(monkeypatch):
+    # a shifted path Laplacian: tau_2 / tau_1 is about 1.03
+    n = 30
+    dense = 3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    K, M = band_of(dense), identity(n)
+    want = float(np.linalg.eigvalsh(dense).min())
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-11)
+    assert pair.value == pytest.approx(want, rel=1e-12)
+    assert 0.0 < pair.lower_bound < want
+    hist = np.array(pair.rayleigh_history)
+    assert np.all(np.diff(hist) <= 1e-12 * hist[:-1])
+    monkeypatch.setattr(es, "SHIFT_THETAS", ())
+    assert smallest_eigenpair(K, M, factorize(K), tol=1e-11).iterations > 3 * pair.iterations
+
+
+def test_shifted_band_holds_the_offsets_of_m_that_k_lacks():
+    # K is diagonal and M tridiagonal, so K - sigma M has M's band
+    n = 40
+    dense_m = np.eye(n) + 0.2 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    K = SymmetricBand([0], [np.linspace(1.0, 1.1, n)])
+    M = band_of(dense_m)
+    want = float(np.linalg.eigvals(np.linalg.solve(dense_m, np.diag(K.diagonals[0]))).real.min())
+    pair = smallest_eigenpair(K, M, factorize(K), tol=1e-11)
+    assert pair.lower_bound > 0.0
+    assert pair.value == pytest.approx(want, rel=1e-12)
+
+
+def test_fast_convergence_makes_one_factorization(monkeypatch):
+    # tau_1 / tau_2 = 0.01: after 3 steps the residual ratio predicts two
+    # more, too few to repay a second factorization
+    K, M = SymmetricBand([0], [np.r_[1.0, np.full(19, 100.0)]]), identity(20)
+    calls = count_factorizations(monkeypatch)
+    pair = smallest_eigenpair(K, M, factorize(K))
+    assert len(calls) == 1
+    assert pair.lower_bound == 0.0
 
 
 def band_spd(n, kd, seed):
