@@ -4,8 +4,8 @@ Solves the mixed (inner Dirichlet / outer Neumann), reversed-mixed and pure
 Dirichlet eigenvalue problems plus the torsion problem on the annulus
 ``B_{R1}(0) \\ closure(B_{R0}((s, 0)))``, checks the monotonicity and
 symmetry structure of the computed first eigenfunctions, and evaluates the
-derivative of the first eigenvalue in the offset ``s`` by three independent
-routes.
+derivative of the first eigenvalue in the offset ``s`` by a boundary
+integral, its half-boundary regrouping and finite differences.
 """
 
 from .geometry import AnnularDomain, DomainError, Polarizer
@@ -31,22 +31,17 @@ from .checks import (
 )
 from .shape import (
     BoundaryTrace,
-    VectorField,
-    dilation_field,
     dirichlet_normal_derivative,
-    eulerian_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
     half_boundary_tau_prime,
     reflected_neumann_margin,
-    translation_field,
 )
 from .torsion import rigidity_derivative, solve_torsion, torsional_rigidity
 from .radial_oracle import concentric_eigenvalue, concentric_torsion
 from .sweep import (
     DNAnalysis,
     SweepRecord,
-    analyze_dn_family,
     analyze_dn_ratio,
     bracket_critical_ratio,
     convergence_study,
@@ -66,14 +61,13 @@ __all__ = [
     "RingSampling", "deviation", "foliated_schwarz", "polarize",
     "sample_rings", "star_polarizers", "worst_polarization_deviation",
     "GeometryReport", "geometry_report", "geometry_reports", "recover_gradient",
-    "BoundaryTrace", "VectorField", "dilation_field",
-    "dirichlet_normal_derivative", "eulerian_derivative",
+    "BoundaryTrace", "dirichlet_normal_derivative",
     "finite_difference_tau_prime", "hadamard_tau_prime",
-    "half_boundary_tau_prime", "reflected_neumann_margin", "translation_field",
+    "half_boundary_tau_prime", "reflected_neumann_margin",
     "rigidity_derivative", "solve_torsion", "torsional_rigidity",
     "concentric_eigenvalue", "concentric_torsion",
     "DNAnalysis", "SweepRecord",
-    "analyze_dn_family", "analyze_dn_ratio", "bracket_critical_ratio",
+    "analyze_dn_ratio", "bracket_critical_ratio",
     "convergence_study", "monotonicity_violations", "sweep_translation",
     "write_sweep_csv",
 ]

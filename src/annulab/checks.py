@@ -41,15 +41,8 @@ REPORT_POLARIZERS = 8
 # relative ring-value spread accepted as "angularly constant" at s = 0
 RADIAL_SPREAD_RTOL = 1e-3
 
-CHECK_NAMES = (
-    "affine_radial",
-    "axial_cap",
-    "outer_axial",
-    "tangential_sign",
-    "gradient_nonzero",
-    "reflection_ordering",
-    "peak_location",
-)
+# default exclusion radius around (+-R1, 0), as a fraction of R1
+EXCLUSION = 0.05
 
 
 @dataclass
@@ -59,8 +52,9 @@ class GradientField:
     values: np.ndarray  # (nv, 2)
     mesh: Mesh
 
-    def at(self, pts, outside: str = "error"):
-        st = self.mesh.stencil(pts, outside=outside)
+    def at(self, pts):
+        """The recovered gradient interpolated at ``pts``, ``(n, 2)``."""
+        st = self.mesh.stencil(pts)
         g = self.values
         return np.stack([st.apply(g[:, 0]), st.apply(g[:, 1])], axis=-1)
 
@@ -237,7 +231,7 @@ def _frame(mesh: Mesh, exclusion: float) -> _Frame:
         ring_mask=_outside_poles(v[ring], d.R1, exclusion),
         area_sums=_area_sums(mesh),
         tested=tested,
-        reflected=mesh.stencil(np.concatenate(reflected), outside="clamp"),
+        reflected=mesh.stencil(np.concatenate(reflected)),
         cell_size=cell_size,
     )
 
@@ -247,7 +241,7 @@ def geometry_report(u: Field, exclusion: float | None = None) -> GeometryReport:
 
     Also meaningful for the torsion field, whose gradient obeys the same
     affine-radial and axial inequalities.  Interior vertices within
-    ``exclusion`` (default ``0.05 R1``) of ``(+-R1, 0)`` are skipped.
+    ``exclusion`` (default ``EXCLUSION R1``) of ``(+-R1, 0)`` are skipped.
     """
     return geometry_reports([u], exclusion)[0]
 
@@ -264,7 +258,7 @@ def geometry_reports(
     if any(u.mesh is not mesh for u in fields):
         raise ValueError("the fields lie on different meshes")
     if exclusion is None:
-        exclusion = 0.05 * mesh.domain.R1
+        exclusion = EXCLUSION * mesh.domain.R1
     frame = _frame(mesh, exclusion)
     return [_report(u, frame) for u in fields]
 

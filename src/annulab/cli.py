@@ -17,14 +17,15 @@ import sys
 
 import numpy as np
 
-from .checks import geometry_report
-from .eigensolver import NotPositiveDefiniteError, SolverConvergenceError
+from .checks import EXCLUSION, geometry_report
+from .eigensolver import TOL, NotPositiveDefiniteError, SolverConvergenceError
 from .export import write_field, write_json
 from .fem import ProblemKind
 from .geometry import AnnularDomain, DomainError
 from .mesh import MeshQualityError, Resolution
 from .radial_oracle import concentric_eigenvalue
 from .shape import (
+    FD_STEP,
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
@@ -32,7 +33,9 @@ from .shape import (
 )
 from .spectral import discretize, solve_eigenproblem
 from .sweep import (
-    analyze_dn_family,
+    BRACKET_WIDTH,
+    S_POINTS,
+    analyze_dn_ratio,
     bracket_critical_ratio,
     convergence_study,
     monotonicity_violations,
@@ -42,6 +45,8 @@ from .sweep import (
     write_sweep_svg,
 )
 from .symmetrize import (
+    RING_SAMPLES,
+    RINGS,
     WORKERS,
     deviation,
     foliated_schwarz,
@@ -109,8 +114,13 @@ def _add_solver_flags(p, res=Resolution(), with_tol=True):
                    help="radial grading exponent in [0.5, 2]; >1 refines the "
                         f"inner circle (default {res.grading:g})")
     if with_tol:
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="eigensolver residual tolerance (default 1e-9)")
+        p.add_argument("--tol", type=float, default=TOL,
+                       help=f"eigensolver residual tolerance (default {TOL:g})")
+
+
+def _add_fd_step(p):
+    p.add_argument("--fd-step", type=float, default=FD_STEP,
+                   help=f"finite difference step (default {FD_STEP:g})")
 
 
 def _add_out_dir(p):
@@ -147,19 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     _add_out_dir(p)
     p.add_argument("--exclusion", type=float, default=None,
-                   help="exclusion radius around (+-R1, 0); default 0.05 R1")
-    p.add_argument("--rings", type=int, default=64,
-                   help="sample rings for rearrangements (default 64)")
-    p.add_argument("--ring-samples", type=int, default=256,
-                   help="samples per ring (default 256)")
+                   help=f"exclusion radius around (+-R1, 0); default {EXCLUSION:g} R1")
+    p.add_argument("--rings", type=int, default=RINGS,
+                   help=f"sample rings for rearrangements (default {RINGS})")
+    p.add_argument("--ring-samples", type=int, default=RING_SAMPLES,
+                   help=f"samples per ring (default {RING_SAMPLES})")
     p.set_defaults(func=cmd_symmetry_check)
 
     p = sub.add_parser("shape-derivative",
                        help="three derivative estimates at one offset")
     _add_domain(p)
     _add_solver_flags(p)
-    p.add_argument("--fd-step", type=float, default=0.05,
-                   help="finite difference step (default 0.05)")
+    _add_fd_step(p)
     p.set_defaults(func=cmd_shape_derivative)
 
     p = sub.add_parser("sweep", help="translation sweep of the inner hole")
@@ -169,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true", help="also write an SVG chart")
     p.add_argument("--s-grid", type=_parse_grid, default=_parse_grid("0:0.4:3.6"),
                    help="offset grid start:step:end (default 0:0.4:3.6)")
-    p.add_argument("--fd-step", type=float, default=0.05,
-                   help="finite difference step (default 0.05)")
+    _add_fd_step(p)
     p.add_argument("--threads", type=int, default=WORKERS,
                    help="worker cap (default: machine parallelism)")
     p.set_defaults(func=cmd_sweep)
@@ -180,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R1", type=float, default=5.0, help="outer radius (default 5)")
     p.add_argument("--ratios", type=_parse_ratios, default=_parse_ratios("0.1,0.6"),
                    help="comma separated R0/R1 ratios (default 0.1,0.6)")
-    p.add_argument("--s-points", type=int, default=12,
-                   help="sweep points per ratio (default 12)")
+    p.add_argument("--s-points", type=int, default=S_POINTS,
+                   help=f"sweep points per ratio (default {S_POINTS})")
     _add_solver_flags(p, Resolution(128, 32))
     p.add_argument("--bracket", action="store_true",
                    help="also bisect for the critical ratio")
-    p.add_argument("--bracket-width", type=float, default=0.05,
-                   help="target bracket width (default 0.05)")
+    p.add_argument("--bracket-width", type=float, default=BRACKET_WIDTH,
+                   help=f"target bracket width (default {BRACKET_WIDTH:g})")
     _add_out_dir(p)
     p.set_defaults(func=cmd_dn_analyze)
 
@@ -292,12 +300,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_dn_analyze(args) -> int:
     res = _resolution(args)
-    analyses = analyze_dn_family(
-        args.R1, args.ratios, s_points=args.s_points, resolution=res, tol=args.tol
-    )
     payload = {"R1": args.R1, "ratios": []}
     inconclusive = False
-    for a in analyses:
+    for ratio in args.ratios:
+        a = analyze_dn_ratio(
+            args.R1, ratio, s_points=args.s_points, resolution=res, tol=args.tol
+        )
         print(f"ratio {a.ratio:g}: {a.classification}"
               + (f", s0 = {a.s0:.4f}" if a.s0 is not None else ""))
         payload["ratios"].append({

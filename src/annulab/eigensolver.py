@@ -34,6 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 RAYLEIGH_RTOL = 1e-12
+# residual tolerance of the inverse iteration, the default of every solve
+TOL = 1e-9
 # sigma / rho of the shifted factor, tried in order until one is definite
 SHIFT_THETAS = (0.99, 0.95, 0.9)
 
@@ -159,7 +161,7 @@ class EigenPair:
 
 
 def smallest_eigenpair(
-    k, m, factor: BandCholesky, tol: float = 1e-9, max_outer: int = 400
+    k, m, factor: BandCholesky, tol: float = TOL, max_outer: int = 400
 ) -> EigenPair:
     """Smallest eigenpair of ``k u = value m u`` by inverse power iteration.
 

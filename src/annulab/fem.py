@@ -70,9 +70,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite entries")
 
-    def at(self, pts, outside: str = "error"):
-        return self.mesh.interpolate(self.values, pts, outside=outside)
-
 
 def _p1_geometry(coords: np.ndarray):
     """Shape-function data for (nt, 3, 2) triangle coordinates."""

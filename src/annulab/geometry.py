@@ -66,9 +66,7 @@ class AnnularDomain:
         is unique and lies in ``[R1 - s, R1 + s]``.
         """
         phi = np.asarray(phi, dtype=float)
-        c = np.cos(phi)
-        sn = np.sin(phi)
-        t = -self.s * c + np.sqrt(self.R1**2 - (self.s * sn) ** 2)
+        t = self.exit_distance_from_direction(np.cos(phi), np.sin(phi))
         return float(t) if t.ndim == 0 else t
 
     def exit_distance_from_direction(self, cos_phi, sin_phi):

@@ -17,6 +17,7 @@ rounding, which the half-boundary derivative pairing relies on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -41,9 +42,9 @@ class MeshQualityError(ValueError):
 class Resolution:
     """Mesh resolution: ``n_theta`` rays, ``n_rad`` layers, radial ``grading``.
 
-    ``n_theta`` must be even and at least 16, ``n_rad`` at least 4 and
-    ``grading`` in [0.5, 2].  Exponents above 1 refine toward the inner
-    circle, below 1 toward the outer one.
+    ``n_theta`` must be an even integer of at least 16, ``n_rad`` an integer
+    of at least 4 and ``grading`` in [0.5, 2].  Exponents above 1 refine
+    toward the inner circle, below 1 toward the outer one.
     """
 
     n_theta: int = 256
@@ -54,6 +55,9 @@ class Resolution:
     grading: float = 1.5
 
     def __post_init__(self):
+        for name, value in (("n_theta", self.n_theta), ("n_rad", self.n_rad)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_theta % 2 != 0 or self.n_theta < 16:
             raise ValueError(f"n_theta must be even and >= 16, got {self.n_theta}")
         if self.n_rad < 4:
@@ -237,80 +241,58 @@ class Mesh:
         bary = np.where(found[:, None], best_bary, 0.0)
         return tri, bary, best_tri, best_bary
 
-    def stencil(self, pts, outside: str = "error") -> Stencil:
+    def stencil(self, pts) -> Stencil:
         """The three vertices and P1 weights of every point, so that several
         fields are evaluated at the same points with one location.
 
-        ``outside`` treats points not located in any triangle as in
-        :meth:`interpolate`.
+        A point that no triangle contains is evaluated in its best candidate
+        triangle (:meth:`locate`) with the barycentric weights clipped at 0
+        and renormalized.  Points are located ``INTERPOLATE_BLOCK`` at a
+        time.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        st = self._stencil(pts, outside)
-        misses = np.count_nonzero(st.zeroed)
-        if outside == "error" and misses:
-            raise ValueError(f"{misses} points outside the mesh")
-        return st
-
-    def _stencil(self, pts, outside, tol=1e-10):
-        """:meth:`stencil` of ``(n, 2)`` points without the raise.  Points
-        are located ``INTERPOLATE_BLOCK`` at a time."""
         n = pts.shape[0]
-        st = Stencil(np.empty((n, 3), dtype=self.triangles.dtype),
-                     np.empty((n, 3)), np.zeros(n, dtype=bool))
+        st = Stencil(np.empty((n, 3), dtype=self.triangles.dtype), np.empty((n, 3)))
         for start in range(0, n, INTERPOLATE_BLOCK):
             block = slice(start, start + INTERPOLATE_BLOCK)
-            tri, bary, best_tri, best_bary = self.locate(pts[block], tol=tol)
+            tri, bary, best_tri, best_bary = self.locate(pts[block])
             lost = tri < 0
-            if outside == "clamp":
-                if np.any(lost):
-                    lam = np.clip(best_bary[lost], 0.0, None)
-                    lam /= lam.sum(axis=1, keepdims=True)
-                    bary[lost] = lam
-            else:
-                st.zeroed[block] = lost
+            if np.any(lost):
+                lam = np.clip(best_bary[lost], 0.0, None)
+                lam /= lam.sum(axis=1, keepdims=True)
+                bary[lost] = lam
             np.take(self.triangles, best_tri, axis=0, out=st.vertices[block])
             st.weights[block] = bary
         return st
 
-    def interpolate(self, values, pts, outside: str = "error", tol: float = 1e-10):
+    def interpolate(self, values, pts):
         """P1 interpolation of per-vertex ``values`` at arbitrary points.
 
-        ``outside`` controls points not located in any triangle: ``"zero"``
-        yields 0, ``"clamp"`` evaluates the nearest candidate triangle with
-        clipped barycentric weights, ``"error"`` raises.  The stencil of
-        ``INTERPOLATE_BLOCK`` points is built and applied at a time, which
-        bounds the temporaries; each point's value depends only on that
-        point, so the blocks change no result.
+        Points outside the mesh are evaluated as in :meth:`stencil`.  The
+        stencil of ``INTERPOLATE_BLOCK`` points is built and applied at a
+        time, which bounds the temporaries; each point's value depends only
+        on that point, so the blocks change no result.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         values = np.asarray(values, dtype=float)
         out = np.empty(pts.shape[0])
-        misses = 0
         for start in range(0, pts.shape[0], INTERPOLATE_BLOCK):
             block = slice(start, start + INTERPOLATE_BLOCK)
-            st = self._stencil(pts[block], outside, tol)
-            out[block] = st.apply(values)
-            misses += int(np.count_nonzero(st.zeroed))
-        if misses and outside == "error":
-            raise ValueError(f"{misses} points outside the mesh")
+            out[block] = self.stencil(pts[block]).apply(values)
         return out
 
 
 class Stencil(NamedTuple):
     """P1 interpolation at fixed points: three vertices and their weights
-    per point, ``(n, 3)`` each, and the points outside the mesh that
-    evaluate to +0.0 (all of them unless ``outside="clamp"``)."""
+    per point, ``(n, 3)`` each."""
 
     vertices: np.ndarray
     weights: np.ndarray
-    zeroed: np.ndarray
 
     def apply(self, values) -> np.ndarray:
         """Values at the stencil's points of the per-vertex ``values``."""
         values = np.asarray(values, dtype=float)
-        out = np.einsum("ij,ij->i", self.weights, values[self.vertices])
-        out[self.zeroed] = 0.0  # zero weights would give -0.0 on values < 0
-        return out
+        return np.einsum("ij,ij->i", self.weights, values[self.vertices])
 
 
 def _triangle_edges(vertices, triangles):

@@ -1,14 +1,11 @@
 """Derivative of the first eigenvalue under translations of the inner hole.
 
-Three independent evaluations are provided and cross-checked:
+Three evaluations are provided and cross-checked:
 
 * a boundary integral of the squared normal derivative over the inner circle,
   weighted by the first normal component;
 * the same integral regrouped over the half circle right of ``x1 = s`` by
   pairing each edge with its mirror image: an exact discrete rearrangement;
-* the general Eulerian form for an arbitrary perturbation field, which
-  reduces to the first one for the canonical translation field and also
-  covers dilations;
 * central finite differences of the eigenvalue in the offset.
 
 The outward normal of the annulus is used everywhere; on the inner circle it
@@ -21,11 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import GradientField, recover_gradient
+from .checks import EXCLUSION, recover_gradient
+from .eigensolver import TOL
 from .fem import Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution
 from .spectral import discretize, solve_eigenproblem
+
+# the offset step of the finite-difference derivative
+FD_STEP = 0.05
 
 
 class SymmetryViolationError(RuntimeError):
@@ -129,87 +130,6 @@ def half_boundary_tau_prime(trace: BoundaryTrace, domain: AnnularDomain) -> floa
     return float(np.sum(diff * trace.normals[right, 0] * trace.lengths[right]))
 
 
-@dataclass
-class VectorField:
-    """Perturbation field: vertex vectors plus normal components per edge."""
-
-    vertex_values: np.ndarray  # (nv, 2)
-    inner_vn: np.ndarray  # (n_theta,) V.n at inner edge midpoints
-    outer_vn: np.ndarray  # (n_theta,) V.n at outer edge midpoints
-    mesh: Mesh
-
-
-def _edge_geometry(mesh: Mesh, edges):
-    v0 = mesh.vertices[edges[:, 0]]
-    v1 = mesh.vertices[edges[:, 1]]
-    mid = 0.5 * (v0 + v1)
-    lengths = np.hypot(*(v1 - v0).T)
-    return mid, lengths
-
-
-def translation_field(mesh: Mesh) -> VectorField:
-    """Unit x-translation near the inner circle, vanishing at the outer one.
-
-    The plateau radius keeps the support inside the outer disk, so the
-    perturbed domains are exactly the translated annuli.
-    """
-    d = mesh.domain
-    gap = d.R1 - d.s - d.R0
-    r_in = d.R0 + 0.25 * gap
-    r_out = d.R0 + 0.75 * gap
-    q = mesh.vertices - d.inner_center
-    r = np.hypot(q[:, 0], q[:, 1])
-    t = np.clip((r - r_in) / (r_out - r_in), 0.0, 1.0)
-    rho = 1.0 - t * t * (3.0 - 2.0 * t)  # smoothstep plateau
-    vertex = np.zeros_like(mesh.vertices)
-    vertex[:, 0] = rho
-
-    mid, _ = _edge_geometry(mesh, mesh.inner_edges)
-    normals = d.inner_center - mid
-    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    inner_vn = normals[:, 0]
-    outer_vn = np.zeros(mesh.res.n_theta)
-    return VectorField(vertex, inner_vn, outer_vn, mesh)
-
-
-def dilation_field(mesh: Mesh) -> VectorField:
-    """The field V(x) = x; useful as an independent scaling cross-check."""
-    d = mesh.domain
-    mid_i, _ = _edge_geometry(mesh, mesh.inner_edges)
-    normals = d.inner_center - mid_i
-    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    inner_vn = np.einsum("ij,ij->i", mid_i, normals)
-    mid_o, _ = _edge_geometry(mesh, mesh.outer_edges)
-    outer_vn = np.hypot(mid_o[:, 0], mid_o[:, 1])  # x . x/|x|
-    return VectorField(mesh.vertices.copy(), inner_vn, outer_vn, mesh)
-
-
-def eulerian_derivative(
-    u: Field, tau: float, V: VectorField, kind: ProblemKind = ProblemKind.ND
-) -> float:
-    """General first-variation formula for the eigenvalue.
-
-    ``integral over the outer circle of (|grad u|^2 - tau u^2)(V.n)`` minus
-    ``integral over the inner circle of (du/dn)^2 (V.n)``; outer gradients
-    use the recovered vertex gradient averaged to edge midpoints, inner ones
-    the one-sided trace.
-    """
-    if kind is not ProblemKind.ND:
-        raise ValueError("the Eulerian formula is set up for kind 'nd'")
-    mesh = u.mesh
-    trace = dirichlet_normal_derivative(u, kind)
-    inner = -float(np.sum(trace.dudn**2 * V.inner_vn * trace.lengths))
-
-    grad = recover_gradient(u).values
-    e = mesh.outer_edges
-    gmid = 0.5 * (grad[e[:, 0]] + grad[e[:, 1]])
-    umid = 0.5 * (u.values[e[:, 0]] + u.values[e[:, 1]])
-    _, lengths = _edge_geometry(mesh, e)
-    dens = np.einsum("ij,ij->i", gmid, gmid) - tau * umid**2
-    outer = float(np.sum(dens * V.outer_vn * lengths))
-    return outer + inner
-
-
 def max_fd_step(domain: AnnularDomain) -> float:
     """Largest offset step of :func:`offset_difference` at ``domain``.
 
@@ -242,7 +162,7 @@ def finite_difference_tau_prime(
     h: float,
     res: Resolution,
     kind: ProblemKind = ProblemKind.ND,
-    tol: float = 1e-9,
+    tol: float = TOL,
 ) -> float:
     """:func:`offset_difference` of the eigenvalue in the offset.
 
@@ -257,23 +177,20 @@ def finite_difference_tau_prime(
     return offset_difference(tau_at, domain, h)
 
 
-def reflected_neumann_margin(
-    u: Field, grad: GradientField | None = None, exclusion: float | None = None
-):
+def reflected_neumann_margin(u: Field, exclusion: float | None = None):
     """Worst value of the reflected normal-derivative proxy on the outer circle.
 
     For an outer vertex ``x`` with ``x1 > s`` the composition of ``u`` with
     the reflection across ``x1 = s`` has outward normal derivative
     ``grad u(sigma x) . ((-x1, x2)/R1)``; it is positive away from the two
-    points where the outer circle meets the reflection line.  Returns
+    points where the outer circle meets the reflection line, which are
+    skipped within ``exclusion`` (default ``EXCLUSION R1``).  Returns
     ``(min proxy, number of tested vertices)``.
     """
     mesh = u.mesh
     d = mesh.domain
     if exclusion is None:
-        exclusion = 0.05 * d.R1
-    if grad is None:
-        grad = recover_gradient(u)
+        exclusion = EXCLUSION * d.R1
     corners_y = np.sqrt(max(d.R1**2 - d.s**2, 0.0))
     outer = mesh.vertices[mesh.lattice[:, mesh.res.n_rad]]
     sel = outer[:, 0] > d.s
@@ -281,6 +198,6 @@ def reflected_neumann_margin(
         sel &= np.hypot(outer[:, 0] - d.s, outer[:, 1] - cy) > exclusion
     pts = outer[sel]
     refl = np.stack([2.0 * d.s - pts[:, 0], pts[:, 1]], axis=1)
-    gref = grad.at(refl, outside="clamp")
+    gref = recover_gradient(u).at(refl)
     proxy = (gref[:, 0] * (-pts[:, 0]) + gref[:, 1] * pts[:, 1]) / d.R1
     return float(proxy.min()), int(sel.sum())

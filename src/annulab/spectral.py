@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eigensolver import EigenPair, smallest_eigenpair
+from .eigensolver import TOL, EigenPair, smallest_eigenpair
 from .fem import Discretization, Field, ProblemKind
 from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution, build_mesh
@@ -36,7 +36,7 @@ def discretize(domain: AnnularDomain, res: Resolution) -> Discretization:
 
 
 def solve_eigenproblem(
-    disc: Discretization, kind: ProblemKind = ProblemKind.ND, tol: float = 1e-9
+    disc: Discretization, kind: ProblemKind = ProblemKind.ND, tol: float = TOL
 ) -> EigenSolution:
     """First eigenpair of the Laplacian on ``disc`` for the given kind."""
     system = disc.system(kind)

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import geometry_reports
+from .eigensolver import TOL
 from .export import svg_line_chart, write_csv
 from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
 from .mesh import Resolution
 from .shape import (
+    FD_STEP,
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
@@ -30,6 +32,7 @@ from .shape import (
     max_fd_step,
 )
 from .spectral import discretize, solve_eigenproblem
+from .symmetrize import WORKERS
 from .torsion import rigidity_derivative, solve_torsion
 
 log = logging.getLogger(__name__)
@@ -38,6 +41,11 @@ SWEEP_COLUMNS = (
     "s", "tau1", "lambda1", "nu1", "T",
     "dtau_hadamard", "dtau_half", "dtau_fd", "dT_boundary", "checks_pass",
 )
+
+# sweep points per radius ratio of the outer-Dirichlet family analysis
+S_POINTS = 12
+# target width of the critical-ratio bracket
+BRACKET_WIDTH = 0.05
 
 
 @dataclass
@@ -104,9 +112,9 @@ def sweep_translation(
     R1: float,
     s_grid,
     resolution: Resolution = Resolution(),
-    fd_step: float = 0.05,
-    tol: float = 1e-9,
-    threads: int = 1,
+    fd_step: float = FD_STEP,
+    tol: float = TOL,
+    threads: int = WORKERS,
     keep_fields: bool = False,
     exclusion: float | None = None,
 ) -> list[SweepRecord]:
@@ -217,9 +225,9 @@ def _golden_minimize(f, a, b, tol):
 def analyze_dn_ratio(
     R1: float,
     ratio: float,
-    s_points: int = 12,
+    s_points: int = S_POINTS,
     resolution: Resolution = Resolution(),
-    tol: float = 1e-9,
+    tol: float = TOL,
 ) -> DNAnalysis:
     """Classify nu1(s) for ``R0 = ratio R1`` on a uniform interior grid.
 
@@ -257,24 +265,14 @@ def analyze_dn_ratio(
     return DNAnalysis(ratio, "interior_minimum", float(s0), grid, nu)
 
 
-def analyze_dn_family(
-    R1: float,
-    ratios,
-    s_points: int = 12,
-    resolution: Resolution = Resolution(),
-    tol: float = 1e-9,
-) -> list[DNAnalysis]:
-    return [analyze_dn_ratio(R1, r, s_points, resolution, tol) for r in ratios]
-
-
 def bracket_critical_ratio(
     R1: float,
     lo: float,
     hi: float,
-    width: float = 0.05,
-    s_points: int = 12,
+    width: float = BRACKET_WIDTH,
+    s_points: int = S_POINTS,
     resolution: Resolution = Resolution(),
-    tol: float = 1e-9,
+    tol: float = TOL,
 ):
     """Bisect the ratio axis for the crossover between the two behaviors.
 
@@ -324,7 +322,7 @@ def convergence_study(
     kind: ProblemKind,
     base: Resolution,
     levels: int = 3,
-    tol: float = 1e-10,
+    tol: float = TOL,
     reference: float | None = None,
 ) -> list[ConvergenceRow]:
     """Eigenvalue at dyadic refinements of ``base`` with observed orders.

@@ -31,8 +31,12 @@ from .geometry import Polarizer
 BALL = "ball"
 CONCENTRIC = "concentric"
 
-# threads of the polarization scan, and the CLI's default sweep pool size
+# threads of the polarization scan, and the default sweep pool size
 WORKERS = os.cpu_count() or 1
+
+# default ring sampling of the rearrangement checks: samples per ring, rings
+RING_SAMPLES = 256
+RINGS = 64
 
 
 class AlignmentError(ValueError):
@@ -80,7 +84,7 @@ class RingSampling:
 
 
 def sample_rings(
-    u: Field, m: int = 256, n_rings: int = 64, center: str = "origin"
+    u: Field, m: int = RING_SAMPLES, n_rings: int = RINGS, center: str = "origin"
 ) -> RingSampling:
     """Sample the zero extension of ``u`` on ``n_rings`` concentric circles.
 
@@ -115,7 +119,7 @@ def sample_rings(
     vals = np.zeros(pts.shape[0])
     live = ~zero
     if np.any(live):
-        vals[live] = mesh.interpolate(u.values, pts[live], outside="clamp")
+        vals[live] = mesh.interpolate(u.values, pts[live])
     rs.values = vals.reshape(n_rings, m)
     return rs
 

@@ -180,8 +180,7 @@ def test_gradient_at_matches_interpolating_each_component(nd_s2_128):
     grad = recover_gradient(nd_s2_128.u)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-5.5, 5.5, (3000, 2))
-    for outside in ("clamp", "zero"):
-        got = grad.at(pts, outside=outside)
-        for k in (0, 1):
-            want = grad.mesh.interpolate(grad.values[:, k], pts, outside=outside)
-            assert got[:, k].tobytes() == want.tobytes()
+    got = grad.at(pts)
+    for k in (0, 1):
+        want = grad.mesh.interpolate(grad.values[:, k], pts)
+        assert got[:, k].tobytes() == want.tobytes()

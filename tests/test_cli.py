@@ -1,12 +1,23 @@
+import inspect
 import json
 import re
 
 import pytest
 
+from annulab.checks import geometry_report
 from annulab.cli import build_parser, main
 from annulab.fem import ProblemKind
 from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_eigenvalue
+from annulab.shape import finite_difference_tau_prime
+from annulab.spectral import solve_eigenproblem
+from annulab.sweep import (
+    analyze_dn_ratio,
+    bracket_critical_ratio,
+    convergence_study,
+    sweep_translation,
+)
+from annulab.symmetrize import sample_rings
 
 FAST = ["--n-theta", "32", "--n-rad", "6"]
 
@@ -84,6 +95,40 @@ def test_resolution_flag_defaults(command):
     assert (args.n_theta, args.n_rad, args.grading) == (
         res.n_theta, res.n_rad, res.grading
     )
+
+
+def default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (subcommand, flag dest, library functions taking that default, parameter)
+SHARED_DEFAULTS = [
+    ("solve", "tol", solve_eigenproblem, "tol"),
+    ("symmetry-check", "tol", solve_eigenproblem, "tol"),
+    ("shape-derivative", "tol", finite_difference_tau_prime, "tol"),
+    ("shape-derivative", "fd_step", sweep_translation, "fd_step"),
+    ("sweep", "tol", sweep_translation, "tol"),
+    ("sweep", "fd_step", sweep_translation, "fd_step"),
+    ("sweep", "threads", sweep_translation, "threads"),
+    ("dn-analyze", "tol", analyze_dn_ratio, "tol"),
+    ("dn-analyze", "tol", bracket_critical_ratio, "tol"),
+    ("dn-analyze", "s_points", analyze_dn_ratio, "s_points"),
+    ("dn-analyze", "s_points", bracket_critical_ratio, "s_points"),
+    ("dn-analyze", "bracket_width", bracket_critical_ratio, "width"),
+    ("converge", "tol", convergence_study, "tol"),
+    ("symmetry-check", "exclusion", geometry_report, "exclusion"),
+    ("symmetry-check", "rings", sample_rings, "n_rings"),
+    ("symmetry-check", "ring_samples", sample_rings, "m"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, dest, fn, param", SHARED_DEFAULTS,
+    ids=[f"{c}-{d}-{f.__name__}" for c, d, f, _ in SHARED_DEFAULTS],
+)
+def test_cli_defaults_match_the_library(command, dest, fn, param):
+    args = build_parser().parse_args([command])
+    assert getattr(args, dest) == default(fn, param)
 
 
 def test_unusable_out_dir_exit_code(tmp_path, capsys):
@@ -215,6 +260,17 @@ def test_config_file_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert (tmp_path / "eig_nd_s0.4.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("n_theta", 64.0), ("n_rad", 8.0)])
+def test_config_non_integer_resolution_exit_code(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _, err = run(
+        ["--config", str(cfg), "solve", "--out-dir", str(tmp_path)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error:") and key in err
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -49,6 +49,19 @@ def test_ray_exit_bounds_and_symmetry():
     assert np.allclose(d.ray_exit_distance(phi), d.ray_exit_distance(-phi), atol=1e-14)
 
 
+@pytest.mark.parametrize("s", [0.0, 2.0, 3.99])
+def test_ray_exit_distance_is_the_direction_formula_bitwise(s):
+    d = AnnularDomain(1.0, 5.0, s)
+    phi = np.linspace(-math.pi, 3 * math.pi, 1001)
+    c, sn = np.cos(phi), np.sin(phi)
+    want = -s * c + np.sqrt(d.R1**2 - (s * sn) ** 2)
+    got = d.ray_exit_distance(phi)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == d.exit_distance_from_direction(c, sn).tobytes()
+    one = d.ray_exit_distance(phi[7])
+    assert type(one) is float and one == want[7]
+
+
 def test_ray_containment_interval():
     # points on a ray are inside exactly for R0 < t < exit distance
     d = AnnularDomain(1.0, 5.0, 2.0)

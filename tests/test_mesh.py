@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from annulab import mesh as mesh_module
 from annulab.export import write_field
 from annulab.fem import Field
 from annulab.geometry import AnnularDomain
@@ -129,14 +128,12 @@ def test_interpolate_linear_exact():
 
 
 def test_interpolate_outside_policies():
+    # a point outside the mesh takes its best candidate's clamped weights
     d = AnnularDomain(1.0, 5.0, 2.0)
     m = build_mesh(d, Resolution(32, 6, 1.0))
     vals = np.ones(m.num_vertices)
     hole_pt = np.array([[2.0, 0.0]])
-    assert m.interpolate(vals, hole_pt, outside="zero")[0] == 0.0
-    assert m.interpolate(vals, hole_pt, outside="clamp")[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        m.interpolate(vals, hole_pt, outside="error")
+    assert m.interpolate(vals, hole_pt)[0] == pytest.approx(1.0)
 
 
 def reference_bary(mesh, tids, pts):
@@ -238,49 +235,30 @@ def test_interpolate_blocks_match_single_points():
     rng = np.random.default_rng(3)
     # inside, in the hole and beyond the outer circle
     pts = rng.uniform(-5.5, 5.5, (INTERPOLATE_BLOCK + 1, 2))
-    got = m.interpolate(vals, pts, outside="clamp")
-    assert same_bits(got[-1:], m.interpolate(vals, pts[-1:], outside="clamp"))
+    got = m.interpolate(vals, pts)
+    assert same_bits(got[-1:], m.interpolate(vals, pts[-1:]))
     # one point at a time, on a seeded subset of the first block
     for i in rng.choice(INTERPOLATE_BLOCK, 400, replace=False):
-        assert same_bits(got[i : i + 1], m.interpolate(vals, pts[i], outside="clamp"))
-    zero = m.interpolate(vals, pts, outside="zero")
-    miss = m.locate(pts)[0] < 0
-    assert np.all(zero[miss] == 0.0)
-    assert same_bits(zero[~miss], got[~miss])
+        assert same_bits(got[i : i + 1], m.interpolate(vals, pts[i]))
 
 
-@pytest.mark.parametrize("outside", ["clamp", "zero", "error"])
-def test_stencil_matches_interpolate_across_a_block_boundary(outside):
+@pytest.mark.parametrize("points", ["inside", "clamp"])
+def test_stencil_matches_interpolate_across_a_block_boundary(points):
     m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.5))
-    # negative values, so that a sum of zero-weighted products could be -0.0
     vals = np.sin(m.vertices[:, 0]) * np.cos(0.3 * m.vertices[:, 1]) - 0.5
     rng = np.random.default_rng(11)
+    # inside, in the hole and beyond the outer circle
     pts = rng.uniform(-5.5, 5.5, (2 * INTERPOLATE_BLOCK, 2))
-    if outside == "error":
+    if points == "inside":
         pts = pts[m.locate(pts)[0] >= 0]
     assert pts.shape[0] > INTERPOLATE_BLOCK
-    st = m.stencil(pts, outside=outside)
-    got = st.apply(vals)
-    want = m.interpolate(vals, pts, outside=outside)
-    assert same_bits(got, want)
     miss = m.locate(pts)[0] < 0
-    assert np.any(miss) == (outside != "error")
-    if outside == "zero":
-        assert np.array_equal(st.zeroed, miss)
-        assert np.all(st.weights[miss] == 0.0)
-        assert np.all(got[miss] == 0.0) and not np.any(np.signbit(got[miss]))
-    else:
-        assert not np.any(st.zeroed)
-
-
-def test_stencil_error_counts_misses_over_all_blocks(monkeypatch):
-    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.0))
-    inside = np.array([[-3.0, 0.5]])
-    hole = np.array([[2.0, 0.0]])
-    pts = np.concatenate([inside, hole, inside, hole, hole, inside, inside])
-    monkeypatch.setattr(mesh_module, "INTERPOLATE_BLOCK", 2)
-    with pytest.raises(ValueError, match="^3 points outside the mesh$"):
-        m.stencil(pts, outside="error")
+    assert np.any(miss) == (points == "clamp")
+    st = m.stencil(pts)
+    assert same_bits(st.apply(vals), m.interpolate(vals, pts))
+    # the clamped weights of the points outside are a convex combination
+    assert np.all(st.weights[miss] >= 0.0)
+    assert np.allclose(st.weights[miss].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 def old_signed_areas(vertices, triangles):
@@ -296,19 +274,6 @@ def test_areas_match_the_edge_vector_formula_bitwise(s):
     for res in (Resolution(128, 32, 1.5), Resolution(50, 8, 0.7)):
         m = build_mesh(AnnularDomain(1.0, 5.0, s), res)
         assert same_bits(m.areas, old_signed_areas(m.vertices, m.triangles))
-
-
-def test_interpolate_error_counts_misses_over_all_blocks(monkeypatch):
-    m = build_mesh(AnnularDomain(1.0, 5.0, 2.0), Resolution(32, 6, 1.0))
-    vals = np.ones(m.num_vertices)
-    inside = np.array([[-3.0, 0.5]])
-    hole = np.array([[2.0, 0.0]])
-    pts = np.concatenate([inside, hole, inside, hole, hole, inside, inside])
-    monkeypatch.setattr(mesh_module, "INTERPOLATE_BLOCK", 2)
-    with pytest.raises(ValueError, match="^3 points outside the mesh$"):
-        m.interpolate(vals, pts, outside="error")
-    assert np.array_equal(m.interpolate(vals, pts, outside="zero"),
-                          [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def test_deterministic_build():

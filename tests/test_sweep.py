@@ -59,7 +59,8 @@ def test_sweep_threading_matches_serial():
     grid = [0.0, 0.5, 1.5]
     threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
                                  threads=2)
-    serial = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5))
+    serial = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
+                               threads=1)
     assert len(threaded) == len(serial) == len(grid)
     for a, b in zip(serial, threaded):
         for f in dataclasses.fields(a):
