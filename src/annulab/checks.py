@@ -206,15 +206,11 @@ def _frame(mesh: Mesh, exclusion: float) -> _Frame:
         tested.append(idx[ok_ref])
         reflected.append(refl[ok_ref])
 
-    # the cells at the lattice vertex (-R1, 0) lie in the two outermost
-    # quads on either side of its ray
+    # the cells at the lattice vertex (-R1, 0)
     cell_size = float("nan")
     if d.s != 0.0:
-        half, n_rad = mesh.res.n_theta // 2, mesh.res.n_rad
-        ref_vertex = mesh.vertex_index(half, n_rad)
-        quads = np.array([(half - 1) * n_rad, half * n_rad]) + (n_rad - 1)
-        cand = (2 * quads[:, None] + np.arange(2)).ravel()
-        adj = cand[np.any(mesh.triangles[cand] == ref_vertex, axis=1)]
+        ref_vertex = mesh.vertex_index(mesh.res.n_theta // 2, mesh.res.n_rad)
+        adj = np.flatnonzero((mesh.triangles == ref_vertex).any(axis=1))
         pts = v[mesh.triangles[adj]]
         cell_size = float(
             max(

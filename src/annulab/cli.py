@@ -270,7 +270,7 @@ def cmd_shape_derivative(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
     res = _resolution(args)
     sol = solve_eigenproblem(discretize(d, res), ProblemKind.ND, args.tol)
-    trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(sol.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
     fd = finite_difference_tau_prime(d, args.fd_step, res, tol=args.tol)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import BandCholesky, SymmetricBand, factorize
-from .mesh import Mesh
+from .mesh import Mesh, p1_coefficients
 
 
 class ProblemKind(enum.Enum):
@@ -71,28 +71,16 @@ class Field:
             raise ValueError("field contains non-finite entries")
 
 
-def _p1_geometry(coords: np.ndarray):
-    """Shape-function data for (nt, 3, 2) triangle coordinates."""
-    x = coords[..., 0]
-    y = coords[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    return b, c, 0.5 * area2
-
-
 def p1_gradient(u: Field, tids=slice(None)):
     """Constant P1 gradient of ``u`` on the triangles ``tids``.
 
     Returns ``(gx, gy, area)``; the gradient is ``sum_k u_k (b_k, c_k) /
-    (2 area)`` with the shape-function coefficients of the assembly, and
-    ``area`` equals ``mesh.areas`` bit for bit.
+    (2 area)`` with the coefficients of :func:`~annulab.mesh.p1_coefficients`,
+    and ``area`` equals ``mesh.areas`` bit for bit.
     """
     mesh = u.mesh
     tri = mesh.triangles[tids]
-    b, c, area = _p1_geometry(mesh.vertices[tri])
+    b, c, area = p1_coefficients(np.take(mesh.vertices, tri, axis=0))
     uv = u.values[tri]
     gx = np.einsum("ij,ij->i", uv, b) / (2.0 * area)
     gy = np.einsum("ij,ij->i", uv, c) / (2.0 * area)
@@ -104,7 +92,7 @@ MASS_BLOCK = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 def p1_local_stiffness(coords: np.ndarray) -> np.ndarray:
     """Per-triangle stiffness blocks for (nt, 3, 2) coordinates."""
-    b, c, area = _p1_geometry(coords)
+    b, c, area = p1_coefficients(coords)
     q = 4.0 * area
     ke = np.empty((coords.shape[0], 3, 3))
     for i in range(3):
@@ -256,7 +244,7 @@ class Discretization:
         """Mirror-folded stiffness of K_ij = integral grad phi_i . grad phi_j,
         over every vertex orbit."""
         mesh = self.mesh
-        local = p1_local_stiffness(mesh.vertices[mesh.triangles])
+        local = p1_local_stiffness(np.take(mesh.vertices, mesh.triangles, axis=0))
         return self._fold(lambda a, b: local[:, a, b])
 
     def assemble_mass(self) -> SymmetricBand:

@@ -48,15 +48,14 @@ class BoundaryTrace:
     mesh: Mesh
 
 
-def dirichlet_normal_derivative(u: Field, kind: ProblemKind) -> BoundaryTrace:
+def dirichlet_normal_derivative(u: Field) -> BoundaryTrace:
     """One-sided normal derivative of ``u`` on the inner circle.
 
-    Each inner boundary edge has a unique adjacent triangle whose constant
-    P1 gradient is already normal to the edge (the trace vanishes on it), so
-    dotting with the outward normal loses nothing.
+    Each inner boundary edge has a unique adjacent triangle,
+    ``mesh.inner_triangles``, whose constant P1 gradient is already normal
+    to the edge (``u`` must vanish on the circle), so dotting with the
+    outward normal loses nothing.
     """
-    if kind is ProblemKind.DN:
-        raise ValueError("the inner circle is not Dirichlet for kind 'dn'")
     mesh = u.mesh
     d = mesh.domain
     vals = u.values
@@ -65,24 +64,7 @@ def dirichlet_normal_derivative(u: Field, kind: ProblemKind) -> BoundaryTrace:
         raise ValueError("field does not vanish on the inner circle")
 
     edges = mesh.inner_edges  # (n_theta, 2), ccw
-    # the inner edge belongs to exactly one of its quad's two triangles,
-    # depending on the diagonal choice
-    quads = np.arange(mesh.res.n_theta) * mesh.res.n_rad
-    cand0 = mesh.triangles[2 * quads]
-    cand1 = mesh.triangles[2 * quads + 1]
-
-    def has_edge(tri):
-        a = (tri == edges[:, 0:1]).any(axis=1)
-        b = (tri == edges[:, 1:2]).any(axis=1)
-        return a & b
-
-    use0 = has_edge(cand0)
-    use1 = has_edge(cand1)
-    if not np.all(use0 | use1):
-        raise RuntimeError("inner edge without adjacent triangle")
-    tids = np.where(use0, 2 * quads, 2 * quads + 1)
-
-    gx, gy, _ = p1_gradient(u, tids)
+    gx, gy, _ = p1_gradient(u, mesh.inner_triangles)
 
     v0 = mesh.vertices[edges[:, 0]]
     v1 = mesh.vertices[edges[:, 1]]

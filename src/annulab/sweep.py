@@ -86,12 +86,12 @@ def _solve_record(
     # finite-difference re-solves and the geometry reports
     del disc
 
-    trace = dirichlet_normal_derivative(nd.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(nd.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
     h = min(fd_step, max_fd_step(d))
     fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol)
-    dT = rigidity_derivative(dirichlet_normal_derivative(tor.v, ProblemKind.ND))
+    dT = rigidity_derivative(dirichlet_normal_derivative(tor.v))
 
     # the reflected points are located once for both reports
     rep_u, rep_v = geometry_reports([nd.u, tor.v], exclusion)

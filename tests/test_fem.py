@@ -6,8 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from annulab.geometry import AnnularDomain
-from annulab import fem
-from annulab.mesh import Resolution, build_mesh
+from annulab.mesh import Resolution, build_mesh, p1_coefficients
 from annulab.fem import (
     Discretization,
     Field,
@@ -332,7 +331,7 @@ def reference_transpose_average(a):
 
 
 def reference_local_stiffness(coords):
-    b, c, area = fem._p1_geometry(coords)
+    b, c, area = p1_coefficients(coords)
     return (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
         4.0 * area
     )[:, None, None]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from annulab.export import write_field
-from annulab.fem import Field
+from annulab.fem import Field, p1_gradient
 from annulab.geometry import AnnularDomain
 from annulab.mesh import INTERPOLATE_BLOCK, Resolution, build_mesh
 
@@ -33,15 +33,16 @@ def test_boundary_tags():
     d = AnnularDomain(1.0, 5.0, 2.0)
     m = build_mesh(d, Resolution(32, 4, 1.0))
     assert m.inner_edges.shape == (32, 2)
-    assert m.outer_edges.shape == (32, 2)
     for v0, v1 in m.inner_edges:
         for v in (v0, v1):
             p = m.vertices[v]
             assert math.hypot(p[0] - 2.0, p[1]) == pytest.approx(1.0, abs=1e-12)
-    for v0, v1 in m.outer_edges:
-        for v in (v0, v1):
-            p = m.vertices[v]
-            assert math.hypot(p[0], p[1]) == pytest.approx(5.0, abs=1e-12)
+    # each inner edge lies in its recorded triangle
+    tri = m.triangles[m.inner_triangles]
+    assert np.all((tri[:, :, None] == m.inner_edges[:, None, :]).any(axis=1))
+    for v in m.lattice[:, 4]:
+        p = m.vertices[v]
+        assert math.hypot(p[0], p[1]) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_vertices_in_closure_and_layer_radii():
@@ -269,11 +270,40 @@ def old_signed_areas(vertices, triangles):
     return 0.5 * (e0[:, 0] * (-e2[:, 1]) - e0[:, 1] * (-e2[:, 0]))
 
 
+def old_quad_table(vertices, triangles):
+    """Corner ``a``, edges ``v0 = b - a``, ``v1 = c - a`` and ``den = v0 x v1``
+    of every triangle, laid out as ``Mesh._quad_table``."""
+    p = vertices[triangles]
+    a, v0, v1 = p[:, 0], p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
+    rows = np.stack((a[:, 0], a[:, 1], v0[:, 0], v0[:, 1], v1[:, 0], v1[:, 1], den))
+    return rows.reshape(7, -1, 2).transpose(0, 2, 1)
+
+
+def old_max_angle_deg(vertices, triangles):
+    """The largest angle by the law of cosines on the three edge vectors."""
+    p = vertices[triangles]
+    edges = p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]
+    sq = np.stack([np.einsum("ij,ij->i", e, e) for e in edges], axis=1)
+    adj1 = sq[:, [1, 2, 0]]
+    adj2 = sq[:, [2, 0, 1]]
+    cosines = (adj1 + adj2 - sq) / (2.0 * np.sqrt(adj1 * adj2))
+    return math.degrees(math.acos(max(float(cosines.min()), -1.0)))
+
+
 @pytest.mark.parametrize("s", [0.0, 2.0, 3.9])
 def test_areas_match_the_edge_vector_formula_bitwise(s):
+    # every figure formed from the one triangle kernel, against its own
+    # textbook formula
     for res in (Resolution(128, 32, 1.5), Resolution(50, 8, 0.7)):
         m = build_mesh(AnnularDomain(1.0, 5.0, s), res)
-        assert same_bits(m.areas, old_signed_areas(m.vertices, m.triangles))
+        want = old_signed_areas(m.vertices, m.triangles)
+        assert same_bits(m.areas, want)
+        assert same_bits(p1_gradient(Field(m.vertices[:, 0], m))[2], want)
+        table = old_quad_table(m.vertices, m.triangles)
+        for got, row in zip(m._quad_table, table):
+            assert same_bits(got, np.ascontiguousarray(row))
+        assert m.max_angle_deg == old_max_angle_deg(m.vertices, m.triangles)
 
 
 def test_deterministic_build():

@@ -20,7 +20,7 @@ def test_trace_unit_ramp():
     d = AnnularDomain(1.0, 5.0, 2.0)
     mesh = build_mesh(d, Resolution(128, 32, 1.5))
     ramp = np.hypot(mesh.vertices[:, 0] - d.s, mesh.vertices[:, 1]) - d.R0
-    trace = dirichlet_normal_derivative(Field(ramp, mesh), ProblemKind.ND)
+    trace = dirichlet_normal_derivative(Field(ramp, mesh))
     # outward normal points toward the inner center, the ramp grows away
     assert np.allclose(trace.dudn, -1.0, atol=2e-2)
     assert np.allclose(np.hypot(*trace.normals.T), 1.0, atol=1e-14)
@@ -33,28 +33,34 @@ def test_trace_requires_vanishing_values():
     d = AnnularDomain(1.0, 5.0, 2.0)
     mesh = build_mesh(d, Resolution(32, 8, 1.0))
     with pytest.raises(ValueError):
-        dirichlet_normal_derivative(Field(np.ones(mesh.num_vertices), mesh), ProblemKind.ND)
-    with pytest.raises(ValueError):
-        dirichlet_normal_derivative(Field(np.zeros(mesh.num_vertices), mesh), ProblemKind.DN)
+        dirichlet_normal_derivative(Field(np.ones(mesh.num_vertices), mesh))
+    # a dn eigenfunction is pinned on the outer circle, not the inner one
+    dn = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.5)), ProblemKind.DN)
+    with pytest.raises(ValueError, match="does not vanish on the inner circle"):
+        dirichlet_normal_derivative(dn.u)
 
 
 def test_trace_concentric_constant_and_negative():
     d = AnnularDomain(1.0, 2.0, 0.0)
     sol = solve_eigenproblem(discretize(d, Resolution(128, 32, 1.5)), ProblemKind.ND)
-    trace = dirichlet_normal_derivative(sol.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(sol.u)
     assert np.all(trace.dudn < 0.0)
     spread = trace.dudn.max() - trace.dudn.min()
     assert spread <= 5e-3 * np.abs(trace.dudn).max()
 
 
 def test_trace_negative_eccentric(nd_s2_128):
-    trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(nd_s2_128.u)
     assert np.all(trace.dudn < 0.0)
 
 
-def test_half_boundary_equals_full(nd_s2_128):
-    d = nd_s2_128.mesh.domain
-    trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
+@pytest.mark.parametrize("s", [2.0, 3.9])
+@pytest.mark.parametrize("n_theta, n_rad", [(128, 32), (66, 16), (130, 32)])
+def test_half_boundary_equals_full(n_theta, n_rad, s):
+    # for n_theta = 2 mod 4 two inner edges cross x1 = s and pair with themselves
+    d = AnnularDomain(1.0, 5.0, s)
+    sol = solve_eigenproblem(discretize(d, Resolution(n_theta, n_rad, 1.5)), ProblemKind.ND)
+    trace = dirichlet_normal_derivative(sol.u)
     had = hadamard_tau_prime(trace)
     half = half_boundary_tau_prime(trace, d)
     scale = float(np.sum(trace.dudn**2 * np.abs(trace.normals[:, 0]) * trace.lengths))
@@ -64,7 +70,7 @@ def test_half_boundary_equals_full(nd_s2_128):
 def test_paired_trace_ordering(nd_s2_128):
     # the mirror partner left of the line x1 = s carries the larger slope
     d = nd_s2_128.mesh.domain
-    trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(nd_s2_128.u)
     n = nd_s2_128.mesh.res.n_theta
     mirror = (n // 2 - 1 - np.arange(n)) % n
     right = trace.midpoints[:, 0] > d.s
@@ -75,7 +81,7 @@ def test_paired_trace_ordering(nd_s2_128):
 
 def test_derivative_negative_and_fd_agreement(nd_s2_128):
     d = nd_s2_128.mesh.domain
-    trace = dirichlet_normal_derivative(nd_s2_128.u, ProblemKind.ND)
+    trace = dirichlet_normal_derivative(nd_s2_128.u)
     had = hadamard_tau_prime(trace)
     assert had < 0.0
     fd = finite_difference_tau_prime(d, 0.05, QUICK)

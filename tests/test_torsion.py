@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from annulab.checks import geometry_report
-from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution
 from annulab.radial_oracle import concentric_torsion
@@ -58,16 +57,16 @@ def test_geometry_checks_for_torsion(torsion_s2_128):
 
 
 def test_rigidity_derivative_signs(concentric12, torsion_s2_128):
-    d_conc = rigidity_derivative(dirichlet_normal_derivative(concentric12.v, ProblemKind.ND))
+    d_conc = rigidity_derivative(dirichlet_normal_derivative(concentric12.v))
     _, t0 = torsional_rigidity(concentric12.v)
     assert abs(d_conc) <= 1e-3 * t0 / 2.0
-    d_ecc = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v, ProblemKind.ND))
+    d_ecc = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v))
     assert d_ecc > 0.0
 
 
 def test_rigidity_derivative_fd_agreement(torsion_s2_128):
     d = torsion_s2_128.mesh.domain
-    boundary = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v, ProblemKind.ND))
+    boundary = rigidity_derivative(dirichlet_normal_derivative(torsion_s2_128.v))
     fd = finite_difference_rigidity_prime(d, 0.05, QUICK)
     assert boundary == pytest.approx(fd, rel=0.05)
 
