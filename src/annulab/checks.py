@@ -255,6 +255,8 @@ def geometry_reports(
         raise ValueError("the fields lie on different meshes")
     if exclusion is None:
         exclusion = EXCLUSION * mesh.domain.R1
+    if not 0.0 <= exclusion < np.inf:
+        raise ValueError(f"exclusion must be finite and >= 0, got {exclusion}")
     frame = _frame(mesh, exclusion)
     return [_report(u, frame) for u in fields]
 
@@ -278,12 +280,15 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
     checks: dict[str, CheckResult] = {}
     counts: dict[str, int] = {}
 
-    def record(name, mask, values, sense, detail=""):
+    def no_test_points(name):
+        checks[name] = CheckResult(name, float("nan"), (0.0, 0.0), True,
+                                   "no test points")
+        counts[name] = 0
+
+    def record(name, mask, values, sense, detail="", points=v):
         idx = np.nonzero(mask)[0]
         if idx.size == 0:
-            checks[name] = CheckResult(name, float("nan"), (0.0, 0.0), True,
-                                       "no test points")
-            counts[name] = 0
+            no_test_points(name)
             return
         vals = values[idx]
         if sense == "min>0":
@@ -295,7 +300,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
             ok = bool(vals[wpos] < 0.0)
             nviol = int((vals >= 0.0).sum())
         checks[name] = CheckResult(
-            name, float(vals[wpos]), _upper_twin(v[idx[wpos]]), ok, detail
+            name, float(vals[wpos]), _upper_twin(points[idx[wpos]]), ok, detail
         )
         counts[name] = nviol
 
@@ -324,14 +329,8 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         )
         counts["outer_axial"] = 0 if ok else 1
     else:
-        idx = np.nonzero(ring_mask)[0]
-        wpos = int(np.argmax(d1[idx]))
-        worst = float(d1[idx[wpos]])
-        checks["outer_axial"] = CheckResult(
-            "outer_axial", worst, _upper_twin(ring_pts[idx[wpos]]),
-            bool(worst < 0.0), "max of du/dx1 on the outer circle",
-        )
-        counts["outer_axial"] = int((d1[idx] >= 0.0).sum())
+        record("outer_axial", ring_mask, d1, "max<0",
+               "max of du/dx1 on the outer circle", ring_pts)
 
     # (d) tangential derivative sign: grad u . eta and eta . e1 have opposite
     # signs for the tangential direction eta = (-x2, x1)/|x|
@@ -341,7 +340,9 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
     eta = np.stack([-v[idx, 1], v[idx, 0]], axis=1) / rr[:, None]
     tang = np.einsum("ij,ij->i", g[idx], eta)
     prod = tang * v[idx, 1]  # requirement: positive (sign(tang) = sign(x2))
-    if degenerate:
+    if idx.size == 0:
+        no_test_points("tangential_sign")
+    elif degenerate:
         ok = bool(spread <= RADIAL_SPREAD_RTOL)
         wpos = int(np.argmax(np.abs(tang)))
         checks["tangential_sign"] = CheckResult(
@@ -384,11 +385,14 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
         if margin[wpos] < worst:
             worst = float(margin[wpos])
             wloc = _upper_twin(v[idx[wpos]])
-    checks["reflection_ordering"] = CheckResult(
-        "reflection_ordering", worst, wloc, bool(nviol == 0),
-        f"{nviol} of {ntest} beyond tolerance {tol:.2e}",
-    )
-    counts["reflection_ordering"] = nviol
+    if ntest == 0:
+        no_test_points("reflection_ordering")
+    else:
+        checks["reflection_ordering"] = CheckResult(
+            "reflection_ordering", worst, wloc, bool(nviol == 0),
+            f"{nviol} of {ntest} beyond tolerance {tol:.2e}",
+        )
+        counts["reflection_ordering"] = nviol
 
     # (g) unique maximum at (-R1, 0); at s = 0 the maximum spreads over the
     # whole outer circle, so only membership in the outer layer is required

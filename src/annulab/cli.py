@@ -300,6 +300,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_dn_analyze(args) -> int:
     res = _resolution(args)
+    if args.bracket and not args.bracket_width > 0.0:
+        raise ValueError(f"bracket width must be positive, got {args.bracket_width}")
     payload = {"R1": args.R1, "ratios": []}
     inconclusive = False
     for ratio in args.ratios:

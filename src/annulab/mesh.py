@@ -42,6 +42,10 @@ from .geometry import AnnularDomain
 # on that point
 INTERPOLATE_BLOCK = 16384
 
+# a point lies in a triangle when its smallest barycentric coordinate there
+# is at least -LOCATE_TOL, which admits the rounding of points on an edge
+LOCATE_TOL = 1e-10
+
 
 class MeshQualityError(ValueError):
     """A triangle with nonpositive area was produced."""
@@ -198,90 +202,88 @@ class Mesh:
         np.minimum(score, l2, out=score)
         return lam, score
 
-    def _cell_guess(self, pts):
-        d, res = self.domain, self.res
-        q = pts - d.inner_center
-        t = np.hypot(q[:, 0], q[:, 1])
-        phi = np.arctan2(q[:, 1], q[:, 0]) % (2.0 * math.pi)
-        ell = d.ray_exit_distance(phi)
-        tau = np.clip((t - d.R0) / (ell - d.R0), 0.0, 1.0)
-        jf = res.n_rad * tau ** (1.0 / res.grading)
-        j0 = np.clip(np.floor(jf).astype(int), 0, res.n_rad - 1)
-        i0 = np.floor(phi / (2.0 * math.pi / res.n_theta)).astype(int) % res.n_theta
-        return i0, j0
+    @cached_property
+    def _sectors(self) -> np.ndarray:
+        """Rows ``c0, s0, a0, c1, s1, a1, det`` per sector ``i``: the
+        directions ``e_i``, ``e_{i+1}`` of its rays, their extents
+        ``a = L - R0`` past the inner circle, and ``e_i x e_{i+1}``."""
+        d = self.domain
+        c, sn = _unit_directions(self.res.n_theta)
+        a = d.exit_distance_from_direction(c, sn) - d.R0
+        c1, s1, a1 = (np.roll(x, -1) for x in (c, sn, a))
+        return np.stack([c, sn, a, c1, s1, a1, c * s1 - sn * c1])
 
-    _NEIGHBOR_OFFSETS = (
-        (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-        (1, 1), (-1, -1), (1, -1), (-1, 1), (2, 0), (-2, 0),
-    )
+    def _cell(self, pts):
+        """The lattice quad ``i n_rad + j`` of each point, in closed form.
 
-    def locate(self, pts, tol: float = 1e-10):
-        """Containing triangle and barycentric coordinates per point.
+        The rays are straight through the inner center, so the angle about
+        it gives the sector ``i``.  With ``p - (s, 0) = alpha e_i +
+        beta e_{i+1}``, the chord from ``(R0 + t a_i) e_i`` to
+        ``(R0 + t a_{i+1}) e_{i+1}`` passes through the point where
+        ``a_i a_{i+1} t^2 + B t + R0 (R0 - alpha - beta) = 0``, with
+        ``B = R0 (a_i + a_{i+1}) - alpha a_{i+1} - beta a_i``: the larger
+        root, as chords at larger ``t`` lie farther out.  Layer ``j`` holds
+        ``t^(1/grading)`` in ``[j, j + 1] / n_rad``; a point off the mesh
+        gets the end quad of its sector."""
+        res, R0 = self.res, self.domain.R0
+        qx = pts[:, 0] - self.domain.s
+        qy = pts[:, 1]
+        phi = np.arctan2(qy, qx) % (2.0 * math.pi)
+        # a point on a ray lies in both sectors; this rounding picks one, and
+        # the last bits of the values interpolated there depend on it
+        i = np.floor(phi / (2.0 * math.pi / res.n_theta)).astype(int) % res.n_theta
+        c0, s0, a0, c1, s1, a1, det = np.take(self._sectors, i, axis=1)
+        alpha = (qx * s1 - qy * c1) / det
+        beta = (qy * c0 - qx * s0) / det
+        A = a0 * a1
+        B = R0 * (a0 + a1) - alpha * a1 - beta * a0
+        C = R0 * (R0 - alpha - beta)
+        root = np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))
+        # the larger root without cancellation, over a positive denominator
+        up = B > 0.0
+        t = np.where(up, -2.0 * C, root - B) / np.where(up, B + root, 2.0 * A)
+        layer = np.floor(res.n_rad * np.clip(t, 0.0, 1.0) ** (1.0 / res.grading))
+        return i * res.n_rad + np.clip(layer.astype(int), 0, res.n_rad - 1)
 
-        Returns ``(tri, bary, best_tri, best_bary)``; ``tri`` is -1 for
-        points not inside any tested triangle, in which case the best
-        candidate (largest minimal barycentric coordinate) is reported for
-        clamped evaluation.
+    def locate(self, pts):
+        """Lattice triangle and barycentric coordinates of every point.
 
-        Both triangles of the guessed quad are tested for every point; only
-        the points that neither contains try the other quads of
-        ``_NEIGHBOR_OFFSETS``, in order.  A candidate replaces the best one
-        only with a strictly larger score, the quad's first triangle before
-        its second.
+        Returns ``(tri, bary, inside)``.  Of the two triangles of the
+        point's quad (:meth:`_cell`), ``tri`` is the one whose smallest
+        barycentric coordinate is larger, the first on a tie, and
+        ``inside`` tells whether that coordinate is at least
+        ``-LOCATE_TOL``.  A point in the mesh lies in its quad, so every
+        point with ``inside`` false is off the mesh.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n_theta, n_rad = self.res.n_theta, self.res.n_rad
-        i0, j0 = self._cell_guess(pts)
-        quad = i0 * n_rad + j0
+        quad = self._cell(pts)
         lam, score = self._bary(quad, pts)
         second = score[1] > score[0]
-        best_tri = 2 * quad + second
-        best_score = np.where(second, score[1], score[0])
-        best_bary = np.ascontiguousarray(np.where(second, lam[:, 1], lam[:, 0]).T)
-        del lam, score
-        found = best_score >= -tol
-        pending = np.flatnonzero(~found)
-        for di, dj in self._NEIGHBOR_OFFSETS[1:]:
-            if pending.size == 0:
-                break
-            ii = (i0[pending] + di) % n_theta
-            jj = np.clip(j0[pending] + dj, 0, n_rad - 1)
-            quad = ii * n_rad + jj
-            lam, score = self._bary(quad, pts[pending])
-            for k in (0, 1):
-                better = score[k] > best_score[pending]
-                upd = pending[better]
-                best_score[upd] = score[k, better]
-                best_tri[upd] = 2 * quad[better] + k
-                best_bary[upd] = lam[:, k, better].T
-            done = best_score[pending] >= -tol
-            found[pending[done]] = True
-            pending = pending[~done]
-        tri = np.where(found, best_tri, -1)
-        bary = np.where(found[:, None], best_bary, 0.0)
-        return tri, bary, best_tri, best_bary
+        bary = np.ascontiguousarray(np.where(second, lam[:, 1], lam[:, 0]).T)
+        inside = np.maximum(score[0], score[1]) >= -LOCATE_TOL
+        return 2 * quad + second, bary, inside
 
     def stencil(self, pts) -> Stencil:
         """The three vertices and P1 weights of every point, so that several
         fields are evaluated at the same points with one location.
 
-        A point that no triangle contains is evaluated in its best candidate
-        triangle (:meth:`locate`) with the barycentric weights clipped at 0
-        and renormalized.  Points are located ``INTERPOLATE_BLOCK`` at a
-        time.
+        A point off the mesh is evaluated in the triangle :meth:`locate`
+        gives it, in the end quad of its sector, with the barycentric
+        weights clipped at 0 and renormalized.  Points are located
+        ``INTERPOLATE_BLOCK`` at a time.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         st = Stencil(np.empty((n, 3), dtype=self.triangles.dtype), np.empty((n, 3)))
         for start in range(0, n, INTERPOLATE_BLOCK):
             block = slice(start, start + INTERPOLATE_BLOCK)
-            tri, bary, best_tri, best_bary = self.locate(pts[block])
-            lost = tri < 0
-            if np.any(lost):
-                lam = np.clip(best_bary[lost], 0.0, None)
+            tri, bary, inside = self.locate(pts[block])
+            off = ~inside
+            if np.any(off):
+                lam = np.clip(bary[off], 0.0, None)
                 lam /= lam.sum(axis=1, keepdims=True)
-                bary[lost] = lam
-            np.take(self.triangles, best_tri, axis=0, out=st.vertices[block])
+                bary[off] = lam
+            np.take(self.triangles, tri, axis=0, out=st.vertices[block])
             st.weights[block] = bary
         return st
 

@@ -277,10 +277,13 @@ def bracket_critical_ratio(
     """Bisect the ratio axis for the crossover between the two behaviors.
 
     ``lo`` must classify as interior minimum and ``hi`` as monotone
-    decreasing; returns ``(lo, hi, analyses)`` with ``hi - lo <= width``.
+    decreasing; returns ``(lo, hi, analyses)`` with ``hi - lo <= width``, or
+    with adjacent doubles ``lo``, ``hi`` for a ``width`` below their spacing.
     An inconclusive midpoint is retried once at doubled grid density, then
     assigned to the monotone side (the dip, if any, is below resolution).
     """
+    if not width > 0.0:
+        raise ValueError(f"bracket width must be positive, got {width}")
     analyses = {}
 
     def classify(ratio):
@@ -298,6 +301,8 @@ def bracket_critical_ratio(
         )
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no double lies between lo and hi
+            break
         if classify(mid) == "interior_minimum":
             lo = mid
         else:

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from annulab import cli
 from annulab.checks import geometry_report
 from annulab.cli import build_parser, main
 from annulab.fem import ProblemKind
@@ -206,6 +207,33 @@ def test_symmetry_check(tmp_path, capsys):
     assert payload["worst_polarization_deviation"] <= 0.02
 
 
+@pytest.mark.parametrize("exclusion", ["-0.25", "nan", "inf"])
+def test_symmetry_check_rejects_bad_exclusion(tmp_path, capsys, exclusion):
+    code, _, err = run(
+        ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
+         "--exclusion", exclusion, "--out-dir", str(tmp_path)] + FAST,
+        capsys,
+    )
+    assert code == 2
+    assert "exclusion must be finite and >= 0" in err
+    assert not (tmp_path / "symmetry_s2.json").exists()
+
+
+def test_symmetry_check_exclusion_covering_the_domain(tmp_path, capsys):
+    # every vertex lies within 20 of (+-5, 0): the masked checks have no
+    # test points, and say so instead of failing
+    code, _, _ = run(
+        ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
+         "--exclusion", "20", "--out-dir", str(tmp_path)] + FAST,
+        capsys,
+    )
+    assert code == 0
+    checks = json.loads((tmp_path / "symmetry_s2.json").read_text())["checks"]
+    empty = {name for name, c in checks.items() if c["detail"] == "no test points"}
+    assert empty == {"affine_radial", "axial_cap", "outer_axial", "tangential_sign",
+                     "gradient_nonzero", "reflection_ordering"}
+
+
 def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys):
     base = ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
             "--out-dir", str(tmp_path)] + FAST
@@ -248,6 +276,24 @@ def test_dn_analyze_rejects_empty_ratio_list(tmp_path, capsys):
     )
     assert code == 2
     assert "ratios" in err
+    assert not (tmp_path / "dn_analysis.json").exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan"])
+def test_dn_analyze_rejects_bad_bracket_width_before_solving(
+    tmp_path, capsys, monkeypatch, width
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the bracket width")
+
+    monkeypatch.setattr(cli, "analyze_dn_ratio", no_solve)
+    code, _, err = run(
+        ["dn-analyze", "--bracket", "--bracket-width", width,
+         "--out-dir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "bracket width must be positive" in err
     assert not (tmp_path / "dn_analysis.json").exists()
 
 

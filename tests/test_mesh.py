@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulab.export import write_field
 from annulab.fem import Field, p1_gradient
 from annulab.geometry import AnnularDomain
-from annulab.mesh import INTERPOLATE_BLOCK, Resolution, build_mesh
+from annulab.mesh import INTERPOLATE_BLOCK, LOCATE_TOL, Resolution, build_mesh
 
 
 def canonical_triangle_keys(tris):
@@ -95,15 +97,24 @@ def test_mirror_symmetry_exact():
     assert keys == mirrored_keys
 
 
-def test_inner_circle_x1_mirror():
-    # with 4 | n_theta the inner ring is symmetric across x1 = s to rounding
-    d = AnnularDomain(1.0, 5.0, 2.0)
-    m = build_mesh(d, Resolution(64, 4, 1.0))
+@pytest.mark.parametrize("n_theta, s", [(64, 2.0), (66, 2.0), (66, 3.999)])
+def test_inner_circle_x1_mirror(n_theta, s):
+    # the inner ring is symmetric across x1 = s to rounding, and bitwise in
+    # x2 when 4 | n_theta; the half-boundary regrouping pairs inner edge i
+    # with its mirror image, edge n_theta/2 - 1 - i, for every even n_theta
+    d = AnnularDomain(1.0, 5.0, s)
+    m = build_mesh(d, Resolution(n_theta, 4, 1.0))
     ring = m.vertices[m.lattice[:, 0]]
-    i = np.arange(64)
-    partner = (32 - i) % 64
+    i = np.arange(n_theta)
+    partner = (n_theta // 2 - i) % n_theta
     assert np.abs(2.0 * d.s - ring[partner, 0] - ring[i, 0]).max() <= 1e-14 * d.R1
-    assert np.array_equal(ring[partner, 1], ring[i, 1])
+    assert np.abs(ring[partner, 1] - ring[i, 1]).max() <= 1e-14 * d.R1
+    if n_theta % 4 == 0:
+        assert np.array_equal(ring[partner, 1], ring[i, 1])
+    mid = 0.5 * (ring + np.roll(ring, -1, axis=0))
+    pair = (n_theta // 2 - 1 - i) % n_theta
+    assert np.abs(2.0 * d.s - mid[pair, 0] - mid[:, 0]).max() <= 1e-14 * d.R1
+    assert np.abs(mid[pair, 1] - mid[:, 1]).max() <= 1e-14 * d.R1
 
 
 def test_build_validation():
@@ -129,7 +140,8 @@ def test_interpolate_linear_exact():
 
 
 def test_interpolate_outside_policies():
-    # a point outside the mesh takes its best candidate's clamped weights
+    # a point outside the mesh takes the clamped weights of its triangle in
+    # the end quad of its sector
     d = AnnularDomain(1.0, 5.0, 2.0)
     m = build_mesh(d, Resolution(32, 6, 1.0))
     vals = np.ones(m.num_vertices)
@@ -153,42 +165,6 @@ def reference_bary(mesh, tids, pts):
     return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
 
-def reference_locate(mesh, pts, tol=1e-10):
-    """The full neighbour search: every point tries the offsets in order,
-    from the guessed quad on, until a triangle contains it."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    npts = pts.shape[0]
-    n_theta, n_rad = mesh.res.n_theta, mesh.res.n_rad
-    i0, j0 = mesh._cell_guess(pts)
-    tri = np.full(npts, -1, dtype=int)
-    bary = np.zeros((npts, 3))
-    best_tri = np.zeros(npts, dtype=int)
-    best_score = np.full(npts, -np.inf)
-    best_bary = np.zeros((npts, 3))
-    pending = np.arange(npts)
-    for di, dj in mesh._NEIGHBOR_OFFSETS:
-        if pending.size == 0:
-            break
-        ii = (i0[pending] + di) % n_theta
-        jj = np.clip(j0[pending] + dj, 0, n_rad - 1)
-        quad = ii * n_rad + jj
-        for k in (0, 1):
-            tids = 2 * quad + k
-            lam = reference_bary(mesh, tids, pts[pending])
-            score = lam.min(axis=1)
-            better = score > best_score[pending]
-            upd = pending[better]
-            best_score[upd] = score[better]
-            best_tri[upd] = tids[better]
-            best_bary[upd] = lam[better]
-        done = best_score[pending] >= -tol
-        hit = pending[done]
-        tri[hit] = best_tri[hit]
-        bary[hit] = best_bary[hit]
-        pending = pending[~done]
-    return tri, bary, best_tri, best_bary
-
-
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -209,25 +185,46 @@ def probe_points(mesh, n, seed):
     ])
 
 
-@pytest.mark.parametrize("s, res", [
-    (0.0, Resolution(32, 6, 1.0)),
-    (2.0, Resolution(64, 16, 1.5)),
-    (3.9, Resolution(50, 8, 0.7)),  # nearly touching, n_theta = 2 mod 4
-])
-def test_locate_matches_full_neighbour_search(s, res):
-    m = build_mesh(AnnularDomain(1.0, 5.0, s), res)
-    pts = probe_points(m, 4000, seed=int(10 * s))
-    got = m.locate(pts)
-    want = reference_locate(m, pts)
-    for g, w in zip(got, want):
-        assert same_bits(g, w)
-    tri = got[0]
-    # every kind of point occurs: first-quad hits, neighbour hits, misses
-    i0, j0 = m._cell_guess(pts)
-    first = 2 * (i0 * res.n_rad + j0)
-    assert np.any((tri == first) | (tri == first + 1))
-    assert np.any((tri >= 0) & (tri != first) & (tri != first + 1))
-    assert np.any(tri < 0)
+def brute_force_scores(mesh, pts):
+    """Per point, the largest smallest barycentric coordinate over every
+    triangle of the mesh."""
+    tids = np.arange(mesh.num_triangles)
+    best = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], 128):
+        block = pts[start : start + 128]
+        p = np.repeat(block, tids.size, axis=0)
+        score = reference_bary(mesh, np.tile(tids, block.shape[0]), p).min(axis=1)
+        best[start : start + 128] = score.reshape(block.shape[0], -1).max(axis=1)
+    return best
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(
+    ratio=st.floats(0.01, 0.9),
+    offset=st.floats(0.0, 0.999),
+    n_theta=st.integers(8, 40).map(lambda k: 2 * k),
+    n_rad=st.integers(4, 10),
+    grading=st.floats(0.5, 2.0),
+)
+def test_locate_finds_every_point_of_the_mesh(ratio, offset, n_theta, n_rad, grading):
+    R1 = 5.0
+    d = AnnularDomain(ratio * R1, R1, offset * (1.0 - ratio) * R1)
+    m = build_mesh(d, Resolution(n_theta, n_rad, grading))
+    pts = probe_points(m, 300, seed=n_theta * n_rad)
+    # and the same points just inside and outside along their rays
+    q = pts - d.inner_center
+    pts = np.concatenate([pts, d.inner_center + q * (1.0 - 1e-8),
+                          d.inner_center + q * (1.0 + 1e-8)])
+    tri, bary, inside = m.locate(pts)
+    # the barycentrics are those of the textbook formula, bit for bit
+    assert same_bits(bary, reference_bary(m, tri, pts))
+    score = bary.min(axis=1)
+    assert np.array_equal(inside, score >= -LOCATE_TOL)
+    # no triangle contains a point that its located one does not
+    assert np.all(brute_force_scores(m, pts[~inside]) < -LOCATE_TOL)
+    # a point off the mesh gets the inner or outer quad of a sector
+    layer = (tri[~inside] // 2) % n_rad
+    assert np.all((layer == 0) | (layer == n_rad - 1))
 
 
 def test_interpolate_blocks_match_single_points():
@@ -251,9 +248,9 @@ def test_stencil_matches_interpolate_across_a_block_boundary(points):
     # inside, in the hole and beyond the outer circle
     pts = rng.uniform(-5.5, 5.5, (2 * INTERPOLATE_BLOCK, 2))
     if points == "inside":
-        pts = pts[m.locate(pts)[0] >= 0]
+        pts = pts[m.locate(pts)[2]]
     assert pts.shape[0] > INTERPOLATE_BLOCK
-    miss = m.locate(pts)[0] < 0
+    miss = ~m.locate(pts)[2]
     assert np.any(miss) == (points == "clamp")
     st = m.stencil(pts)
     assert same_bits(st.apply(vals), m.interpolate(vals, pts))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from annulab.fem import Field, ProblemKind
+from annulab.fem import Field, ProblemKind, p1_gradient
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh
 from annulab.shape import (
@@ -29,6 +29,31 @@ def test_trace_unit_ramp():
     assert np.allclose(trace.normals, want, atol=1e-14)
 
 
+def tangential_ratio(u):
+    """Largest tangential component of the trace triangles' gradients,
+    relative to the largest normal derivative."""
+    trace = dirichlet_normal_derivative(u)
+    gx, gy, _ = p1_gradient(u, u.mesh.inner_triangles)
+    nx, ny = trace.normals.T
+    return np.abs(gy * nx - gx * ny).max() / np.abs(trace.dudn).max()
+
+
+@pytest.mark.parametrize("s, res", [
+    (0.0, Resolution(64, 16, 1.5)),
+    (2.0, Resolution(66, 16, 1.5)),
+    (3.999, Resolution(130, 8, 0.5)),
+])
+def test_trace_gradient_is_normal_to_the_circle(s, res):
+    # a field that vanishes on the inner circle has a P1 gradient normal to
+    # each inner edge in the edge's triangle, to rounding
+    d = AnnularDomain(0.5, 5.0, s)
+    mesh = build_mesh(d, res)
+    x, y = mesh.vertices.T
+    vals = (np.hypot(x - d.s, y) - d.R0) * (2.0 + np.sin(3.0 * x + y))
+    vals[mesh.lattice[:, 0]] = 0.0
+    assert tangential_ratio(Field(vals, mesh)) <= 1e-10
+
+
 def test_trace_requires_vanishing_values():
     d = AnnularDomain(1.0, 5.0, 2.0)
     mesh = build_mesh(d, Resolution(32, 8, 1.0))
@@ -52,6 +77,7 @@ def test_trace_concentric_constant_and_negative():
 def test_trace_negative_eccentric(nd_s2_128):
     trace = dirichlet_normal_derivative(nd_s2_128.u)
     assert np.all(trace.dudn < 0.0)
+    assert tangential_ratio(nd_s2_128.u) <= 1e-10
 
 
 @pytest.mark.parametrize("s", [2.0, 3.9])

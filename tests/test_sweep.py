@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from annulab import sweep as sweep_mod
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Mesh, Resolution
@@ -132,13 +133,46 @@ def test_dn_validation():
         bracket_critical_ratio(5.0, 0.5, 0.6, s_points=12, resolution=QUICK)
 
 
+def fake_classifier(monkeypatch, critical):
+    """Replace the dn analysis by a free one with its crossover at
+    ``critical``; returns the list of classified ratios."""
+    seen = []
+
+    def analyze(R1, ratio, s_points, resolution, tol):
+        seen.append(ratio)
+        if len(seen) > 200:
+            raise AssertionError("the bisection does not terminate")
+        shape = "interior_minimum" if ratio < critical else "monotone_decreasing"
+        return sweep_mod.DNAnalysis(ratio, shape, None, np.zeros(0), np.zeros(0))
+
+    monkeypatch.setattr(sweep_mod, "analyze_dn_ratio", analyze)
+    return seen
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_bracket_rejects_a_width_that_is_not_positive(monkeypatch, width):
+    seen = fake_classifier(monkeypatch, 0.13)
+    with pytest.raises(ValueError, match="bracket width must be positive"):
+        bracket_critical_ratio(5.0, 0.1, 0.6, width=width)
+    assert seen == []
+
+
+def test_bracket_stops_at_adjacent_doubles(monkeypatch):
+    seen = fake_classifier(monkeypatch, 0.13)
+    lo, hi, _ = bracket_critical_ratio(5.0, 0.1, 0.6, width=1e-300)
+    assert lo < 0.13 <= hi
+    assert np.nextafter(lo, hi) == hi
+    # one classification per bit of the bracket, and the two endpoints
+    assert len(seen) <= 2 + 60
+
+
 def test_record_locates_each_reflected_point_once(monkeypatch):
     located = []
     locate = Mesh.locate
 
-    def counting(self, pts, tol=1e-10):
+    def counting(self, pts):
         located.append(len(pts))
-        return locate(self, pts, tol)
+        return locate(self, pts)
 
     monkeypatch.setattr(Mesh, "locate", counting)
     rec = _solve_record(1.0, 5.0, 2.0, QUICK, 0.05, 1e-9, False, None)
