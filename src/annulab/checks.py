@@ -114,7 +114,7 @@ class CheckResult:
     """
 
     name: str
-    worst: float
+    worst: float | None  # None when there are no test points
     location: tuple[float, float]
     passed: bool
     detail: str = ""
@@ -253,12 +253,18 @@ def geometry_reports(
     mesh = fields[0].mesh
     if any(u.mesh is not mesh for u in fields):
         raise ValueError("the fields lie on different meshes")
+    frame = _frame(mesh, exclusion_radius(exclusion, mesh.domain.R1))
+    return [_report(u, frame) for u in fields]
+
+
+def exclusion_radius(exclusion: float | None, R1: float) -> float:
+    """``exclusion``, or ``EXCLUSION R1`` if it is None; ``ValueError`` unless
+    it is finite and >= 0."""
     if exclusion is None:
-        exclusion = EXCLUSION * mesh.domain.R1
+        return EXCLUSION * R1
     if not 0.0 <= exclusion < np.inf:
         raise ValueError(f"exclusion must be finite and >= 0, got {exclusion}")
-    frame = _frame(mesh, exclusion)
-    return [_report(u, frame) for u in fields]
+    return exclusion
 
 
 def _upper_twin(point) -> tuple[float, float]:
@@ -281,8 +287,7 @@ def _report(u: Field, frame: _Frame) -> GeometryReport:
     counts: dict[str, int] = {}
 
     def no_test_points(name):
-        checks[name] = CheckResult(name, float("nan"), (0.0, 0.0), True,
-                                   "no test points")
+        checks[name] = CheckResult(name, None, (0.0, 0.0), True, "no test points")
         counts[name] = 0
 
     def record(name, mask, values, sense, detail="", points=v):

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .checks import EXCLUSION, geometry_report
+from .checks import EXCLUSION, exclusion_radius, geometry_report
 from .eigensolver import TOL, NotPositiveDefiniteError, SolverConvergenceError
 from .export import write_field, write_json
 from .fem import ProblemKind
@@ -48,6 +48,7 @@ from .symmetrize import (
     RING_SAMPLES,
     RINGS,
     WORKERS,
+    check_ring_counts,
     deviation,
     foliated_schwarz,
     sample_rings,
@@ -247,8 +248,10 @@ def cmd_torsion(args) -> int:
 
 def cmd_symmetry_check(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
+    exclusion = exclusion_radius(args.exclusion, d.R1)
+    check_ring_counts(args.ring_samples, args.rings)
     sol = solve_eigenproblem(discretize(d, _resolution(args)), ProblemKind.ND, args.tol)
-    report = geometry_report(sol.u, exclusion=args.exclusion)
+    report = geometry_report(sol.u, exclusion=exclusion)
     rings = sample_rings(sol.u, m=args.ring_samples, n_rings=args.rings)
     star = foliated_schwarz(rings)
     dev_star = deviation(rings, star)

@@ -28,16 +28,38 @@ functions.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+import scipy
 
 RAYLEIGH_RTOL = 1e-12
 # residual tolerance of the inverse iteration, the default of every solve
 TOL = 1e-9
 # sigma / rho of the shifted factor, tried in order until one is definite
 SHIFT_THETAS = (0.99, 0.95, 0.9)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``."""
+    # Importing scipy.linalg runs its package init, which imports numpy.f2py,
+    # numpy.testing and more: over half of the CLI's start-up.
+    name = "scipy.linalg._flapack"
+    linalg = importlib.util.find_spec("scipy.linalg")
+    spec = linalg and importlib.machinery.PathFinder.find_spec(
+        name, linalg.submodule_search_locations
+    )
+    if spec is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
 class SolverConvergenceError(RuntimeError):

@@ -66,9 +66,11 @@ def write_field(field, base, name: str = "u", vtk: bool = False):
 
 
 def write_json(path, payload):
+    """Strict JSON: a NaN or infinite float raises ``ValueError`` before
+    ``path`` is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def svg_line_chart(path, series, title="", xlabel="", ylabel="",

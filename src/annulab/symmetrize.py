@@ -83,6 +83,14 @@ class RingSampling:
         )
 
 
+def check_ring_counts(m: int, n_rings: int) -> None:
+    """``ValueError`` unless there are at least 2 samples per ring and 1 ring."""
+    if m < 2 or n_rings < 1:
+        raise ValueError(
+            f"need at least 2 samples per ring and 1 ring, got {m} and {n_rings}"
+        )
+
+
 def sample_rings(
     u: Field, m: int = RING_SAMPLES, n_rings: int = RINGS, center: str = "origin"
 ) -> RingSampling:
@@ -93,10 +101,7 @@ def sample_rings(
     center); ``center="inner"`` samples the extension that is zero outside
     the outer circle, on radii in (R0, R1 + s) about the inner center.
     """
-    if m < 2 or n_rings < 1:
-        raise ValueError(
-            f"need at least 2 samples per ring and 1 ring, got {m} and {n_rings}"
-        )
+    check_ring_counts(m, n_rings)
     mesh = u.mesh
     d = mesh.domain
     if center == "origin":

@@ -101,6 +101,14 @@ def test_report_json(tmp_path, nd_s2_128):
     assert set(entry) == {"worst", "location", "pass", "detail"}
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_rejects_non_finite_floats(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"worst": value})
+    assert not path.exists()
+
+
 def test_exclusion_parameter(nd_s2_128):
     rep = geometry_report(nd_s2_128.u, exclusion=0.5)
     assert rep.exclusion == 0.5

@@ -207,8 +207,13 @@ def test_symmetry_check(tmp_path, capsys):
     assert payload["worst_polarization_deviation"] <= 0.02
 
 
+def fail_if_solved(*args, **kwargs):
+    raise AssertionError("solved before validating the flags")
+
+
 @pytest.mark.parametrize("exclusion", ["-0.25", "nan", "inf"])
-def test_symmetry_check_rejects_bad_exclusion(tmp_path, capsys, exclusion):
+def test_symmetry_check_rejects_bad_exclusion(tmp_path, capsys, monkeypatch, exclusion):
+    monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
     code, _, err = run(
         ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
          "--exclusion", exclusion, "--out-dir", str(tmp_path)] + FAST,
@@ -228,13 +233,20 @@ def test_symmetry_check_exclusion_covering_the_domain(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    checks = json.loads((tmp_path / "symmetry_s2.json").read_text())["checks"]
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "symmetry_s2.json").read_text()
+    checks = json.loads(text, parse_constant=reject)["checks"]
     empty = {name for name, c in checks.items() if c["detail"] == "no test points"}
     assert empty == {"affine_radial", "axial_cap", "outer_axial", "tangential_sign",
                      "gradient_nonzero", "reflection_ordering"}
+    assert all(checks[name]["worst"] is None for name in empty)
 
 
-def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys):
+def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
     base = ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
             "--out-dir", str(tmp_path)] + FAST
     for flags in (["--ring-samples", "0"], ["--rings", "0"]):
@@ -283,10 +295,7 @@ def test_dn_analyze_rejects_empty_ratio_list(tmp_path, capsys):
 def test_dn_analyze_rejects_bad_bracket_width_before_solving(
     tmp_path, capsys, monkeypatch, width
 ):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before validating the bracket width")
-
-    monkeypatch.setattr(cli, "analyze_dn_ratio", no_solve)
+    monkeypatch.setattr(cli, "analyze_dn_ratio", fail_if_solved)
     code, _, err = run(
         ["dn-analyze", "--bracket", "--bracket-width", width,
          "--out-dir", str(tmp_path)],

@@ -223,11 +223,62 @@ def test_factorize_reports_the_first_nonpositive_pivot():
     assert isinstance(exc.value, np.linalg.LinAlgError)
 
 
-def test_cli_import_leaves_out_scipy_sparse_linalg():
-    # the reduced systems are band matrices and every solve goes through the
-    # LAPACK band Cholesky, so no part of scipy.sparse is loaded
-    code = "import sys, annulab.cli; print('scipy.sparse' in sys.modules)"
+@pytest.mark.parametrize("n, kd", [(1, 0), (9, 0), (9, 3), (9, 8), (40, 39)])
+def test_band_cholesky_is_bitwise_scipy_lapack(n, kd):
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    band = es._lapack_band(band_of(band_spd(n, kd, seed=n + 100 * kd)), kd)
+    b = np.random.default_rng(n).standard_normal(n)
+    want, info = dpbtrf(band, lower=1)
+    assert info == 0
+    factor = es.BandCholesky(band.copy())
+    assert np.array_equal(factor.band, want)
+    assert np.array_equal(factor.solve(b), dpbtrs(want, b, lower=1)[0])
+
+
+def test_missing_flapack_names_module_and_scipy_version(monkeypatch):
+    import scipy
+
+    finder = es.importlib.machinery.PathFinder
+    find_spec = finder.find_spec
+
+    def no_flapack(name, *args):
+        return None if name == "scipy.linalg._flapack" else find_spec(name, *args)
+
+    monkeypatch.setattr(finder, "find_spec", no_flapack)
+    with pytest.raises(ImportError, match=f"scipy.linalg._flapack not found in "
+                                          f"scipy {scipy.__version__}"):
+        es._load_flapack()
+
+
+def run_python(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.fixture(scope="module")
+def cli_imports():
+    code = "import sys, annulab.cli; print(' '.join(sys.modules))"
+    return set(run_python(code).split())
+
+
+@pytest.mark.parametrize("module", ["scipy.linalg", "scipy.sparse", "scipy.integrate",
+                                    "numpy.f2py", "numpy.testing"])
+def test_cli_import_leaves_out(cli_imports, module):
+    # every solve is the LAPACK band Cholesky, loaded without scipy.linalg's
+    # package init, whose array-API layer imports numpy.f2py and numpy.testing
+    assert module not in cli_imports
+
+
+def test_band_cholesky_coexists_with_scipy_linalg():
+    code = """if True:
+        import numpy as np, annulab.cli
+        from annulab.eigensolver import BandCholesky
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
+        band = np.asfortranarray([[4.0, 5.0, 6.0], [1.0, 2.0, 0.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        want = dpbtrs(dpbtrf(band, lower=1)[0], b, lower=1)[0]
+        print(np.array_equal(BandCholesky(band.copy()).solve(b), want))
+    """
+    assert run_python(code).strip() == "True"

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -101,11 +97,3 @@ def test_torsion_rigidity_matches_50_digit_quadrature(ratio):
         )
         _, got = concentric_torsion(R0, R1)
         assert abs((got - want) / want) <= 1e-12
-
-
-def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, annulab.cli; print('scipy.integrate' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
