@@ -16,15 +16,23 @@ ground state of a simple eigenvalue, or the unique solution), so the folded
 systems have the same solutions with about half the unknowns, and expanded
 fields are mirror symmetric by construction.
 
+The mesh lattice numbers the unknowns.  Lattice rows ``i`` and ``n_theta -
+i`` are mirror images, so vertex ``(i, j)`` belongs to the point ``(r, j)``
+of the folded grid, ``r = min(i, n_theta - i)`` a ray from 0 to ``n_theta /
+2``, numbered ray by ray, ``L = n_rad + 1`` to a ray.  A kind's unknowns are
+the points on its window of layers (:meth:`ProblemKind.layers`), again ray
+by ray.
+
 Stiffness and mass are folded once per mesh, never formed at full size:
-entry ``(I, J)`` of ``P^T A P``, with ``P`` the 0/1 expansion of the mirror
-orbits, sums the local P1 block entries of the triangle corners in the
-orbits ``I`` and ``J``.  The orbits are numbered ray by ray, ``L`` to a ray,
-so ``np.bincount`` sums the entries with ``I >= J`` straight into the
-lower diagonals 0, 1, ``L - 1``, ``L`` and ``L + 1`` of a
+entry ``(I, J)`` of ``P^T A P``, with ``P`` the 0/1 expansion of the folded
+grid, sums the local P1 block entries of the triangle corners at the points
+``I`` and ``J``.  A triangle joins neighbouring rays and layers, so
+``np.bincount`` sums the entries with ``I >= J`` straight into the lower
+diagonals 0, 1, ``L - 1``, ``L`` and ``L + 1`` of a
 :class:`~annulab.eigensolver.SymmetricBand`, exactly symmetric by storage.
 No mirror average is needed, since ``P`` is mirror invariant.  A kind's
-reduced operator is the principal submatrix on its free orbits.
+reduced operator is the principal submatrix on its window: each diagonal,
+read as a ``(rays, L)`` grid, restricted to the window's columns.
 """
 
 from __future__ import annotations
@@ -51,6 +59,13 @@ class ProblemKind(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             raise ValueError(f"unknown problem kind {name!r}; expected nd, dn or dd")
+
+    def layers(self, n_rad: int) -> slice:
+        """The window of free layers: all but the Dirichlet circles, layer 0
+        the inner one and layer ``n_rad`` the outer one."""
+        inner = self in (ProblemKind.ND, ProblemKind.DD)
+        outer = self in (ProblemKind.DN, ProblemKind.DD)
+        return slice(int(inner), n_rad + 1 - int(outer))
 
 
 @dataclass
@@ -106,93 +121,92 @@ def p1_local_mass(area: np.ndarray) -> np.ndarray:
     return area[:, None, None] * MASS_BLOCK[None, :, :]
 
 
-def dirichlet_vertices(mesh: Mesh, kind: ProblemKind) -> np.ndarray:
-    """Sorted indices of vertices pinned to zero for the given configuration."""
-    parts = []
-    if kind in (ProblemKind.ND, ProblemKind.DD):
-        parts.append(mesh.lattice[:, 0])
-    if kind in (ProblemKind.DN, ProblemKind.DD):
-        parts.append(mesh.lattice[:, mesh.res.n_rad])
-    return np.sort(np.concatenate(parts))
+def fold_rays(n_theta: int) -> np.ndarray:
+    """The ray ``min(i, n_theta - i)`` of the folded grid that holds lattice
+    row ``i``, for every row: rows ``i`` and ``n_theta - i`` are mirror
+    images."""
+    i = np.arange(n_theta)
+    return np.minimum(i, n_theta - i)
 
 
-def _orbits(mesh: Mesh):
-    """``(orbit, rep)``: the mirror orbit of every vertex, and the smaller
-    vertex of each orbit.  The orbits are numbered by their smaller vertex,
-    so ray by ray."""
-    own = np.arange(mesh.num_vertices)
-    if np.any(mesh.mirror[mesh.mirror] != own):
-        raise ValueError("mirror is not an involution of the vertices")
-    first = mesh.mirror >= own
-    return (np.cumsum(first) - 1)[np.minimum(own, mesh.mirror)], own[first]
-
-
-def _band(entries, dim: int, rays: int) -> SymmetricBand:
+def _band(entries, dim: int, L: int) -> SymmetricBand:
     """The symmetric matrix whose lower triangle sums the ``entries``:
     triples of arrays ``(offset, col, values)``, of values at the rows
-    ``col + offset`` and the columns ``col``.  Negative offsets are dropped,
-    and ``offset`` is overwritten.  The ``dim`` unknowns are numbered ray by
-    ray, ``L = dim // rays`` to a ray, so the offsets are 0, 1, ``L - 1``,
-    ``L`` and ``L + 1``."""
-    L = dim // rays
+    ``col + offset`` and the columns ``col``.  The ``dim`` unknowns are
+    numbered ray by ray, ``L`` to a ray, and an entry couples neighbouring
+    rays and layers only, so the offsets are 0, 1, ``L - 1``, ``L`` and
+    ``L + 1`` or their negatives.  Negative offsets are dropped, and
+    ``offset`` is overwritten."""
     offsets = np.array([0, 1, L - 1, L, L + 1])
-    # row k of a (7, dim) array of bins holds the diagonal offsets[k] by
-    # column; row 5 takes the negative offsets and row 6 any other offset,
-    # by row.  `first` is indexed by offset + dim - 1
-    first = np.full(2 * dim - 1, 5 * dim)
-    first[dim - 1 :] = 6 * dim + np.arange(dim)
-    first[offsets + dim - 1] = np.arange(5) * dim
-    bins = np.zeros(7 * dim)
+    # row k of a (6, dim) array of bins holds the diagonal offsets[k] by
+    # column, and row 5 takes the negative offsets; `first` is indexed by
+    # offset + L + 1
+    first = np.full(2 * L + 3, 5 * dim)
+    first[offsets + L + 1] = np.arange(5) * dim
+    bins = np.zeros(6 * dim)
     for offset, col, values in entries:
-        offset += dim - 1
+        offset += L + 1
         # in place: take buffers its output only in mode "raise"
         target = np.take(first, offset, out=offset, mode="clip")
         target += col
-        bins += np.bincount(target, weights=values, minlength=7 * dim)
-    bins = bins.reshape(7, dim)
-    if np.any(bins[6]):
-        raise ValueError("the unknowns are not numbered ray by ray")
+        bins += np.bincount(target, weights=values, minlength=6 * dim)
+    bins = bins.reshape(6, dim)
     diagonals = [bins[k, : dim - o] for k, o in enumerate(offsets)]
     # a diagonal that is zero throughout is left out
     kept = [k for k, d in enumerate(diagonals) if k == 0 or d.any()]
     return SymmetricBand(offsets[kept], [diagonals[k] for k in kept])
 
 
-def _principal(A: SymmetricBand, keep: np.ndarray, rays: int) -> SymmetricBand:
-    """The principal submatrix of ``A`` on the sorted indices ``keep``, the
-    same number on each of ``rays`` rays."""
-    pos = np.full(A.shape[0], -1)
-    pos[keep] = np.arange(keep.size)
-    entries = []
+def _principal(A: SymmetricBand, L: int, layers: slice) -> SymmetricBand:
+    """The principal submatrix of ``A``, numbered ray by ray with ``L``
+    unknowns to a ray, on the window ``layers`` of every ray.
+
+    Diagonal ``o`` couples layer ``l`` of a ray with layer ``l + 1`` of the
+    same ray (``o = 1``) or layer ``l + o - L`` of the next one (``o >= L -
+    1``).  Read as a ``(rays, L)`` grid by its first point, it keeps the
+    window's columns, and the column whose partner layer leaves the window
+    is zeroed: the last for a step up, the first for a step down.  The
+    offsets of the next ray shrink by the layers left out."""
+    lo, hi, _ = layers.indices(L)
+    width = hi - lo
+    dim = A.shape[0] // L * width
+    offsets, diagonals = [], []
     for o, d in zip(A.offsets, A.diagonals):
-        # the kept columns j whose row j + o is kept too
-        j = keep[: np.searchsorted(keep, d.size)]
-        i = pos[j + o]
-        at = np.flatnonzero(i >= 0)
-        entries.append((i[at] - at, at, d[j[at]]))
-    return _band(entries, keep.size, rays)
+        grid = np.zeros(A.shape[0])
+        grid[: d.size] = d
+        grid = grid.reshape(-1, L)[:, layers]
+        # the layer step to the partner, on the same ray or the next one
+        step = o if o < L - 1 else o - L
+        if step:
+            grid[:, -1 if step > 0 else 0] = 0.0
+        if o >= L - 1:
+            o -= L - width
+        d = grid.ravel()[: dim - o]
+        # a diagonal that is zero throughout is left out
+        if o == 0 or d.any():
+            offsets.append(o)
+            diagonals.append(d)
+    return SymmetricBand(offsets, diagonals)
 
 
 @dataclass
 class ReducedSystem:
     """One kind's Dirichlet-reduced, mirror-folded system.
 
-    The unknowns are the mirror orbits of the free (unpinned) vertices:
-    ``orbit[k]`` is the unknown of vertex ``free[k]``, shared with its mirror
-    image, and ``kept[I]`` is the discretization's orbit of unknown ``I``.
-    Reduced vectors are the mirror-symmetric functions that vanish on
-    the Dirichlet set.  With ``P`` the 0/1 matrix of :meth:`expand`,
-    ``K = P^T K_full P`` and ``b = P^T b_full``, so quadratic forms are
-    preserved: ``x^T K x = (P x)^T K_full (P x)``.  ``factor``, the band
-    Cholesky of ``K``, is computed on first use.
+    The unknowns are the points of the folded grid on the kind's window of
+    ``layers``, numbered ray by ray: the point ``(r, j)`` is the value at the
+    lattice vertices ``(r, j)`` and ``(n_theta - r, j)``.  Reduced vectors
+    are the mirror-symmetric functions that vanish on the Dirichlet set.
+    With ``P`` the 0/1 matrix of :meth:`expand`, ``K = P^T K_full P`` and
+    ``b = P^T b_full``, so quadratic forms are preserved: ``x^T K x = (P
+    x)^T K_full (P x)``.  ``factor``, the band Cholesky of ``K``, is
+    computed on first use.
     """
 
     K: SymmetricBand
     b: np.ndarray
-    free: np.ndarray
-    orbit: np.ndarray
-    kept: np.ndarray
-    full_size: int
+    lattice: np.ndarray  # the mesh's (n_theta, n_rad + 1) vertex lattice
+    layers: slice  # the kind's window, ProblemKind.layers
     _factor: BandCholesky | None = field(default=None, init=False, repr=False)
 
     @property
@@ -202,9 +216,11 @@ class ReducedSystem:
         return self._factor
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Full vertex vector: each orbit value copied to its vertices."""
-        out = np.zeros(self.full_size)
-        out[self.free] = np.asarray(x)[self.orbit]
+        """Full vertex vector: each unknown copied to its vertices."""
+        n_theta = self.lattice.shape[0]
+        grid = np.reshape(x, (n_theta // 2 + 1, -1))
+        out = np.zeros(self.lattice.size)
+        out[self.lattice[:, self.layers]] = grid[fold_rays(n_theta)]
         return out
 
 
@@ -222,44 +238,50 @@ class Discretization:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self._orbit, self._rep = _orbits(mesh)
-        # the rays 0 to n_theta / 2, to which the orbits belong
-        self._rays = mesh.res.n_theta // 2 + 1
+        n_theta, self._L = mesh.lattice.shape
+        self._rays = n_theta // 2 + 1
+        # the point (r, j) of the folded grid of every vertex (i, j)
+        self._point = np.empty(mesh.num_vertices, dtype=int)
+        self._point[mesh.lattice] = fold_rays(n_theta)[:, None] * self._L + np.arange(self._L)
         self.b = self.assemble_load()
         self._K: SymmetricBand | None = None
         self._M: SymmetricBand | None = None
         self._systems: dict[ProblemKind, ReducedSystem] = {}
 
     def _fold(self, block) -> SymmetricBand:
-        """``P^T A P`` over every vertex orbit, for the local blocks of ``A``:
-        ``block(a, b)`` is entry (a, b) of every triangle's block."""
-        corner = [self._orbit[self.mesh.triangles[:, a]] for a in range(3)]
+        """``P^T A P`` over the whole folded grid, for the local blocks of
+        ``A``: ``block(a, b)`` is entry (a, b) of every triangle's block."""
+        corner = [self._point[self.mesh.triangles[:, a]] for a in range(3)]
         # entry (a, b) is in row I = corner[a] and column J = corner[b], kept
         # if I >= J; one pair at a time, every array has one entry a triangle
         entries = ((corner[a] - corner[b], corner[b], block(a, b))
                    for a in range(3) for b in range(3))
-        return _band(entries, self._rep.size, self._rays)
+        return _band(entries, self._rays * self._L, self._L)
 
     def assemble_stiffness(self) -> SymmetricBand:
         """Mirror-folded stiffness of K_ij = integral grad phi_i . grad phi_j,
-        over every vertex orbit."""
+        over the whole folded grid."""
         mesh = self.mesh
         local = p1_local_stiffness(np.take(mesh.vertices, mesh.triangles, axis=0))
         return self._fold(lambda a, b: local[:, a, b])
 
     def assemble_mass(self) -> SymmetricBand:
         """Mirror-folded consistent P1 mass, of the local blocks
-        area/12 * [[2,1,1],[1,2,1],[1,1,2]], over every vertex orbit."""
+        area/12 * [[2,1,1],[1,2,1],[1,1,2]], over the whole folded grid."""
         areas = self.mesh.areas
         # the entries of p1_local_mass(areas), computed as they are asked for
         return self._fold(lambda a, b: areas * MASS_BLOCK[a, b])
 
     def assemble_load(self) -> np.ndarray:
-        """Load vector of the unit source: b_i = integral phi_i = adjacent area / 3."""
+        """Load vector of the unit source: b_i = integral phi_i = adjacent
+        area / 3, averaged with the mirror image."""
         mesh = self.mesh
         b = np.zeros(mesh.num_vertices)
         np.add.at(b, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
-        return 0.5 * (b + b[mesh.mirror])
+        # lattice row -i, that is n_theta - i, is the mirror image of row i
+        rows = b[mesh.lattice]
+        b[mesh.lattice] = 0.5 * (rows + rows[-np.arange(rows.shape[0])])
+        return b
 
     def system(self, kind: ProblemKind) -> ReducedSystem:
         """The reduced system of ``kind``, built on first request."""
@@ -270,27 +292,19 @@ class Discretization:
     def reduce_system(self, kind: ProblemKind) -> ReducedSystem:
         """Eliminate the Dirichlet rows/columns of ``kind`` from the folded
         stiffness and load."""
-        mesh = self.mesh
-        pinned = np.zeros(mesh.num_vertices, dtype=bool)
-        pinned[dirichlet_vertices(mesh, kind)] = True
-        if np.any(pinned[mesh.mirror] != pinned):
-            raise ValueError("mirror does not preserve the free vertex set")
-        free, kept = np.flatnonzero(~pinned), np.flatnonzero(~pinned[self._rep])
+        layers = kind.layers(self._L - 1)
         if self._K is None:
             self._K = self.assemble_stiffness()
-        # b is exactly mirror symmetric, so an orbit of two vertices sums to
-        # twice the value at either
-        rep = self._rep[kept]
-        paired = mesh.mirror[rep] != rep
-        return ReducedSystem(
-            K=_principal(self._K, kept, self._rays), b=self.b[rep] * (1.0 + paired),
-            free=free, orbit=np.searchsorted(kept, self._orbit[free]), kept=kept,
-            full_size=mesh.num_vertices,
-        )
+        # b is exactly mirror symmetric, so the point of a paired ray sums
+        # twice the value at either of its vertices
+        b = self.b[self.mesh.lattice[: self._rays, layers]]
+        b[1:-1] *= 2.0
+        return ReducedSystem(K=_principal(self._K, self._L, layers), b=b.ravel(),
+                             lattice=self.mesh.lattice, layers=layers)
 
     def reduced_mass(self, kind: ProblemKind) -> SymmetricBand:
         """The folded mass with the Dirichlet rows/columns of ``kind``
         eliminated; the mass is folded on the first call."""
         if self._M is None:
             self._M = self.assemble_mass()
-        return _principal(self._M, self.system(kind).kept, self._rays)
+        return _principal(self._M, self._L, kind.layers(self._L - 1))

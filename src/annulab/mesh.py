@@ -7,7 +7,8 @@ ray exit distance.  Layer 0 is the inner (Dirichlet) circle, layer ``n_rad``
 the outer (Neumann) circle.
 
 The direction table is generated half-circle-by-reflection so the vertex set
-is *bitwise* invariant under ``x2 -> -x2``; quad diagonals are likewise chosen
+is *bitwise* invariant under ``x2 -> -x2``, which maps vertex ``(i, j)`` to
+``(n_theta - i, j)`` (row ``i`` mod ``n_theta``); quad diagonals are likewise chosen
 on the upper half and mirrored, which makes the triangle set exactly
 reflection symmetric.  When ``n_theta`` is divisible by 4 the inner circle is
 also symmetric across the vertical line ``x1 = s`` to the last bit of
@@ -120,7 +121,6 @@ class Mesh:
     lattice: np.ndarray  # (n_theta, n_rad + 1) -> vertex index
     inner_edges: np.ndarray  # (n_theta, 2) vertex pairs on layer 0
     inner_triangles: np.ndarray  # (n_theta,) the triangle on each inner edge
-    mirror: np.ndarray  # (nv,) vertex permutation for x2 -> -x2
     areas: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -358,12 +358,7 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
     vertices = np.stack([xs.ravel(), ys.ravel()], axis=1)
     lattice = np.arange(n_theta * (n_rad + 1)).reshape(n_theta, n_rad + 1)
 
-    # vertex (i, j) mirrors to ((n - i) mod n, j); the coordinate tables make
-    # this exact in floating point
     i_idx = np.arange(n_theta)
-    mirror_rows = (n_theta - i_idx) % n_theta
-    mirror = lattice[mirror_rows].ravel()
-
     half = n_theta // 2
     center = domain.inner_center
     ip1 = (i_idx + 1) % n_theta
@@ -415,6 +410,5 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
         lattice=lattice,
         inner_edges=inner_edges,
         inner_triangles=inner_triangles,
-        mirror=mirror,
         areas=areas,
     )

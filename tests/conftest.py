@@ -1,5 +1,6 @@
 import time
 
+import numpy as np
 import pytest
 
 from annulab.geometry import AnnularDomain
@@ -24,6 +25,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if passed else "FAIL"
         suffix = f"  [{seconds:.1f}s]" if seconds is not None else ""
         terminalreporter.write_line(f"[{status}] criterion {cid}: {desc}{suffix}")
+
+
+def vertex_mirror(mesh):
+    """The vertex permutation of x2 -> -x2: lattice row i mirrors to row
+    n_theta - i, layer by layer."""
+    mirror = np.empty(mesh.num_vertices, dtype=int)
+    mirror[mesh.lattice] = mesh.lattice[-np.arange(mesh.res.n_theta)]
+    return mirror
 
 
 class Timer:

@@ -5,13 +5,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from conftest import vertex_mirror
+
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh, p1_coefficients
 from annulab.fem import (
     Discretization,
     Field,
     ProblemKind,
-    dirichlet_vertices,
     p1_local_mass,
     p1_local_stiffness,
 )
@@ -35,6 +36,17 @@ def test_local_mass_unit_right_triangle():
 
 def quadratic_form(A, x) -> float:
     return float(x @ (A @ x))
+
+
+def pinned_vertices(mesh, kind):
+    """The vertices on the Dirichlet circles of ``kind``."""
+    layers = {ProblemKind.ND: [0], ProblemKind.DN: [-1], ProblemKind.DD: [0, -1]}[kind]
+    return mesh.lattice[:, layers].ravel()
+
+
+def free_vertices(mesh, kind):
+    """The sorted vertices off the Dirichlet circles of ``kind``."""
+    return np.setdiff1d(np.arange(mesh.num_vertices), pinned_vertices(mesh, kind))
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +126,14 @@ def test_symmetry_and_mirror_invariance(assembled):
     # average, are exactly symmetric and mirror invariant up to the order of
     # their sums; the load is exactly mirror invariant
     mesh, K, M, b = assembled
+    mirror = vertex_mirror(mesh)
     for A in (K, M):
         diff = A - A.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-        mirrored = A[mesh.mirror][:, mesh.mirror]
+        mirrored = A[mirror][:, mirror]
         dd = (A - mirrored).tocsr()
         assert dd.nnz == 0 or np.abs(dd.data).max() <= 4 * np.spacing(np.abs(A.data).max())
-    assert np.array_equal(b, b[mesh.mirror])
+    assert np.array_equal(b, b[mirror])
 
 
 def test_field_validation(assembled):
@@ -136,29 +149,31 @@ def test_field_validation(assembled):
 def test_dirichlet_vertex_counts():
     d = AnnularDomain(1.0, 5.0, 2.0)
     mesh = build_mesh(d, Resolution(64, 8, 1.0))
-    assert dirichlet_vertices(mesh, ProblemKind.ND).size == 64
-    assert dirichlet_vertices(mesh, ProblemKind.DN).size == 64
-    assert dirichlet_vertices(mesh, ProblemKind.DD).size == 128
+    for kind, pinned in ((ProblemKind.ND, 64), (ProblemKind.DN, 64), (ProblemKind.DD, 128)):
+        free = mesh.lattice[:, kind.layers(mesh.res.n_rad)]
+        assert mesh.num_vertices - free.size == pinned, kind
+        assert np.array_equal(np.sort(free.ravel()), free_vertices(mesh, kind)), kind
 
 
 def test_reduce_counts_and_expand(disc):
     mesh, b = disc.mesh, disc.b
     red = disc.system(ProblemKind.ND)
-    n_free = mesh.num_vertices - mesh.res.n_theta
-    assert red.free.size == n_free
+    mirror = vertex_mirror(mesh)
+    free = free_vertices(mesh, ProblemKind.ND)
+    assert free.size == mesh.num_vertices - mesh.res.n_theta
     # one unknown per mirror orbit: pairs plus the vertices on the x1-axis
-    n_fixed = int(np.count_nonzero(mesh.mirror[red.free] == red.free))
+    n_fixed = int(np.count_nonzero(mirror[free] == free))
     dim = red.K.shape[0]
-    assert dim == (n_free + n_fixed) // 2
+    assert dim == (free.size + n_fixed) // 2
     assert disc.reduced_mass(ProblemKind.ND).shape == (dim, dim)
     assert red.b.shape == (dim,)
-    assert red.b.sum() == pytest.approx(b[red.free].sum(), rel=1e-12)
-    x = np.arange(dim, dtype=float)
+    assert red.b.sum() == pytest.approx(b[free].sum(), rel=1e-12)
+    x = np.arange(1, dim + 1, dtype=float)
     full = red.expand(x)
     assert full.shape == (mesh.num_vertices,)
-    assert np.array_equal(full, full[mesh.mirror])
-    assert np.array_equal(np.unique(full[red.free]), x)
-    assert np.all(full[dirichlet_vertices(mesh, ProblemKind.ND)] == 0.0)
+    assert np.array_equal(full, full[mirror])
+    assert np.array_equal(np.unique(full[free]), x)
+    assert np.all(full[pinned_vertices(mesh, ProblemKind.ND)] == 0.0)
 
 
 def test_reduced_spd_dense_oracle(disc):
@@ -204,39 +219,28 @@ def test_assembly_bit_deterministic():
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-def test_mirror_orbits_require_invariance(disc):
-    red = disc.system(ProblemKind.ND)
-    assert np.array_equal(np.unique(red.orbit), np.arange(red.orbit.max() + 1))
-    bad = np.roll(np.arange(disc.mesh.num_vertices), 1)
-    # the orbits are numbered when the discretization is built
-    with pytest.raises(ValueError, match="involution"):
-        Discretization(dataclasses.replace(disc.mesh, mirror=bad))
-
-
-def test_pinned_set_must_be_mirror_invariant(disc):
-    # an involution that swaps a pinned inner vertex with a free one
-    mesh = disc.mesh
-    mirror = np.arange(mesh.num_vertices)
-    a, b = mesh.lattice[0, 0], mesh.lattice[0, 1]
-    mirror[[a, b]] = [b, a]
-    bad_disc = Discretization(dataclasses.replace(mesh, mirror=mirror))
-    with pytest.raises(ValueError, match="free vertex set"):
-        bad_disc.system(ProblemKind.ND)
-
-
-def test_fold_requires_ray_by_ray_numbering(disc):
-    # the same mesh with its vertices renumbered at random: the orbits are
-    # numbered in vertex order, so a triangle couples them off the band
+def test_reduction_reads_the_numbering_off_the_lattice(disc):
+    # the same mesh with its vertices renumbered at random: vertex v becomes
+    # perm[v], and every reduced operator is bitwise the same
     mesh = disc.mesh
     perm = np.random.default_rng(1).permutation(mesh.num_vertices)
-    mirror = np.empty_like(mesh.mirror)
-    mirror[perm] = perm[mesh.mirror]
     vertices = np.empty_like(mesh.vertices)
     vertices[perm] = mesh.vertices
-    shuffled = dataclasses.replace(mesh, vertices=vertices, triangles=perm[mesh.triangles],
-                                   lattice=perm[mesh.lattice], mirror=mirror)
-    with pytest.raises(ValueError, match="ray by ray"):
-        Discretization(shuffled).system(ProblemKind.ND)
+    shuffled = Discretization(dataclasses.replace(
+        mesh, vertices=vertices, triangles=perm[mesh.triangles], lattice=perm[mesh.lattice],
+        inner_edges=perm[mesh.inner_edges]))
+    assert np.array_equal(shuffled.b[perm], disc.b)
+    rng = np.random.default_rng(2)
+    for kind in ProblemKind:
+        want, got = disc.system(kind), shuffled.system(kind)
+        pairs = [(want.K, got.K), (disc.reduced_mass(kind), shuffled.reduced_mass(kind))]
+        for a, b in pairs:
+            assert a.offsets == b.offsets, kind
+            for p, q in zip(a.diagonals, b.diagonals):
+                assert np.array_equal(p.view(np.uint64), q.view(np.uint64)), kind
+        assert np.array_equal(want.b.view(np.uint64), got.b.view(np.uint64)), kind
+        w = rng.standard_normal(want.b.size)
+        assert np.array_equal(got.expand(w)[perm], want.expand(w)), kind
 
 
 def test_half_space_matches_full_free_space_dense_oracle():
@@ -244,12 +248,12 @@ def test_half_space_matches_full_free_space_dense_oracle():
     disc = Discretization(build_mesh(d, Resolution(32, 6, 1.5)))
     K, M, b = full_stiffness(disc.mesh).toarray(), full_mass(disc.mesh).toarray(), disc.b
     for kind in ProblemKind:
-        free = disc.system(kind).free
+        free = free_vertices(disc.mesh, kind)
         want = scipy.linalg.eigh(K[np.ix_(free, free)], M[np.ix_(free, free)],
                                  eigvals_only=True)[0]
         got = solve_eigenproblem(disc, kind).value
         assert got == pytest.approx(want, rel=1e-10), kind
-    free = disc.system(ProblemKind.ND).free
+    free = free_vertices(disc.mesh, ProblemKind.ND)
     want = np.linalg.solve(K[np.ix_(free, free)], b[free])
     got = solve_torsion(disc).v.values[free]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -342,25 +346,27 @@ def reference_operator(mesh, local):
     a = full_matrix(mesh, local)
     a.sum_duplicates()
     a = reference_transpose_average(a)
-    a = (0.5 * (a + a[mesh.mirror][:, mesh.mirror])).tocsr()
+    mirror = vertex_mirror(mesh)
+    a = (0.5 * (a + a[mirror][:, mirror])).tocsr()
     a.sort_indices()
     return reference_exactly_symmetric(a)
 
 
 def reference_system(mesh, K, M, b, kind):
-    """``(K, M, b, free, orbit)`` of ``kind`` by ``P^T A P`` products."""
-    pinned = dirichlet_vertices(mesh, kind)
+    """``(K, M, b, P)`` of ``kind`` by ``P^T A P`` products, with ``P`` the
+    0/1 expansion of the mirror orbits of the free vertices, numbered by
+    their smaller vertex."""
     n = mesh.num_vertices
-    free = np.setdiff1d(np.arange(n), pinned)
+    free = free_vertices(mesh, kind)
     pos = np.full(n, -1)
     pos[free] = np.arange(free.size)
-    image = pos[mesh.mirror[free]]
+    image = pos[vertex_mirror(mesh)[free]]
     _, orbit = np.unique(np.minimum(np.arange(free.size), image), return_inverse=True)
     P = sp.csr_matrix((np.ones(free.size), (free, orbit)), shape=(n, int(orbit.max()) + 1))
     Pt = P.T.tocsr()
     fold = [reference_exactly_symmetric(reference_transpose_average(Pt @ A @ P))
             for A in (K, M)]
-    return fold[0], fold[1], Pt @ b, free, orbit
+    return fold[0], fold[1], Pt @ b, P
 
 
 def assert_close_by_rows(band, want):
@@ -371,7 +377,7 @@ def assert_close_by_rows(band, want):
 
 
 def assert_matches_reference(disc):
-    """Every kind's reduced K, M, b, free and orbit against the reference;
+    """Every kind's reduced K, M, b and expansion against the reference;
     returns the reference's full K and M."""
     mesh = disc.mesh
     K = reference_operator(mesh, reference_local_stiffness(mesh.vertices[mesh.triangles]))
@@ -382,8 +388,8 @@ def assert_matches_reference(disc):
         assert_close_by_rows(system.K, want[0])
         assert_close_by_rows(disc.reduced_mass(kind), want[1])
         assert np.array_equal(system.b.view(np.uint64), want[2].view(np.uint64))
-        assert np.array_equal(system.free, want[3])
-        assert np.array_equal(system.orbit, want[4])
+        x = np.arange(1.0, system.b.size + 1)
+        assert np.array_equal(system.expand(x), want[3] @ x)
     return K, M
 
 

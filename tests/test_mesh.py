@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import vertex_mirror
+
 from annulab.export import write_field
 from annulab.fem import Field, p1_gradient
 from annulab.geometry import AnnularDomain
@@ -87,13 +89,14 @@ def test_area_second_order_convergence():
 def test_mirror_symmetry_exact():
     d = AnnularDomain(1.0, 5.0, 2.6)
     m = build_mesh(d, Resolution(52, 6, 0.8))  # n_theta = 2 mod 4 on purpose
-    mirrored = m.vertices[m.mirror]
+    mirror = vertex_mirror(m)
+    mirrored = m.vertices[mirror]
     flipped = m.vertices.copy()
     flipped[:, 1] = -flipped[:, 1]
     assert np.array_equal(mirrored, flipped)  # bitwise
     # triangle set invariant under the vertex mirror
     keys = canonical_triangle_keys(m.triangles)
-    mirrored_keys = canonical_triangle_keys(m.mirror[m.triangles])
+    mirrored_keys = canonical_triangle_keys(mirror[m.triangles])
     assert keys == mirrored_keys
 
 
