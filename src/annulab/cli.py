@@ -37,6 +37,7 @@ from .sweep import (
     S_POINTS,
     analyze_dn_ratio,
     bracket_critical_ratio,
+    check_levels,
     convergence_study,
     monotonicity_violations,
     richardson_limit,
@@ -94,6 +95,9 @@ def _parse_ratios(text: str):
         raise argparse.ArgumentTypeError("ratios must be comma-separated floats")
     if not ratios:
         raise argparse.ArgumentTypeError(f"no ratios in {text!r}")
+    bad = [r for r in ratios if not 0.0 < r < 1.0]
+    if bad:
+        raise argparse.ArgumentTypeError(f"ratios must lie in (0, 1), got {bad[0]:g}")
     return ratios
 
 
@@ -337,6 +341,7 @@ def cmd_dn_analyze(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    check_levels(args.levels)
     d = AnnularDomain(args.R0, args.R1, args.s)
     kind = ProblemKind.parse(args.kind)
     reference = None

@@ -4,9 +4,10 @@ generalized eigenpair.
 The reduced systems are :class:`SymmetricBand` matrices: a few nonzero lower
 diagonals.  Every linear solve goes through :func:`factorize`: one LAPACK
 band Cholesky (``dpbtrf``, lower storage), computed once per matrix and
-reused for every right-hand side.  The reduced unknowns are numbered ray by
-ray, so the half-bandwidth is at most ``n_rad + 1``: the band needs no
-ordering and no pivoting, and holds ``(kd + 1) n`` doubles.
+reused for every right-hand side.  :mod:`annulab.fem` numbers the reduced
+unknowns by the mesh lattice, ray by ray, so the half-bandwidth is at most
+``n_rad + 1``: the band needs no ordering and no pivoting, and holds
+``(kd + 1) n`` doubles.
 
 The eigenpair comes from inverse power iteration on ``K y = M x`` with
 M-normalization and a Rayleigh-quotient stopping rule.  Plain steps converge

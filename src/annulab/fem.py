@@ -16,23 +16,19 @@ ground state of a simple eigenvalue, or the unique solution), so the folded
 systems have the same solutions with about half the unknowns, and expanded
 fields are mirror symmetric by construction.
 
-The mesh lattice numbers the unknowns.  Lattice rows ``i`` and ``n_theta -
-i`` are mirror images, so vertex ``(i, j)`` belongs to the point ``(r, j)``
-of the folded grid, ``r = min(i, n_theta - i)`` a ray from 0 to ``n_theta /
-2``, numbered ray by ray, ``L = n_rad + 1`` to a ray.  A kind's unknowns are
-the points on its window of layers (:meth:`ProblemKind.layers`), again ray
-by ray.
-
-Stiffness and mass are folded once per mesh, never formed at full size:
-entry ``(I, J)`` of ``P^T A P``, with ``P`` the 0/1 expansion of the folded
-grid, sums the local P1 block entries of the triangle corners at the points
+The mesh lattice numbers the unknowns: rows ``i`` and ``n_theta - i`` are
+mirror images, so vertex ``(i, j)`` belongs to the point ``(min(i, n_theta
+- i), j)`` of a folded grid, numbered ray by ray, ``L = n_rad + 1`` to a
+ray.  Stiffness and mass are folded once per mesh, never formed at full
+size: entry ``(I, J)`` of ``P^T A P``, with ``P`` the 0/1 expansion of the
+folded grid, sums the local P1 block entries of the triangle corners at
 ``I`` and ``J``.  A triangle joins neighbouring rays and layers, so
 ``np.bincount`` sums the entries with ``I >= J`` straight into the lower
 diagonals 0, 1, ``L - 1``, ``L`` and ``L + 1`` of a
 :class:`~annulab.eigensolver.SymmetricBand`, exactly symmetric by storage.
-No mirror average is needed, since ``P`` is mirror invariant.  A kind's
-reduced operator is the principal submatrix on its window: each diagonal,
-read as a ``(rays, L)`` grid, restricted to the window's columns.
+No mirror average is needed, since ``P`` is mirror invariant.  A kind keeps
+one window of layers on every ray (:meth:`ProblemKind.layers`), and its
+reduced operator is a column slice of each folded diagonal.
 """
 
 from __future__ import annotations
@@ -61,8 +57,7 @@ class ProblemKind(enum.Enum):
             raise ValueError(f"unknown problem kind {name!r}; expected nd, dn or dd")
 
     def layers(self, n_rad: int) -> slice:
-        """The window of free layers: all but the Dirichlet circles, layer 0
-        the inner one and layer ``n_rad`` the outer one."""
+        """The free layers: all but the Dirichlet circles, 0 and ``n_rad``."""
         inner = self in (ProblemKind.ND, ProblemKind.DD)
         outer = self in (ProblemKind.DN, ProblemKind.DD)
         return slice(int(inner), n_rad + 1 - int(outer))
@@ -121,10 +116,8 @@ def p1_local_mass(area: np.ndarray) -> np.ndarray:
     return area[:, None, None] * MASS_BLOCK[None, :, :]
 
 
-def fold_rays(n_theta: int) -> np.ndarray:
-    """The ray ``min(i, n_theta - i)`` of the folded grid that holds lattice
-    row ``i``, for every row: rows ``i`` and ``n_theta - i`` are mirror
-    images."""
+def _fold_rays(n_theta: int) -> np.ndarray:
+    """The folded ray ``min(i, n_theta - i)`` of every lattice row ``i``."""
     i = np.arange(n_theta)
     return np.minimum(i, n_theta - i)
 
@@ -132,11 +125,10 @@ def fold_rays(n_theta: int) -> np.ndarray:
 def _band(entries, dim: int, L: int) -> SymmetricBand:
     """The symmetric matrix whose lower triangle sums the ``entries``:
     triples of arrays ``(offset, col, values)``, of values at the rows
-    ``col + offset`` and the columns ``col``.  The ``dim`` unknowns are
-    numbered ray by ray, ``L`` to a ray, and an entry couples neighbouring
-    rays and layers only, so the offsets are 0, 1, ``L - 1``, ``L`` and
-    ``L + 1`` or their negatives.  Negative offsets are dropped, and
-    ``offset`` is overwritten."""
+    ``col + offset`` and the columns ``col``.  A triangle joins neighbouring
+    rays and layers, ``L`` to a ray, so the offsets are 0, 1, ``L - 1``,
+    ``L``, ``L + 1`` or negative; negative ones are dropped, and ``offset``
+    is overwritten."""
     offsets = np.array([0, 1, L - 1, L, L + 1])
     # row k of a (6, dim) array of bins holds the diagonal offsets[k] by
     # column, and row 5 takes the negative offsets; `first` is indexed by
@@ -158,15 +150,10 @@ def _band(entries, dim: int, L: int) -> SymmetricBand:
 
 
 def _principal(A: SymmetricBand, L: int, layers: slice) -> SymmetricBand:
-    """The principal submatrix of ``A``, numbered ray by ray with ``L``
-    unknowns to a ray, on the window ``layers`` of every ray.
-
-    Diagonal ``o`` couples layer ``l`` of a ray with layer ``l + 1`` of the
-    same ray (``o = 1``) or layer ``l + o - L`` of the next one (``o >= L -
-    1``).  Read as a ``(rays, L)`` grid by its first point, it keeps the
-    window's columns, and the column whose partner layer leaves the window
-    is zeroed: the last for a step up, the first for a step down.  The
-    offsets of the next ray shrink by the layers left out."""
+    """The principal submatrix of ``A``, ``L`` unknowns to a ray, on the
+    window ``layers`` of every ray.  Each diagonal, as a ``(rays, L)`` grid,
+    keeps the window's columns; the one whose partner layer (``l + 1`` for
+    offsets 1 and ``L + 1``, ``l - 1`` for ``L - 1``) leaves it is zeroed."""
     lo, hi, _ = layers.indices(L)
     width = hi - lo
     dim = A.shape[0] // L * width
@@ -193,14 +180,13 @@ def _principal(A: SymmetricBand, L: int, layers: slice) -> SymmetricBand:
 class ReducedSystem:
     """One kind's Dirichlet-reduced, mirror-folded system.
 
-    The unknowns are the points of the folded grid on the kind's window of
-    ``layers``, numbered ray by ray: the point ``(r, j)`` is the value at the
-    lattice vertices ``(r, j)`` and ``(n_theta - r, j)``.  Reduced vectors
-    are the mirror-symmetric functions that vanish on the Dirichlet set.
-    With ``P`` the 0/1 matrix of :meth:`expand`, ``K = P^T K_full P`` and
-    ``b = P^T b_full``, so quadratic forms are preserved: ``x^T K x = (P
-    x)^T K_full (P x)``.  ``factor``, the band Cholesky of ``K``, is
-    computed on first use.
+    The unknowns are the points ``(r, j)`` of the folded grid with ``j`` in
+    ``layers``, ray by ray: the values at the vertices ``(r, j)`` and
+    ``(n_theta - r, j)``, a mirror-symmetric function that vanishes on the
+    Dirichlet set.  With ``P`` the 0/1 matrix of :meth:`expand`, ``K = P^T
+    K_full P`` and ``b = P^T b_full``, so quadratic forms are preserved:
+    ``x^T K x = (P x)^T K_full (P x)``.  ``factor``, the band Cholesky of
+    ``K``, is computed on first use.
     """
 
     K: SymmetricBand
@@ -220,7 +206,7 @@ class ReducedSystem:
         n_theta = self.lattice.shape[0]
         grid = np.reshape(x, (n_theta // 2 + 1, -1))
         out = np.zeros(self.lattice.size)
-        out[self.lattice[:, self.layers]] = grid[fold_rays(n_theta)]
+        out[self.lattice[:, self.layers]] = grid[_fold_rays(n_theta)]
         return out
 
 
@@ -238,11 +224,11 @@ class Discretization:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        n_theta, self._L = mesh.lattice.shape
-        self._rays = n_theta // 2 + 1
+        n_theta, L = mesh.lattice.shape
+        self._rays, self._L = n_theta // 2 + 1, L
         # the point (r, j) of the folded grid of every vertex (i, j)
         self._point = np.empty(mesh.num_vertices, dtype=int)
-        self._point[mesh.lattice] = fold_rays(n_theta)[:, None] * self._L + np.arange(self._L)
+        self._point[mesh.lattice] = _fold_rays(n_theta)[:, None] * L + np.arange(L)
         self.b = self.assemble_load()
         self._K: SymmetricBand | None = None
         self._M: SymmetricBand | None = None

@@ -8,15 +8,14 @@ the outer (Neumann) circle.
 
 The direction table is generated half-circle-by-reflection so the vertex set
 is *bitwise* invariant under ``x2 -> -x2``, which maps vertex ``(i, j)`` to
-``(n_theta - i, j)`` (row ``i`` mod ``n_theta``); quad diagonals are likewise chosen
-on the upper half and mirrored, which makes the triangle set exactly
-reflection symmetric.  When ``n_theta`` is divisible by 4 the inner circle is
-also symmetric across the vertical line ``x1 = s`` to the last bit of
-rounding.  The half-boundary regrouping of the derivative
-(:func:`annulab.shape.half_boundary_tau_prime`) does not rely on that: it
-pairs inner edge ``i`` with edge ``n_theta/2 - 1 - i``, its mirror image
-across ``x1 = s`` for every even ``n_theta``; when ``n_theta = 2 mod 4`` the
-two edges that cross the line pair with themselves.
+``(-i mod n_theta, j)``; quad diagonals are likewise chosen on the upper half
+and mirrored, which makes the triangle set exactly reflection symmetric.
+When ``n_theta`` is divisible by 4 the inner circle is also symmetric across
+the vertical line ``x1 = s`` to the last bit of rounding.  The half-boundary
+regrouping of the derivative (:func:`annulab.shape.half_boundary_tau_prime`)
+does not rely on that: it pairs inner edge ``i`` with edge ``n_theta/2 - 1 -
+i``, its mirror image across ``x1 = s`` for every even ``n_theta``; when
+``n_theta = 2 mod 4`` the two edges that cross the line pair with themselves.
 
 The triangle geometry has one kernel, :func:`p1_coefficients`; the mesh's
 areas, quality figure and point-location table, and the P1 gradients and
@@ -342,10 +341,11 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
     """Deterministic structured mesh of ``domain`` at resolution ``res``.
 
     Each lattice quad is split along the diagonal whose midpoint is farther
-    from the inner center, as computed in floating point: an exact tie keeps
-    the diagonal through the lower angle-index corner, but at s = 0, where
-    every quad ties in exact arithmetic, round-off decides.  Quads on the
-    lower half copy the mirrored choice so the split is exactly symmetric.
+    from the inner center, as computed in floating point; a tie keeps the
+    diagonal through the lower angle-index corner.  At s = 0 every quad ties
+    in exact arithmetic, so every quad of the upper half keeps that diagonal
+    and round-off decides none.  Quads on the lower half copy the mirrored
+    choice so the split is exactly symmetric.
     """
     n_theta, n_rad, grading = res.n_theta, res.n_rad, res.grading
     cos_t, sin_t = _unit_directions(n_theta)
@@ -363,33 +363,21 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
     center = domain.inner_center
     ip1 = (i_idx + 1) % n_theta
 
+    # the corners (i, j), (i, j+1), (i+1, j), (i+1, j+1) of every quad
+    v00, v01 = lattice[:, :-1], lattice[:, 1:]
+    v10, v11 = lattice[ip1, :-1], lattice[ip1, 1:]
     # diagonal choice per quad column, decided on the upper half and mirrored
-    v00 = lattice[i_idx][:, :-1]
-    v10 = lattice[ip1][:, :-1]
-    v11 = lattice[ip1][:, 1:]
-    v01 = lattice[i_idx][:, 1:]
     mid_a = 0.5 * (vertices[v00] + vertices[v11]) - center
     mid_b = 0.5 * (vertices[v10] + vertices[v01]) - center
     dist_a = np.einsum("ijk,ijk->ij", mid_a, mid_a)
     dist_b = np.einsum("ijk,ijk->ij", mid_b, mid_b)
-    diag_a = dist_a >= dist_b
+    diag_a = (dist_a >= dist_b) | (domain.s == 0.0)
     diag_a[half:] = ~diag_a[half - 1 :: -1]
 
-    tris = np.empty((n_theta * n_rad * 2, 3), dtype=int)
-    quad = (i_idx[:, None] * n_rad + np.arange(n_rad)[None, :])
-    t0 = 2 * quad
-    t1 = t0 + 1
-    # diagonal through (i,j)-(i+1,j+1); counter-clockwise triangles
-    tris[t0[diag_a]] = np.stack(
-        [v00[diag_a], v01[diag_a], v11[diag_a]], axis=1
-    )
-    tris[t1[diag_a]] = np.stack(
-        [v00[diag_a], v11[diag_a], v10[diag_a]], axis=1
-    )
-    # diagonal through (i+1,j)-(i,j+1)
-    nb = ~diag_a
-    tris[t0[nb]] = np.stack([v00[nb], v01[nb], v10[nb]], axis=1)
-    tris[t1[nb]] = np.stack([v01[nb], v11[nb], v10[nb]], axis=1)
+    # counter-clockwise triangles 2q and 2q + 1 of quad q = i n_rad + j,
+    # split by diagonal a through (i,j)-(i+1,j+1), else by (i+1,j)-(i,j+1)
+    tris = np.stack([v00, v01, np.where(diag_a, v11, v10),
+                     np.where(diag_a, v00, v01), v11, v10], axis=2).reshape(-1, 3)
 
     _, _, areas = p1_coefficients(np.take(vertices, tris, axis=0))
     bad = np.nonzero(areas <= 0.0)[0]
@@ -400,7 +388,7 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
 
     inner_edges = np.stack([lattice[i_idx, 0], lattice[ip1, 0]], axis=1)
     # the triangle on the inner edge: 2q + 1 with diagonal a, else 2q
-    inner_triangles = t0[:, 0] + diag_a[:, 0]
+    inner_triangles = 2 * n_rad * i_idx + diag_a[:, 0]
 
     return Mesh(
         domain=domain,

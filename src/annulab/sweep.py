@@ -4,8 +4,9 @@ mesh convergence studies.
 Sweep points are independent solves merged by parameter value, so results do
 not depend on evaluation order or worker count.  Monotonicity expectations
 (first mixed eigenvalue strictly decreasing in the offset, rigidity strictly
-increasing) are checked on the assembled records and reported, never silently
-dropped and never raised mid-sweep.
+increasing) are checked on the assembled records by
+:func:`monotonicity_violations`, whose list the caller reports once, never
+raised mid-sweep.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def sweep_translation(
     keep_fields: bool = False,
     exclusion: float | None = None,
 ) -> list[SweepRecord]:
-    """One record per offset; logs monotonicity violations, returns all rows."""
+    """One record per offset, in the order of ``s_grid``;
+    :func:`monotonicity_violations` tells which expected trends fail."""
     s_grid = [float(s) for s in s_grid]
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("s_grid must be strictly increasing")
@@ -132,12 +134,8 @@ def sweep_translation(
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, s_grid))
-    else:
-        records = [work(s) for s in s_grid]
-    for msg in monotonicity_violations(records):
-        log.warning("sweep: %s", msg)
-    return records
+            return list(pool.map(work, s_grid))
+    return [work(s) for s in s_grid]
 
 
 def monotonicity_violations(records) -> list[str]:
@@ -322,6 +320,12 @@ class ConvergenceRow:
     error: float | None
 
 
+def check_levels(levels: int) -> None:
+    """``ValueError`` unless ``levels`` refinement levels give an observed order."""
+    if levels < 3:
+        raise ValueError("need at least 3 levels for an observed order")
+
+
 def convergence_study(
     domain: AnnularDomain,
     kind: ProblemKind,
@@ -336,8 +340,7 @@ def convergence_study(
     independent ``reference`` is supplied (the radial solver at s = 0),
     per-level errors and error-based orders are reported instead.
     """
-    if levels < 3:
-        raise ValueError("need at least 3 levels for an observed order")
+    check_levels(levels)
     values = []
     rows = []
     for lvl in range(levels):

@@ -1,9 +1,13 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import annulab
 from annulab import cli
 from annulab.checks import geometry_report
 from annulab.cli import build_parser, main
@@ -180,6 +184,19 @@ def test_sweep_and_determinism(tmp_path, capsys):
     assert header.startswith("s,tau1,lambda1,nu1,T,")
 
 
+def test_sweep_reports_each_violation_once(tmp_path):
+    # the geometry checks fail at s = 0 on a 16 x 4 mesh; in a fresh process,
+    # where nothing configures logging, the CLI's line is the one report
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(annulab.__file__)))
+    cp = subprocess.run(
+        [sys.executable, "-m", "annulab.cli", "sweep", "--s-grid", "0:1:3",
+         "--n-theta", "16", "--n-rad", "4", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert cp.returncode == 4
+    assert cp.stderr.splitlines() == ["assertion failed: geometry checks failed at s=0.0"]
+
+
 def test_sweep_grid_parsing(tmp_path, capsys):
     code, out, _ = run(
         ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "1:2:3",
@@ -256,6 +273,15 @@ def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "symmetry_s2.json").exists()
 
 
+def test_converge_rejects_levels_before_solving(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "concentric_eigenvalue", fail_if_solved)
+    monkeypatch.setattr(cli, "convergence_study", fail_if_solved)
+    code, out, err = run(["converge", "--s", "0", "--levels", "2"] + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert "3 levels" in err
+
+
 def test_converge(capsys):
     code, out, _ = run(
         ["converge", "--R0", "1", "--R1", "2", "--s", "0", "--kind", "nd",
@@ -288,6 +314,20 @@ def test_dn_analyze_rejects_empty_ratio_list(tmp_path, capsys):
     )
     assert code == 2
     assert "ratios" in err
+    assert not (tmp_path / "dn_analysis.json").exists()
+
+
+@pytest.mark.parametrize("ratios", ["0.1,1.5", "0,0.5", "0.1,1", "nan"])
+def test_dn_analyze_rejects_ratios_outside_the_unit_interval(
+    tmp_path, capsys, monkeypatch, ratios
+):
+    monkeypatch.setattr(cli, "analyze_dn_ratio", fail_if_solved)
+    code, out, err = run(
+        ["dn-analyze", "--ratios", ratios, "--out-dir", str(tmp_path)] + FAST, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "ratios must lie in (0, 1)" in err
     assert not (tmp_path / "dn_analysis.json").exists()
 
 

@@ -81,6 +81,13 @@ def dense(band):
     return A
 
 
+def assert_bitwise_equal(a, b):
+    """Two SymmetricBands with the same offsets and bitwise equal diagonals."""
+    assert a.offsets == b.offsets
+    for x, y in zip(a.diagonals, b.diagonals):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 @pytest.fixture(scope="module")
 def assembled(disc):
     return disc.mesh, full_stiffness(disc.mesh), full_mass(disc.mesh), disc.b
@@ -214,9 +221,7 @@ def test_assembly_bit_deterministic():
         pairs += [(first.system(kind).K, second.system(kind).K),
                   (first.reduced_mass(kind), second.reduced_mass(kind))]
     for a, b in pairs:
-        assert a.offsets == b.offsets
-        for x, y in zip(a.diagonals, b.diagonals):
-            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert_bitwise_equal(a, b)
 
 
 def test_reduction_reads_the_numbering_off_the_lattice(disc):
@@ -233,11 +238,8 @@ def test_reduction_reads_the_numbering_off_the_lattice(disc):
     rng = np.random.default_rng(2)
     for kind in ProblemKind:
         want, got = disc.system(kind), shuffled.system(kind)
-        pairs = [(want.K, got.K), (disc.reduced_mass(kind), shuffled.reduced_mass(kind))]
-        for a, b in pairs:
-            assert a.offsets == b.offsets, kind
-            for p, q in zip(a.diagonals, b.diagonals):
-                assert np.array_equal(p.view(np.uint64), q.view(np.uint64)), kind
+        assert_bitwise_equal(want.K, got.K)
+        assert_bitwise_equal(disc.reduced_mass(kind), shuffled.reduced_mass(kind))
         assert np.array_equal(want.b.view(np.uint64), got.b.view(np.uint64)), kind
         w = rng.standard_normal(want.b.size)
         assert np.array_equal(got.expand(w)[perm], want.expand(w)), kind
