@@ -1,10 +1,13 @@
 """Sign checks on computed fields: monotonicity, symmetry and peak location.
 
-Each check evaluates a strict continuum inequality on the discrete field and
-reports the worst margin together with where it occurs.  Signs are tested
-against zero; the only tunable is the exclusion radius around the two
-points where the inequalities genuinely degenerate (``(+-R1, 0)``, where the
-gradient vanishes).  The reflection comparison allows a fixed interpolation
+Each sign check evaluates a strict continuum inequality on the discrete
+field by one rule: over its tested points, in order, the worst value is the
+first extremum, and every value on the wrong side of the threshold, or on
+it, is a violation.  A check passes without violations; only the tangential
+sign check allows a share of them, below 1e-3.  Signs are tested against zero; the only
+tunable is the exclusion radius around the two points where the
+inequalities genuinely degenerate (``(+-R1, 0)``, where the gradient
+vanishes).  The reflection comparison allows a fixed interpolation
 tolerance, ``INTERP_RTOL``.
 
 Interior derivative checks use the area-weighted recovered vertex gradient.
@@ -17,8 +20,8 @@ drown the small true margin near the right pole.
 The concentric domain is a degenerate special case: the angular derivative
 vanishes identically, the peak spreads over the whole outer circle, and
 strict sign checks become coin flips on rounding noise.  At ``s = 0`` the
-angular checks therefore verify ring constancy instead, and the peak check
-only requires the maximum on the outer layer.
+angular checks therefore verify ring constancy instead, whatever the
+exclusion, and the peak check only requires the maximum on the outer layer.
 """
 
 from __future__ import annotations
@@ -45,20 +48,6 @@ RADIAL_SPREAD_RTOL = 1e-3
 EXCLUSION = 0.05
 
 
-@dataclass
-class GradientField:
-    """Area-weighted vertex averages of the per-triangle P1 gradients."""
-
-    values: np.ndarray  # (nv, 2)
-    mesh: Mesh
-
-    def at(self, pts):
-        """The recovered gradient interpolated at ``pts``, ``(n, 2)``."""
-        st = self.mesh.stencil(pts)
-        g = self.values
-        return np.stack([st.apply(g[:, 0]), st.apply(g[:, 1])], axis=-1)
-
-
 def _area_sums(mesh: Mesh) -> np.ndarray:
     """Per vertex, the total area of its triangles: the denominators of the
     recovered gradient, which depend only on the mesh."""
@@ -67,22 +56,23 @@ def _area_sums(mesh: Mesh) -> np.ndarray:
     return den
 
 
-def recover_gradient(u: Field) -> GradientField:
-    """Vertex gradient: sum of area * triangle gradient over adjacent cells.
+def recover_gradient(u: Field) -> np.ndarray:
+    """Vertex gradient ``(nv, 2)``: the area-weighted average of the P1
+    gradients of the adjacent triangles.
 
     Exact for globally linear fields; O(h) accurate at interior vertices.
     """
     return _recover_gradient(u, _area_sums(u.mesh))
 
 
-def _recover_gradient(u: Field, area_sums: np.ndarray) -> GradientField:
+def _recover_gradient(u: Field, area_sums: np.ndarray) -> np.ndarray:
     mesh = u.mesh
     gx_tri, gy_tri, area = p1_gradient(u)
     num = np.zeros((mesh.num_vertices, 2))
     flat = mesh.triangles.ravel()
     np.add.at(num[:, 0], flat, np.repeat(area * gx_tri, 3))
     np.add.at(num[:, 1], flat, np.repeat(area * gy_tri, 3))
-    return GradientField(values=num / area_sums[:, None], mesh=mesh)
+    return num / area_sums[:, None]
 
 
 def outer_axial_derivative(u: Field) -> np.ndarray:
@@ -105,7 +95,7 @@ def outer_axial_derivative(u: Field) -> np.ndarray:
 
 @dataclass
 class CheckResult:
-    """One check's worst value and where it occurs.
+    """One check's worst value, where it occurs, and its violation count.
 
     The fields and the tested sets are mirror symmetric, so the worst value
     is taken, up to round-off, at a point and at its mirror twin; a strict
@@ -118,13 +108,13 @@ class CheckResult:
     location: tuple[float, float]
     passed: bool
     detail: str = ""
+    violations: int = 0  # tested points on the wrong side; 1 for a failed verdict
 
 
 @dataclass
 class GeometryReport:
     exclusion: float
     checks: dict[str, CheckResult]
-    violation_counts: dict[str, int]
 
     @property
     def all_passed(self) -> bool:
@@ -177,21 +167,24 @@ class _Frame:
 
     exclusion: float
     interior: np.ndarray  # interior vertices outside the pole discs
-    cap: np.ndarray  # interior vertices left of x1 = s - exclusion
-    off_axis: np.ndarray  # vertices off the x1 axis
-    ring_mask: np.ndarray  # outer-ring vertices outside the pole discs
+    cap: np.ndarray  # those left of x1 = s - exclusion
+    off_axis: np.ndarray  # those off the x1 axis
+    tangent: np.ndarray  # (-x2, x1)/|x| at the off-axis vertices
+    outer: np.ndarray  # outer-ring positions outside the pole discs
     area_sums: np.ndarray  # per vertex, the area of its triangles
-    # per polarizer: the vertices strictly outside H whose image lies inside
-    tested: list[np.ndarray]
-    reflected: Stencil  # at the images of all tested vertices, in order
+    # the polarizers in turn, each with the vertices strictly outside H
+    # whose image lies inside, and the stencil at those images
+    tested: np.ndarray
+    reflected: Stencil
     cell_size: float  # largest edge of the cells at (-R1, 0); nan at s = 0
 
 
 def _frame(mesh: Mesh, exclusion: float) -> _Frame:
-    """Masks, reflected-point stencil and peak cell size of ``mesh``."""
+    """Tested sets, reflected-point stencil and peak cell size of ``mesh``."""
     d = mesh.domain
     v = mesh.vertices
     interior = _interior_mask(mesh) & _outside_poles(v, d.R1, exclusion)
+    off_axis = np.flatnonzero(interior & (np.abs(v[:, 1]) > 1e-12 * d.R1))
     ring = mesh.lattice[:, mesh.res.n_rad]
 
     # the reflected points of all polarizers are located in one call
@@ -219,14 +212,17 @@ def _frame(mesh: Mesh, exclusion: float) -> _Frame:
             )
         )
 
+    w = v[off_axis]
+    tangent = np.stack([-w[:, 1], w[:, 0]], axis=1) / np.hypot(w[:, 0], w[:, 1])[:, None]
     return _Frame(
         exclusion=exclusion,
-        interior=interior,
-        cap=interior & (v[:, 0] < d.s - exclusion),
-        off_axis=np.abs(v[:, 1]) > 1e-12 * d.R1,
-        ring_mask=_outside_poles(v[ring], d.R1, exclusion),
+        interior=np.flatnonzero(interior),
+        cap=np.flatnonzero(interior & (v[:, 0] < d.s - exclusion)),
+        off_axis=off_axis,
+        tangent=tangent,
+        outer=np.flatnonzero(_outside_poles(v[ring], d.R1, exclusion)),
         area_sums=_area_sums(mesh),
-        tested=tested,
+        tested=np.concatenate(tested),
         reflected=mesh.stencil(np.concatenate(reflected)),
         cell_size=cell_size,
     )
@@ -272,152 +268,108 @@ def _upper_twin(point) -> tuple[float, float]:
     return float(point[0]), abs(float(point[1]))
 
 
+def _extremum(
+    name, values, where, points, sense, detail, threshold=0.0, allowed=0.0
+) -> CheckResult:
+    """The sign check that ``values``, tested in order at ``points[where]``,
+    all lie above ``threshold`` (``sense`` "min") or below it ("max").
+
+    The worst value is the first extremum.  A value on the wrong side of
+    ``threshold``, or equal to it, is a violation; the check passes when
+    there is none, or when their share is below ``allowed``.  ``detail``
+    may name ``{violations}`` and ``{tested}``.
+    """
+    if values.size == 0:
+        return CheckResult(name, None, (0.0, 0.0), True, "no test points")
+    if sense == "min":
+        worst = int(np.argmin(values))
+        nviol = int(np.count_nonzero(~(values > threshold)))
+    else:
+        worst = int(np.argmax(values))
+        nviol = int(np.count_nonzero(~(values < threshold)))
+    return CheckResult(
+        name, float(values[worst]), _upper_twin(points[where[worst]]),
+        nviol == 0 or nviol / values.size < allowed,
+        detail.format(violations=nviol, tested=values.size), nviol,
+    )
+
+
+def _ring_constancy(name, values, where, points, spread) -> CheckResult:
+    """The s = 0 form of an angular-derivative check: the verdict is ring
+    constancy, to ``RADIAL_SPREAD_RTOL``, whatever the tested points; the
+    worst value is the largest ``|values|`` among them."""
+    ok = bool(spread <= RADIAL_SPREAD_RTOL)
+    detail = f"concentric: angular derivative vanishes; ring spread {spread:.2e}"
+    if values.size == 0:
+        return CheckResult(name, None, (0.0, 0.0), ok, detail, int(not ok))
+    worst = int(np.argmax(np.abs(values)))
+    return CheckResult(name, float(values[worst]), _upper_twin(points[where[worst]]),
+                       ok, detail, int(not ok))
+
+
 def _report(u: Field, frame: _Frame) -> GeometryReport:
     mesh = u.mesh
-    exclusion = frame.exclusion
     d = mesh.domain
-    degenerate = d.s == 0.0
-    grad = _recover_gradient(u, frame.area_sums)
-    g = grad.values
     v = mesh.vertices
-    umax = float(np.abs(u.values).max())
-
-    interior = frame.interior
-    checks: dict[str, CheckResult] = {}
-    counts: dict[str, int] = {}
-
-    def no_test_points(name):
-        checks[name] = CheckResult(name, None, (0.0, 0.0), True, "no test points")
-        counts[name] = 0
-
-    def record(name, mask, values, sense, detail="", points=v):
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            no_test_points(name)
-            return
-        vals = values[idx]
-        if sense == "min>0":
-            wpos = int(np.argmin(vals))
-            ok = bool(vals[wpos] > 0.0)
-            nviol = int((vals <= 0.0).sum())
-        else:  # "max<0"
-            wpos = int(np.argmax(vals))
-            ok = bool(vals[wpos] < 0.0)
-            nviol = int((vals >= 0.0).sum())
-        checks[name] = CheckResult(
-            name, float(vals[wpos]), _upper_twin(points[idx[wpos]]), ok, detail
-        )
-        counts[name] = nviol
+    g = _recover_gradient(u, frame.area_sums)
+    interior, off_axis = frame.interior, frame.off_axis
+    outer = mesh.lattice[frame.outer, mesh.res.n_rad]
+    d1 = outer_axial_derivative(u)[frame.outer]
+    tang = np.einsum("ij,ij->i", g[off_axis], frame.tangent)
 
     # (a) increasing along rays from the inner center
     radial = np.einsum("ij,ij->i", g, v - d.inner_center)
-    record("affine_radial", interior, radial, "min>0",
-           "min of grad u . (x - s e1)")
-
-    # (b) decreasing in x1 on the cap left of the inner center
-    record("axial_cap", frame.cap, g[:, 0], "max<0",
-           "max of du/dx1 over {x1 < s - exclusion}")
-
-    # (c) decreasing in x1 along the outer circle
-    ring = mesh.lattice[:, mesh.res.n_rad]
-    ring_pts = v[ring]
-    ring_mask = frame.ring_mask
-    d1 = outer_axial_derivative(u)
-    spread = _ring_spread(u)
-    if degenerate:
-        ok = bool(spread <= RADIAL_SPREAD_RTOL)
-        wpos = int(np.argmax(np.abs(d1 * ring_mask)))
-        checks["outer_axial"] = CheckResult(
-            "outer_axial", float(d1[wpos]),
-            _upper_twin(ring_pts[wpos]), ok,
-            f"concentric: angular derivative vanishes; ring spread {spread:.2e}",
-        )
-        counts["outer_axial"] = 0 if ok else 1
+    results = [
+        _extremum("affine_radial", radial[interior], interior, v, "min",
+                  "min of grad u . (x - s e1)"),
+        # (b) decreasing in x1 on the cap left of the inner center
+        _extremum("axial_cap", g[frame.cap, 0], frame.cap, v, "max",
+                  "max of du/dx1 over {{x1 < s - exclusion}}"),
+    ]
+    # (c) decreasing in x1 along the outer circle; (d) grad u . eta and
+    # eta . e1 have opposite signs for the tangential direction eta
+    if d.s == 0.0:
+        spread = _ring_spread(u)
+        results += [_ring_constancy("outer_axial", d1, outer, v, spread),
+                    _ring_constancy("tangential_sign", tang, off_axis, v, spread)]
     else:
-        record("outer_axial", ring_mask, d1, "max<0",
-               "max of du/dx1 on the outer circle", ring_pts)
-
-    # (d) tangential derivative sign: grad u . eta and eta . e1 have opposite
-    # signs for the tangential direction eta = (-x2, x1)/|x|
-    mask_d = interior & frame.off_axis
-    idx = np.nonzero(mask_d)[0]
-    rr = np.hypot(v[idx, 0], v[idx, 1])
-    eta = np.stack([-v[idx, 1], v[idx, 0]], axis=1) / rr[:, None]
-    tang = np.einsum("ij,ij->i", g[idx], eta)
-    prod = tang * v[idx, 1]  # requirement: positive (sign(tang) = sign(x2))
-    if idx.size == 0:
-        no_test_points("tangential_sign")
-    elif degenerate:
-        ok = bool(spread <= RADIAL_SPREAD_RTOL)
-        wpos = int(np.argmax(np.abs(tang)))
-        checks["tangential_sign"] = CheckResult(
-            "tangential_sign", float(tang[wpos]),
-            _upper_twin(v[idx[wpos]]), ok,
-            f"concentric: angular derivative vanishes; ring spread {spread:.2e}",
-        )
-        counts["tangential_sign"] = 0 if ok else 1
-    else:
-        nviol = int((prod <= 0.0).sum())
-        frac = nviol / max(idx.size, 1)
-        wpos = int(np.argmin(prod))
-        checks["tangential_sign"] = CheckResult(
-            "tangential_sign", float(prod[wpos]),
-            _upper_twin(v[idx[wpos]]), bool(frac < 1e-3),
-            f"{nviol} violations of {idx.size} points",
-        )
-        counts["tangential_sign"] = nviol
-
+        results += [
+            _extremum("outer_axial", d1, outer, v, "max",
+                      "max of du/dx1 on the outer circle"),
+            _extremum("tangential_sign", tang * v[off_axis, 1], off_axis, v, "min",
+                      "{violations} violations of {tested} points", allowed=1e-3),
+        ]
     # (e) gradient does not vanish off the axis
-    gnorm = np.hypot(g[:, 0], g[:, 1])
-    record("gradient_nonzero", mask_d, gnorm, "min>0", "min |grad u| off axis")
-
-    # (f) strict ordering under star-family reflections
-    tol = INTERP_RTOL * umax
-    u_refs = np.split(frame.reflected.apply(u.values),
-                      np.cumsum([idx.size for idx in frame.tested])[:-1])
-    nviol = 0
-    ntest = 0
-    worst = np.inf
-    wloc = (0.0, 0.0)
-    for idx, u_ref in zip(frame.tested, u_refs):
-        if idx.size == 0:
-            continue
-        margin = u_ref - u.values[idx]
-        ntest += idx.size
-        bad = margin <= -tol
-        nviol += int(bad.sum())
-        wpos = int(np.argmin(margin))
-        if margin[wpos] < worst:
-            worst = float(margin[wpos])
-            wloc = _upper_twin(v[idx[wpos]])
-    if ntest == 0:
-        no_test_points("reflection_ordering")
-    else:
-        checks["reflection_ordering"] = CheckResult(
-            "reflection_ordering", worst, wloc, bool(nviol == 0),
-            f"{nviol} of {ntest} beyond tolerance {tol:.2e}",
-        )
-        counts["reflection_ordering"] = nviol
+    gnorm = np.hypot(g[off_axis, 0], g[off_axis, 1])
+    results.append(_extremum("gradient_nonzero", gnorm, off_axis, v, "min",
+                             "min |grad u| off axis"))
+    # (f) strict ordering under star-family reflections, to an interpolation
+    # tolerance; the worst value is the first strict minimum over the
+    # polarizers in turn
+    tol = INTERP_RTOL * float(np.abs(u.values).max())
+    margin = frame.reflected.apply(u.values) - u.values[frame.tested]
+    results.append(_extremum(
+        "reflection_ordering", margin, frame.tested, v, "min",
+        f"{{violations}} of {{tested}} beyond tolerance {tol:.2e}", threshold=-tol,
+    ))
 
     # (g) unique maximum at (-R1, 0); at s = 0 the maximum spreads over the
     # whole outer circle, so only membership in the outer layer is required
     peak = int(np.argmax(u.values))
     ploc = _upper_twin(v[peak])
-    if degenerate:
-        on_outer = peak in set(int(k) for k in ring)
-        checks["peak_location"] = CheckResult(
-            "peak_location", float(np.hypot(v[peak][0], v[peak][1]) - d.R1),
-            ploc, bool(on_outer), "concentric: maximum attained on the outer circle",
-        )
-        counts["peak_location"] = 0 if on_outer else 1
+    if d.s == 0.0:
+        ok = bool((mesh.lattice[:, mesh.res.n_rad] == peak).any())
+        results.append(CheckResult(
+            "peak_location", float(np.hypot(v[peak][0], v[peak][1]) - d.R1), ploc,
+            ok, "concentric: maximum attained on the outer circle", int(not ok),
+        ))
     else:
-        target = np.array([-d.R1, 0.0])
-        dist = float(np.hypot(*(v[peak] - target)))
+        dist = float(np.hypot(*(v[peak] - np.array([-d.R1, 0.0]))))
         diam = frame.cell_size
-        checks["peak_location"] = CheckResult(
-            "peak_location", dist, ploc, bool(dist <= 1.5 * diam),
-            f"peak vertex {dist:.3e} from (-R1, 0), cell size {diam:.3e}",
-        )
-        counts["peak_location"] = 0 if dist <= 1.5 * diam else 1
+        ok = bool(dist <= 1.5 * diam)
+        results.append(CheckResult(
+            "peak_location", dist, ploc, ok,
+            f"peak vertex {dist:.3e} from (-R1, 0), cell size {diam:.3e}", int(not ok),
+        ))
 
-    return GeometryReport(exclusion=exclusion, checks=checks, violation_counts=counts)
+    return GeometryReport(frame.exclusion, {c.name: c for c in results})

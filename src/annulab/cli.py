@@ -26,6 +26,7 @@ from .mesh import MeshQualityError, Resolution
 from .radial_oracle import concentric_eigenvalue
 from .shape import (
     FD_STEP,
+    check_fd_step,
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
@@ -123,8 +124,18 @@ def _add_solver_flags(p, res=Resolution(), with_tol=True):
                        help=f"eigensolver residual tolerance (default {TOL:g})")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_fd_step(p):
-    p.add_argument("--fd-step", type=float, default=FD_STEP,
+    p.add_argument("--fd-step", type=_positive_float, default=FD_STEP,
                    help=f"finite difference step (default {FD_STEP:g})")
 
 
@@ -275,6 +286,7 @@ def cmd_symmetry_check(args) -> int:
 
 def cmd_shape_derivative(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
+    check_fd_step(d, args.fd_step)
     res = _resolution(args)
     sol = solve_eigenproblem(discretize(d, res), ProblemKind.ND, args.tol)
     trace = dirichlet_normal_derivative(sol.u)

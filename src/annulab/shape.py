@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import EXCLUSION, recover_gradient
+from .checks import exclusion_radius, recover_gradient
 from .eigensolver import TOL
 from .fem import Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
@@ -107,6 +107,15 @@ def max_fd_step(domain: AnnularDomain) -> float:
     return room / 8.0 if domain.s == 0.0 else min(domain.s, room) / 4.0
 
 
+def check_fd_step(domain: AnnularDomain, h: float) -> None:
+    """``ValueError`` unless ``0 < h <= max_fd_step(domain)``."""
+    if not h > 0.0:
+        raise ValueError("step must be positive")
+    limit = max_fd_step(domain)
+    if h > limit:
+        raise ValueError(f"step {h} too large; must be <= {limit}")
+
+
 def offset_difference(f, domain: AnnularDomain, h: float) -> float:
     """Difference quotient of ``f(s)`` at ``domain.s``: central, one-sided at s = 0.
 
@@ -114,11 +123,7 @@ def offset_difference(f, domain: AnnularDomain, h: float) -> float:
     difference would pick up the O(h) curvature term of a function even in
     the offset, as the eigenvalue and the rigidity are.
     """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
-    limit = max_fd_step(domain)
-    if h > limit:
-        raise ValueError(f"step {h} too large; must be <= {limit}")
+    check_fd_step(domain, h)
     if domain.s == 0.0:
         return (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
     return (f(domain.s + h) - f(domain.s - h)) / (2.0 * h)
@@ -151,20 +156,22 @@ def reflected_neumann_margin(u: Field, exclusion: float | None = None):
     the reflection across ``x1 = s`` has outward normal derivative
     ``grad u(sigma x) . ((-x1, x2)/R1)``; it is positive away from the two
     points where the outer circle meets the reflection line, which are
-    skipped within ``exclusion`` (default ``EXCLUSION R1``).  Returns
-    ``(min proxy, number of tested vertices)``.
+    skipped within ``exclusion`` (default ``EXCLUSION R1``, validated by
+    :func:`~annulab.checks.exclusion_radius`).  Returns ``(min proxy, number
+    of tested vertices)``, or ``(None, 0)`` when no vertex is tested.
     """
     mesh = u.mesh
     d = mesh.domain
-    if exclusion is None:
-        exclusion = EXCLUSION * d.R1
+    exclusion = exclusion_radius(exclusion, d.R1)
     corners_y = np.sqrt(max(d.R1**2 - d.s**2, 0.0))
     outer = mesh.vertices[mesh.lattice[:, mesh.res.n_rad]]
     sel = outer[:, 0] > d.s
     for cy in (corners_y, -corners_y):
         sel &= np.hypot(outer[:, 0] - d.s, outer[:, 1] - cy) > exclusion
     pts = outer[sel]
-    refl = np.stack([2.0 * d.s - pts[:, 0], pts[:, 1]], axis=1)
-    gref = recover_gradient(u).at(refl)
-    proxy = (gref[:, 0] * (-pts[:, 0]) + gref[:, 1] * pts[:, 1]) / d.R1
-    return float(proxy.min()), int(sel.sum())
+    if not len(pts):
+        return None, 0
+    st = mesh.stencil(np.stack([2.0 * d.s - pts[:, 0], pts[:, 1]], axis=1))
+    g = recover_gradient(u)
+    proxy = (st.apply(g[:, 0]) * (-pts[:, 0]) + st.apply(g[:, 1]) * pts[:, 1]) / d.R1
+    return float(proxy.min()), len(pts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,11 +38,6 @@ from .torsion import rigidity_derivative, solve_torsion
 
 log = logging.getLogger(__name__)
 
-SWEEP_COLUMNS = (
-    "s", "tau1", "lambda1", "nu1", "T",
-    "dtau_hadamard", "dtau_half", "dtau_fd", "dT_boundary", "checks_pass",
-)
-
 # sweep points per radius ratio of the outer-Dirichlet family analysis
 S_POINTS = 12
 # target width of the critical-ratio bracket
@@ -51,7 +46,7 @@ BRACKET_WIDTH = 0.05
 
 @dataclass
 class SweepRecord:
-    """One row of a translation sweep."""
+    """One row of a translation sweep, and optionally its two fields."""
 
     s: float
     tau1: float
@@ -67,11 +62,11 @@ class SweepRecord:
     v: Field | None = field(default=None, repr=False, compare=False)
 
     def row(self):
-        return (
-            self.s, self.tau1, self.lambda1, self.nu1, self.T,
-            self.dtau_hadamard, self.dtau_half, self.dtau_fd,
-            self.dT_boundary, self.checks_pass,
-        )
+        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
+
+
+# the sweep CSV's columns: every field but the fields kept on request
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord) if f.compare)
 
 
 def _solve_record(
@@ -126,6 +121,8 @@ def sweep_translation(
         raise ValueError("s_grid must be strictly increasing")
     if s_grid and not (0.0 <= s_grid[0] and s_grid[-1] < R1 - R0):
         raise ValueError("s_grid must lie inside [0, R1 - R0)")
+    if not fd_step > 0.0:
+        raise ValueError(f"fd_step must be positive, got {fd_step}")
 
     def work(s):
         return _solve_record(

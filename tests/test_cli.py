@@ -262,6 +262,28 @@ def test_symmetry_check_exclusion_covering_the_domain(tmp_path, capsys):
     assert all(checks[name]["worst"] is None for name in empty)
 
 
+@pytest.mark.parametrize("step", ["-1", "0", "nan", "x"])
+@pytest.mark.parametrize("command", ["sweep", "shape-derivative"])
+def test_fd_step_must_be_positive_before_solving(capsys, monkeypatch, command, step):
+    monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
+    monkeypatch.setattr(cli, "sweep_translation", fail_if_solved)
+    code, out, err = run([command, "--fd-step", step] + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --fd-step: " in err
+
+
+def test_shape_derivative_rejects_a_step_beyond_the_room_before_solving(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
+    code, out, err = run(["shape-derivative", "--s", "2", "--fd-step", "5"] + FAST,
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "step 5.0 too large; must be <= 0.5" in err
+
+
 def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
     base = ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",

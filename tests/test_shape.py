@@ -144,6 +144,17 @@ def test_reflected_neumann_margin_positive(nd_s2_128):
     assert margin > 0.0
 
 
+@pytest.mark.parametrize("exclusion", [-1.0, float("nan"), float("inf")])
+def test_reflected_neumann_margin_rejects_bad_exclusion(nd_s2_128, exclusion):
+    with pytest.raises(ValueError, match="exclusion must be finite and >= 0"):
+        reflected_neumann_margin(nd_s2_128.u, exclusion=exclusion)
+
+
+def test_reflected_neumann_margin_without_test_points(nd_s2_128):
+    # every outer vertex lies within 20 of the two corners
+    assert reflected_neumann_margin(nd_s2_128.u, exclusion=20.0) == (None, 0)
+
+
 def test_fd_richardson_order():
     # central differences of the eigenvalue in s extrapolate at order ~2;
     # tested where the third derivative is large enough to dominate

@@ -56,6 +56,17 @@ def test_sweep_grid_validation():
         sweep_translation(1.0, 5.0, [0.0, 4.5], resolution=QUICK)
 
 
+@pytest.mark.parametrize("fd_step", [0.0, -1.0, float("nan")])
+def test_sweep_rejects_bad_fd_step_before_solving(monkeypatch, fd_step):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved before validating fd_step")
+
+    monkeypatch.setattr(sweep_mod, "discretize", fail)
+    with pytest.raises(ValueError, match="fd_step must be positive"):
+        sweep_translation(1.0, 5.0, [0.0, 1.0], resolution=QUICK, fd_step=fd_step,
+                          threads=1)
+
+
 def test_sweep_threading_matches_serial():
     grid = [0.0, 0.5, 1.5]
     threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
@@ -76,7 +87,9 @@ def test_sweep_csv_format(tmp_path, short_sweep):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(short_sweep, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == ",".join(SWEEP_COLUMNS) == (
+        "s,tau1,lambda1,nu1,T,dtau_hadamard,dtau_half,dtau_fd,dT_boundary,checks_pass"
+    )
     assert len(lines) == len(short_sweep) + 1
     first = lines[1].split(",")
     assert float(first[0]) == short_sweep[0].s
