@@ -110,6 +110,16 @@ def _add_domain(p, with_s=True):
                        help="inner center offset (default 0)")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_solver_flags(p, res=Resolution(), with_tol=True):
     """Resolution flags defaulting to ``res``, and the eigensolver tolerance."""
     p.add_argument("--n-theta", type=int, default=res.n_theta,
@@ -120,18 +130,8 @@ def _add_solver_flags(p, res=Resolution(), with_tol=True):
                    help="radial grading exponent in [0.5, 2]; >1 refines the "
                         f"inner circle (default {res.grading:g})")
     if with_tol:
-        p.add_argument("--tol", type=float, default=TOL,
+        p.add_argument("--tol", type=_positive_float, default=TOL,
                        help=f"eigensolver residual tolerance (default {TOL:g})")
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
 
 
 def _add_fd_step(p):

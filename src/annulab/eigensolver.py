@@ -194,8 +194,11 @@ def smallest_eigenpair(
     product.  The iteration switches at most once to the factor of
     ``k - sigma m`` (module docstring); the Rayleigh quotient, the residual
     and the stopping rule stay on ``k`` and ``m``.  Raises
-    :class:`SolverConvergenceError` after ``max_outer`` steps.
+    :class:`SolverConvergenceError` after ``max_outer`` steps, and
+    ``ValueError`` before the first unless ``tol > 0``.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     x = np.ones(k.shape[0])
     x = x / np.sqrt(float(x @ (m @ x)))
     mx = m @ x

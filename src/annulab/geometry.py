@@ -26,7 +26,8 @@ class AnnularDomain:
     """Eccentric annulus with outer radius R1, inner radius R0, offset s.
 
     Valid parameters satisfy ``0 < R0 < R1`` and ``0 <= s < R1 - R0`` so the
-    closed inner disk stays strictly inside the outer disk.
+    closed inner disk stays strictly inside the outer disk; R0, R1, s and
+    ``R1 * R1`` must be finite.
     """
 
     R0: float
@@ -34,6 +35,10 @@ class AnnularDomain:
     s: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.R0, self.R1, self.s, self.R1 * self.R1)):
+            raise DomainError(
+                f"need finite R0, R1, s and R1^2, got R0={self.R0}, R1={self.R1}, s={self.s}"
+            )
         if not (0.0 < self.R0 < self.R1):
             raise DomainError(f"need 0 < R0 < R1, got R0={self.R0}, R1={self.R1}")
         if not (0.0 <= self.s < self.R1 - self.R0):

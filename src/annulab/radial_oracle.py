@@ -1,11 +1,13 @@
 """Independent 1D solver for the concentric annulus.
 
-Validates the 2D code at ``s = 0``: the radial eigenvalue problem
-``-(r u')' / r = value * u`` on ``(R0, R1)`` is discretized with second-order
-finite differences on a uniform grid (Dirichlet ends pinned, the Neumann end
-closed with a reflected half cell) and the smallest eigenvalue of the
-resulting symmetric tridiagonal pencil is found by bisection on the Sturm
-sign count.  No machinery is shared with the 2D eigensolver on purpose.
+Validates the 2D code at ``s = 0``.  With ``rho = log r`` the radial
+eigenvalue problem ``-(r u')' / r = value * u`` on ``(R0, R1)`` becomes
+``-u_rho_rho = value * r^2 * u`` on ``(log R0, log R1)``, which is
+collocated at :data:`CHEBYSHEV_POINTS` Chebyshev points (Trefethen,
+*Spectral Methods in MATLAB*, SIAM 2000, ch. 6 and 13).  A Dirichlet end
+is dropped; a Neumann end is eliminated through its row of the
+differentiation matrix, since ``u_rho = r u_r`` vanishes exactly when
+``u_r`` does.  No machinery is shared with the 2D eigensolver on purpose.
 
 The torsion counterpart is closed form.
 """
@@ -18,92 +20,51 @@ import numpy as np
 
 from .fem import ProblemKind
 
-
-def _radial_pencil(kind: ProblemKind, R0: float, R1: float, n: int):
-    """Symmetric tridiagonal pencil (diag, off, mass) for the radial problem."""
-    h = (R1 - R0) / n
-    r = R0 + h * np.arange(n + 1)
-    r_face = R0 + h * (np.arange(n) + 0.5)  # r at midpoints, length n
-
-    # flux form: node i couples to faces i-1/2 and i+1/2 with weight r_face/h;
-    # boundary nodes own a half cell
-    diag = np.zeros(n + 1)
-    diag[:-1] += r_face / h
-    diag[1:] += r_face / h
-    off = -r_face / h
-    mass = r * h
-    mass[0] *= 0.5
-    mass[-1] *= 0.5
-
-    keep = np.ones(n + 1, dtype=bool)
-    if kind in (ProblemKind.ND, ProblemKind.DD):
-        keep[0] = False  # Dirichlet at R0
-    if kind in (ProblemKind.DN, ProblemKind.DD):
-        keep[-1] = False  # Dirichlet at R1
-    idx = np.nonzero(keep)[0]
-    d = diag[idx]
-    m = mass[idx]
-    # off-diagonal survives only between consecutive kept nodes
-    e = off[idx[:-1]]
-    return d, e, m
+# enough for 1e-10 relative accuracy from R0/R1 = 0.01 to 0.998; more
+# points only add round-off
+CHEBYSHEV_POINTS = 32
 
 
-def _sturm_count(d, e, m, sigma: float) -> int:
-    """Number of pencil eigenvalues below sigma (LDL^T sign count)."""
-    tiny = 1e-300
-    count = 0
-    piv = d[0] - sigma * m[0]
-    if piv == 0.0:
-        piv = -tiny
-    if piv < 0.0:
-        count += 1
-    for i in range(1, d.size):
-        piv = (d[i] - sigma * m[i]) - e[i - 1] * e[i - 1] / piv
-        if piv == 0.0:
-            piv = -tiny
-        if piv < 0.0:
-            count += 1
-    return count
+def _check_radii(R0: float, R1: float):
+    if not (0.0 < R0 < R1 and math.isfinite(R1)):
+        raise ValueError(f"need 0 < R0 < R1 < inf, got R0={R0}, R1={R1}")
 
 
-def _smallest_pencil_eigenvalue(d, e, m) -> float:
-    lo = 0.0
-    hi = float(np.max((d + np.abs(np.concatenate([[0.0], e]))
-                       + np.abs(np.concatenate([e, [0.0]]))) / m))
-    # widen until at least one eigenvalue lies below hi (Gershgorin may be tight)
-    while _sturm_count(d, e, m, hi) < 1:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _sturm_count(d, e, m, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+def _chebyshev(n: int):
+    """Increasing Chebyshev points ``x_j = -cos(pi j / (n - 1))`` on [-1, 1]
+    and their differentiation matrix (diagonal by the negative-sum rule)."""
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    c = np.ones(n)
+    c[0] = c[-1] = 2.0
+    c[1::2] *= -1.0
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n))
+    d -= np.diag(d.sum(axis=1))
+    return x, d
 
 
-def concentric_eigenvalue_raw(kind: ProblemKind, R0: float, R1: float, n: int) -> float:
-    """Unextrapolated grid eigenvalue; exposed for convergence diagnostics."""
-    return _smallest_pencil_eigenvalue(*_radial_pencil(kind, R0, R1, n))
+def _radial_eigenvalue(kind: ProblemKind, R0: float, R1: float, n: int) -> float:
+    """Smallest eigenvalue of the ``n``-point collocation (module docstring)."""
+    x, d = _chebyshev(n)
+    a, b = math.log(R0), math.log(R1)
+    r = np.exp(a + 0.5 * (b - a) * (x + 1.0))
+    d *= 2.0 / (b - a)
+    d2 = d @ d
+    # point 0 is R0 and point n - 1 is R1, so the kind's free layers of an
+    # (n - 1)-layer lattice are the free points; the free ends are Neumann
+    free = np.arange(n)[kind.layers(n - 1)]
+    ends = np.isin(free, (0, n - 1))
+    nb, ni = free[ends], free[~ends]
+    # u[nb] from the Neumann rows d[nb] u = 0
+    elim = -np.linalg.solve(d[np.ix_(nb, nb)], d[np.ix_(nb, ni)])
+    op = -(d2[np.ix_(ni, ni)] + d2[np.ix_(ni, nb)] @ elim) / r[ni, None] ** 2
+    values = np.linalg.eigvals(op)
+    return float(values[values.imag == 0.0].real.min())
 
 
-def concentric_eigenvalue(kind: ProblemKind, R0: float, R1: float, n: int = 2000) -> float:
-    """First eigenvalue at s = 0, Richardson-extrapolated over n and 2n grids.
-
-    ``n`` must be at least 200; the discretization error is O(h^2), so the
-    (4 v_{2n} - v_n)/3 combination cancels the leading term.
-    """
-    if n < 200:
-        raise ValueError(f"need n >= 200 grid cells, got {n}")
-    if not 0.0 < R0 < R1:
-        raise ValueError("need 0 < R0 < R1")
-    v1 = concentric_eigenvalue_raw(kind, R0, R1, n)
-    v2 = concentric_eigenvalue_raw(kind, R0, R1, 2 * n)
-    return (4.0 * v2 - v1) / 3.0
+def concentric_eigenvalue(kind: ProblemKind, R0: float, R1: float) -> float:
+    """First eigenvalue of ``kind`` on the concentric annulus ``R0 < r < R1``."""
+    _check_radii(R0, R1)
+    return _radial_eigenvalue(kind, R0, R1, CHEBYSHEV_POINTS)
 
 
 def concentric_torsion(R0: float, R1: float):
@@ -117,8 +78,7 @@ def concentric_torsion(R0: float, R1: float):
     which keeps its relative accuracy for a thin annulus, where the two
     terms nearly cancel.
     """
-    if not 0.0 < R0 < R1:
-        raise ValueError("need 0 < R0 < R1")
+    _check_radii(R0, R1)
 
     def profile(r):
         r = np.asarray(r, dtype=float)

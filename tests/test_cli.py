@@ -304,6 +304,35 @@ def test_converge_rejects_levels_before_solving(capsys, monkeypatch):
     assert "3 levels" in err
 
 
+@pytest.mark.parametrize("R1", ["inf", "nan", "1e308"])
+@pytest.mark.parametrize(
+    "command", ["solve", "torsion", "symmetry-check", "shape-derivative", "converge"]
+)
+def test_non_finite_radii_exit_before_solving(capsys, monkeypatch, command, R1):
+    for name in ("solve_eigenproblem", "solve_torsion", "concentric_eigenvalue",
+                 "convergence_study"):
+        monkeypatch.setattr(cli, name, fail_if_solved)
+    code, out, err = run([command, "--R1", R1] + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "x"])
+@pytest.mark.parametrize(
+    "command", ["solve", "symmetry-check", "shape-derivative", "sweep", "dn-analyze",
+                "converge"]
+)
+def test_tol_must_be_positive_before_solving(capsys, monkeypatch, command, tol):
+    for name in ("solve_eigenproblem", "sweep_translation", "analyze_dn_ratio",
+                 "concentric_eigenvalue", "convergence_study"):
+        monkeypatch.setattr(cli, name, fail_if_solved)
+    code, out, err = run([command, "--tol", tol] + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: " in err
+
+
 def test_converge(capsys):
     code, out, _ = run(
         ["converge", "--R0", "1", "--R1", "2", "--s", "0", "--kind", "nd",

@@ -48,6 +48,14 @@ def test_eigen_iteration_cap():
     assert exc.value.residual > 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_eigen_rejects_a_nonpositive_tolerance_before_the_first_step(tol):
+    K = path_laplacian(10)
+    # a factor that fails on use: the tolerance is checked before any solve
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        smallest_eigenpair(K, identity(10), None, tol=tol)
+
+
 def test_eigen_diag_example():
     K = SymmetricBand([0], [np.array([2.0, 5.0])])
     M = identity(2)

@@ -18,6 +18,17 @@ def test_domain_validation():
         AnnularDomain(1.0, 5.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "R0, R1, s",
+    [(1.0, math.inf, 0.0), (1.0, math.inf, 2.0), (1.0, math.nan, 0.0),
+     (math.nan, 5.0, 0.0), (1.0, 5.0, math.nan), (1.0, 1e308, 0.0)],
+)
+def test_domain_rejects_non_finite_parameters(R0, R1, s):
+    # R1 = 1e308 is finite, but R1**2 overflows in every area and distance
+    with pytest.raises(DomainError):
+        AnnularDomain(R0, R1, s)
+
+
 def test_contains_examples():
     d = AnnularDomain(1.0, 5.0, 3.0)
     assert d.contains((0.0, 0.0))
