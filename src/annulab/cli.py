@@ -370,6 +370,9 @@ def cmd_converge(args) -> int:
         print(f"{r.h:<8g} {r.res.n_theta:<8d} {r.res.n_rad:<7d} "
               f"{r.value:<17.12f} {order}")
     print(f"extrapolated limit: {richardson_limit(rows)!r}")
+    if not all(a.value >= b.value for a, b in zip(rows, rows[1:])):
+        print("warning: eigenvalues did not decrease monotonically under refinement",
+              file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,13 +10,16 @@ unknowns by the mesh lattice, ray by ray, so the half-bandwidth is at most
 ``(kd + 1) n`` doubles.
 
 The eigenpair comes from inverse power iteration on ``K y = M x`` with
-M-normalization and a Rayleigh-quotient stopping rule.  Plain steps converge
-at the ratio ``tau_1 / tau_2``, which tends to 1 on thin annuli.  So after
-each plain step from the third on, the ratio of the last two residuals
-predicts how many plain steps are left.  When that exceeds ``kd / 8 + 4``
-(one more band Cholesky priced in steps, plus the shifted steps that still
-follow), the iteration factors ``K - sigma M`` once, with ``sigma = theta
-rho`` just below the Rayleigh quotient ``rho``, backing ``theta`` off along
+M-normalization.  It stops when the residual ``r`` is at most ``tol`` times
+the Rayleigh quotient ``rho``: since ``|rho - tau| <= |r|^2 / gap`` (Parlett,
+*The Symmetric Eigenvalue Problem*, ch. 4), a test relative to ``rho`` is
+the same test on every scaled copy of a domain.  Plain steps converge at the
+ratio ``tau_1 / tau_2``, which tends to 1 on thin annuli.  So after each
+plain step from the third on, the ratio of the last two residuals predicts
+how many plain steps are left until ``r <= tol rho``.  When that exceeds
+``kd / 8 + 4`` (one more band Cholesky priced in steps, plus the shifted
+steps that still follow), the iteration factors ``K - sigma M`` once, with
+``sigma = theta rho`` just below ``rho``, backing ``theta`` off along
 :data:`SHIFT_THETAS` until the factorization succeeds, and goes on from its
 current vector with that factor; if none succeeds it keeps the factor of
 ``K``.  By Sylvester's law of inertia a successful Cholesky proves ``sigma``
@@ -36,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
-RAYLEIGH_RTOL = 1e-12
-# residual tolerance of the inverse iteration, the default of every solve
+# residual tolerance of the inverse iteration relative to the Rayleigh
+# quotient, the default of every solve
 TOL = 1e-9
 # sigma / rho of the shifted factor, tried in order until one is definite
 SHIFT_THETAS = (0.99, 0.95, 0.9)
@@ -126,39 +129,32 @@ class BandCholesky:
         return x
 
 
-def factorize(A: SymmetricBand) -> BandCholesky:
-    """Band Cholesky of a symmetric positive definite band matrix.
+def factorize(k: SymmetricBand, m: SymmetricBand | None = None,
+              sigma: float = 0.0) -> BandCholesky:
+    """Band Cholesky of ``k - sigma m``, or of ``k`` alone without ``m``.
 
-    The half-bandwidth ``kd`` is the largest offset of ``A``, so the factor
-    costs ``O(n kd^2)`` time and ``(kd + 1) n`` doubles; the unknown order is
-    kept.
+    The band is the union of the offsets of ``k`` and ``m``: either may
+    leave out a diagonal that is zero throughout.  Its largest offset is the
+    half-bandwidth ``kd``, so the factor costs ``O(n kd^2)`` time and ``(kd +
+    1) n`` doubles; the unknown order is kept.
     """
-    return BandCholesky(_lapack_band(A, A.offsets[-1]))
-
-
-def _lapack_band(A: SymmetricBand, kd: int) -> np.ndarray:
-    """The lower band of ``A`` in :class:`BandCholesky` storage, ``kd + 1``
-    rows deep."""
-    band = np.zeros((kd + 1, A.shape[0]), order="F")
-    for k, d in zip(A.offsets, A.diagonals):
-        band[k, : d.size] = d
-    return band
+    kd = k.offsets[-1] if m is None else max(k.offsets[-1], m.offsets[-1])
+    band = np.zeros((kd + 1, k.shape[0]), order="F")
+    for o, d in zip(k.offsets, k.diagonals):
+        band[o, : d.size] = d
+    if m is not None:
+        for o, d in zip(m.offsets, m.diagonals):
+            band[o, : d.size] -= sigma * d
+    return BandCholesky(band)
 
 
 def _shifted_factor(k, m, rho: float):
     """``(factor, sigma)`` for the first ``sigma = theta rho`` of
     :data:`SHIFT_THETAS` at which ``k - sigma m`` is positive definite, or
-    ``None`` if it is at none.  The band is the union of the offsets of
-    ``k`` and ``m``: either may leave out a diagonal that is zero
-    throughout."""
-    kd = max(k.offsets[-1], m.offsets[-1])
+    ``None`` if it is at none."""
     for theta in SHIFT_THETAS:
-        sigma = theta * rho
-        band = _lapack_band(k, kd)
-        for o, d in zip(m.offsets, m.diagonals):
-            band[o, : d.size] -= sigma * d
         try:
-            return BandCholesky(band), sigma
+            return factorize(k, m, theta * rho), theta * rho
         except NotPositiveDefiniteError:
             continue
     return None
@@ -191,9 +187,10 @@ def smallest_eigenpair(
     ``k`` and ``m`` are :class:`SymmetricBand` matrices and ``factor`` is
     the :func:`factorize` factor of ``k``; each step is one pair of
     triangular solves with the current factor, one ``m`` and one ``k``
-    product.  The iteration switches at most once to the factor of
-    ``k - sigma m`` (module docstring); the Rayleigh quotient, the residual
-    and the stopping rule stay on ``k`` and ``m``.  Raises
+    product.  It stops once ``residual <= tol * value``.  The iteration
+    switches at most once to the factor of ``k - sigma m`` (module
+    docstring); the Rayleigh quotient, the residual and the stopping rule
+    stay on ``k`` and ``m``.  Raises
     :class:`SolverConvergenceError` after ``max_outer`` steps, and
     ``ValueError`` before the first unless ``tol > 0``.
     """
@@ -218,7 +215,6 @@ def smallest_eigenpair(
         nrm = np.sqrt(float(y @ my))
         y /= nrm
         my /= nrm
-        rho_prev = rho
         ky = k @ y
         rho = float(y @ ky)
         if rho <= 0.0:
@@ -226,10 +222,9 @@ def smallest_eigenpair(
         history.append(rho)
         residual_prev = residual
         residual = float(np.linalg.norm(ky - rho * my) / np.linalg.norm(my))
-        change = abs(rho - rho_prev) / rho
         # the next step's m @ x is the m @ y just computed
         mx = my
-        if change < RAYLEIGH_RTOL and residual <= tol:
+        if residual <= tol * rho:
             if float(my.sum()) < 0.0:
                 y = -y
             return EigenPair(
@@ -240,9 +235,9 @@ def smallest_eigenpair(
                 iterations=it,
                 rayleigh_history=tuple(history),
             )
-        if may_shift and it >= 3 and residual > tol:
+        if may_shift and it >= 3:
             rate = residual / residual_prev
-            if rate >= 1.0 or np.log(tol / residual) / np.log(rate) > shift_worth:
+            if rate >= 1.0 or np.log(tol * rho / residual) / np.log(rate) > shift_worth:
                 may_shift = False
                 shifted = _shifted_factor(k, m, rho)
                 if shifted is not None:

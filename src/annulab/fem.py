@@ -128,7 +128,8 @@ def _band(entries, dim: int, L: int) -> SymmetricBand:
     ``col + offset`` and the columns ``col``.  A triangle joins neighbouring
     rays and layers, ``L`` to a ray, so the offsets are 0, 1, ``L - 1``,
     ``L``, ``L + 1`` or negative; negative ones are dropped, and ``offset``
-    is overwritten."""
+    is overwritten.  All five diagonals are kept: :func:`_principal` leaves
+    out those that are zero throughout its window."""
     offsets = np.array([0, 1, L - 1, L, L + 1])
     # row k of a (6, dim) array of bins holds the diagonal offsets[k] by
     # column, and row 5 takes the negative offsets; `first` is indexed by
@@ -143,10 +144,7 @@ def _band(entries, dim: int, L: int) -> SymmetricBand:
         target += col
         bins += np.bincount(target, weights=values, minlength=6 * dim)
     bins = bins.reshape(6, dim)
-    diagonals = [bins[k, : dim - o] for k, o in enumerate(offsets)]
-    # a diagonal that is zero throughout is left out
-    kept = [k for k, d in enumerate(diagonals) if k == 0 or d.any()]
-    return SymmetricBand(offsets[kept], [diagonals[k] for k in kept])
+    return SymmetricBand(offsets, [bins[k, : dim - o] for k, o in enumerate(offsets)])
 
 
 def _principal(A: SymmetricBand, L: int, layers: slice) -> SymmetricBand:

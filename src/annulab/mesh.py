@@ -133,9 +133,6 @@ class Mesh:
     def vertex_index(self, i: int, j: int) -> int:
         return int(self.lattice[i % self.res.n_theta, j])
 
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
     @cached_property
     def max_angle_deg(self) -> float:
         """Largest interior angle over all triangles, in degrees."""

@@ -11,7 +11,6 @@ raised mid-sweep.
 
 from __future__ import annotations
 
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -35,8 +34,6 @@ from .shape import (
 from .spectral import discretize, solve_eigenproblem
 from .symmetrize import WORKERS
 from .torsion import rigidity_derivative, solve_torsion
-
-log = logging.getLogger(__name__)
 
 # sweep points per radius ratio of the outer-Dirichlet family analysis
 S_POINTS = 12
@@ -116,6 +113,7 @@ def sweep_translation(
 ) -> list[SweepRecord]:
     """One record per offset, in the order of ``s_grid``;
     :func:`monotonicity_violations` tells which expected trends fail."""
+    AnnularDomain(R0, R1)  # the radii are checked before the grid
     s_grid = [float(s) for s in s_grid]
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("s_grid must be strictly increasing")
@@ -188,10 +186,6 @@ class DNAnalysis:
     s0: float | None
     s_points: np.ndarray
     nu_values: np.ndarray
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        return self.classification == "monotone_decreasing"
 
 
 def _nu1(R0, R1, s, res: Resolution, tol) -> float:
@@ -358,8 +352,6 @@ def convergence_study(
             d1 = values[i] - values[i - 1]
             if d0 != 0.0 and d1 != 0.0 and d0 / d1 > 0:
                 rows[i].observed_order = math.log2(abs(d0 / d1))
-    if not all(a.value >= b.value for a, b in zip(rows, rows[1:])):
-        log.warning("eigenvalues did not decrease monotonically under refinement")
     return rows
 
 

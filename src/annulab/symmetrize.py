@@ -28,9 +28,6 @@ import numpy as np
 from .fem import Field
 from .geometry import Polarizer
 
-BALL = "ball"
-CONCENTRIC = "concentric"
-
 # threads of the polarization scan, and the default sweep pool size
 WORKERS = os.cpu_count() or 1
 
@@ -48,15 +45,13 @@ class RingSampling:
     """Values of a zero-extended field on concentric sample circles.
 
     ``values[k, q]`` is the sample on ring ``radii[k]`` at angle
-    ``2 pi q / m`` about ``center``.  ``provenance`` records which zero
-    extension produced the samples.
+    ``2 pi q / m`` about ``center``.
     """
 
     center: np.ndarray
     radii: np.ndarray
     m: int
     values: np.ndarray  # (n_rings, m)
-    provenance: str
 
     def __post_init__(self):
         if self.m % 2 != 0:
@@ -73,7 +68,7 @@ class RingSampling:
         return self.center[None, None, :] + self.radii[:, None, None] * unit[None, :, :]
 
     def copy_with(self, values) -> "RingSampling":
-        return RingSampling(self.center, self.radii, self.m, values, self.provenance)
+        return RingSampling(self.center, self.radii, self.m, values)
 
     def same_geometry(self, other: "RingSampling") -> bool:
         return (
@@ -107,15 +102,13 @@ def sample_rings(
     if center == "origin":
         ctr = np.zeros(2)
         r_lo, r_hi = 0.02 * d.R0, d.R1
-        provenance = BALL
     elif center == "inner":
         ctr = d.inner_center.copy()
         r_lo, r_hi = d.R0, d.R1 + d.s
-        provenance = CONCENTRIC
     else:
         raise ValueError(f"center must be 'origin' or 'inner', got {center!r}")
     radii = r_lo + (np.arange(1, n_rings + 1) / (n_rings + 1)) * (r_hi - r_lo)
-    rs = RingSampling(ctr, radii, m, np.zeros((n_rings, m)), provenance)
+    rs = RingSampling(ctr, radii, m, np.zeros((n_rings, m)))
     pts = rs.points().reshape(-1, 2)
 
     inside_hole = np.hypot(pts[:, 0] - d.s, pts[:, 1]) <= d.R0
@@ -212,18 +205,9 @@ def _star_indices(m: int) -> range:
     return range(-(m // 2) + 1, m // 2)
 
 
-def star_polarizers(m: int, center=(0.0, 0.0), include_axis: bool = False):
-    """All grid-aligned polarizers through ``center`` with ``h . e1 > 0``.
-
-    ``include_axis=True`` appends the two polarizers with horizontal
-    boundary line (``h = (0, +-1)``), the closure of the family; invariance
-    under those forces exact axial symmetry.
-    """
-    pols = [Polarizer.from_angle(k * math.pi / m, b=center) for k in _star_indices(m)]
-    if include_axis:
-        pols.append(Polarizer(h=(0.0, 1.0), b=(float(center[0]), float(center[1]))))
-        pols.append(Polarizer(h=(0.0, -1.0), b=(float(center[0]), float(center[1]))))
-    return pols
+def star_polarizers(m: int, center=(0.0, 0.0)):
+    """All grid-aligned polarizers through ``center`` with ``h . e1 > 0``."""
+    return [Polarizer.from_angle(k * math.pi / m, b=center) for k in _star_indices(m)]
 
 
 def _worst_numerator(vals, rev2, w, ks) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .fem import Discretization, Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution
-from .shape import BoundaryTrace, offset_difference
+from .shape import BoundaryTrace, hadamard_tau_prime, offset_difference
 from .spectral import discretize
 
 
@@ -59,8 +59,9 @@ def torsional_rigidity(v: Field) -> tuple[float, float]:
 
 
 def rigidity_derivative(trace: BoundaryTrace) -> float:
-    """Derivative of the rigidity in the offset: plus the n1-weighted square."""
-    return float(np.sum(trace.dudn**2 * trace.normals[:, 0] * trace.lengths))
+    """Derivative of the rigidity in the offset: the eigenvalue's boundary
+    form with the opposite sign, plus the n1-weighted square."""
+    return -hadamard_tau_prime(trace)
 
 
 def finite_difference_rigidity_prime(

@@ -4,11 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import types
+import warnings
 
 import pytest
 
 import annulab
 from annulab import cli
+from annulab import sweep as sweep_module
 from annulab.checks import geometry_report
 from annulab.cli import build_parser, main
 from annulab.fem import ProblemKind
@@ -61,6 +64,18 @@ def test_solve_converges_on_thin_concentric_annuli(tmp_path, capsys):
     oracle = concentric_eigenvalue(ProblemKind.ND, 4.0, 5.0)
     assert abs(values[4.0] - oracle) <= 5e-3 * oracle  # criterion 1's bound
     assert steps[3.75] < 40
+
+
+def test_solve_is_scale_free(tmp_path, capsys):
+    # tau(c Omega) = tau(Omega) / c^2, and the stopping test is relative to
+    # the eigenvalue: the default domain at 1/1000 scale converges as well
+    res = ["--n-theta", "128", "--n-rad", "32", "--s", "0", "--out-dir", str(tmp_path)]
+    values = []
+    for r0, r1 in (("1", "5"), ("0.001", "0.005")):
+        code, out, _ = run(["solve", "--R0", r0, "--R1", r1] + res, capsys)
+        assert code == 0, r0
+        values.append(float(re.search(r"first eigenvalue \(nd, s=0\): (\S+)", out).group(1)))
+    assert abs(values[1] * 1e-6 - values[0]) <= 1e-12 * values[0]
 
 
 def test_solve_with_vtk(tmp_path, capsys):
@@ -185,8 +200,8 @@ def test_sweep_and_determinism(tmp_path, capsys):
 
 
 def test_sweep_reports_each_violation_once(tmp_path):
-    # the geometry checks fail at s = 0 on a 16 x 4 mesh; in a fresh process,
-    # where nothing configures logging, the CLI's line is the one report
+    # the geometry checks fail at s = 0 on a 16 x 4 mesh; in a fresh process
+    # the CLI's line is the one report
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(annulab.__file__)))
     cp = subprocess.run(
         [sys.executable, "-m", "annulab.cli", "sweep", "--s-grid", "0:1:3",
@@ -318,6 +333,27 @@ def test_non_finite_radii_exit_before_solving(capsys, monkeypatch, command, R1):
     assert err.startswith("error: need")
 
 
+@pytest.mark.parametrize("radii", [["--R1", "1e60"], ["--R0", "1e-60", "--R1", "1e-59"]],
+                         ids=["large", "small"])
+@pytest.mark.parametrize(
+    "command", ["solve", "torsion", "symmetry-check", "shape-derivative", "sweep",
+                "dn-analyze", "converge"]
+)
+def test_radii_outside_the_range_exit_before_solving(capsys, monkeypatch, command, radii):
+    for module in (cli, sweep_module):
+        for name in ("solve_eigenproblem", "solve_torsion"):
+            monkeypatch.setattr(module, name, fail_if_solved)
+    monkeypatch.setattr(cli, "concentric_eigenvalue", fail_if_solved)
+    if command == "dn-analyze":
+        radii = radii[-2:]  # R0 is a ratio of R1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([command] + radii + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need 1e-50 <= R0 and R1 <= 1e+50, got R0=")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "x"])
 @pytest.mark.parametrize(
     "command", ["solve", "symmetry-check", "shape-derivative", "sweep", "dn-analyze",
@@ -345,6 +381,19 @@ def test_converge(capsys):
     # the coarsest level comes from --n-theta / --n-rad
     assert "\n1        16       4 " in out
     assert "extrapolated limit" in out
+
+
+def test_converge_warns_once_when_values_rise(capsys, monkeypatch):
+    values = iter([1.0, 1.5, 1.75])
+    monkeypatch.setattr(sweep_module, "discretize", lambda *args: None)
+    monkeypatch.setattr(sweep_module, "solve_eigenproblem",
+                        lambda *args: types.SimpleNamespace(value=next(values)))
+    code, out, err = run(["converge", "--s", "0.3"] + FAST, capsys)
+    assert code == 0
+    assert "extrapolated limit" in out
+    assert err.splitlines() == [
+        "warning: eigenvalues did not decrease monotonically under refinement"
+    ]
 
 
 def test_dn_analyze(tmp_path, capsys):
@@ -432,12 +481,10 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "vtk" in err
 
 
-def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
-    import annulab.eigensolver as es
-
-    monkeypatch.setattr(es, "RAYLEIGH_RTOL", 0.0)  # unreachable stopping rule
+def test_nonconvergence_exit_code(tmp_path, capsys):
+    # a residual below 1e-300 of the eigenvalue is out of reach of rounding
     code, _, err = run(
-        ["solve", "--R0", "1", "--R1", "2", "--s", "0.3",
+        ["solve", "--R0", "1", "--R1", "2", "--s", "0.3", "--tol", "1e-300",
          "--out-dir", str(tmp_path)] + FAST,
         capsys,
     )

@@ -221,6 +221,18 @@ def test_factorize_solves_band_spd_against_dense(n, kd):
     assert np.array_equal(b, np.random.default_rng(n).standard_normal(n))
 
 
+def test_factorize_shifted_solves_against_dense():
+    # K is tridiagonal and M has offsets 0 and 3, so K - sigma M has the union
+    n, sigma = 30, 0.4
+    K = band_spd(n, 1, seed=7)
+    M = np.eye(n) + 0.1 * (np.eye(n, k=3) + np.eye(n, k=-3))
+    b = np.random.default_rng(n).standard_normal(n)
+    factor = factorize(band_of(K), band_of(M), sigma)
+    assert factor.band.shape == (4, n)
+    want = np.linalg.solve(K - sigma * M, b)
+    assert np.abs(factor.solve(b) - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_factorize_reports_the_first_nonpositive_pivot():
     A = band_spd(12, 2, seed=3)
     A[6, 6] = -1.0
@@ -235,7 +247,11 @@ def test_factorize_reports_the_first_nonpositive_pivot():
 def test_band_cholesky_is_bitwise_scipy_lapack(n, kd):
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    band = es._lapack_band(band_of(band_spd(n, kd, seed=n + 100 * kd)), kd)
+    A = band_spd(n, kd, seed=n + 100 * kd)
+    # the lower band in LAPACK storage: band[i - j, j] = A[i, j]
+    band = np.zeros((kd + 1, n), order="F")
+    for k in range(kd + 1):
+        band[k, : n - k] = np.diag(A, -k)
     b = np.random.default_rng(n).standard_normal(n)
     want, info = dpbtrf(band, lower=1)
     assert info == 0

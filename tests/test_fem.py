@@ -104,24 +104,24 @@ def test_stiffness_linear_field_energy(assembled):
     mesh, K, _, _ = assembled
     x1 = mesh.vertices[:, 0]
     # integral of |grad x1|^2 = mesh area (exactly the polygonal area)
-    assert quadratic_form(K, x1) == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert quadratic_form(K, x1) == pytest.approx(mesh.areas.sum(), rel=1e-12)
     assert quadratic_form(K, x1) == pytest.approx(mesh.domain.area, rel=5e-3)
 
 
 def test_mass_total(assembled):
     mesh, _, M, _ = assembled
     total = float(M.sum())
-    assert total == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert total == pytest.approx(mesh.areas.sum(), rel=1e-12)
     assert total == pytest.approx(mesh.domain.area, rel=5e-3)
     ones = np.ones(mesh.num_vertices)
-    assert quadratic_form(M, ones) == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert quadratic_form(M, ones) == pytest.approx(mesh.areas.sum(), rel=1e-12)
 
 
 def test_load_examples(assembled):
     mesh, _, _, b = assembled
-    assert b.sum() == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert b.sum() == pytest.approx(mesh.areas.sum(), rel=1e-12)
     ones = np.ones(mesh.num_vertices)
-    assert float(ones @ b) == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert float(ones @ b) == pytest.approx(mesh.areas.sum(), rel=1e-12)
     # each entry is one third of the adjacent triangle area
     i = mesh.vertex_index(3, 3)
     adj = np.any(mesh.triangles == i, axis=1)

@@ -16,6 +16,12 @@ def test_domain_validation():
         AnnularDomain(1.0, 5.0, 4.0)
     with pytest.raises(DomainError):
         AnnularDomain(1.0, 5.0, -0.1)
+    # the radius range is closed
+    AnnularDomain(1e-50, 1e50)
+    with pytest.raises(DomainError, match="1e-50 <= R0 and R1 <= 1e"):
+        AnnularDomain(0.99e-50, 1.0)
+    with pytest.raises(DomainError, match="1e-50 <= R0 and R1 <= 1e"):
+        AnnularDomain(1.0, 1.01e50)
 
 
 @pytest.mark.parametrize(
@@ -24,7 +30,7 @@ def test_domain_validation():
      (math.nan, 5.0, 0.0), (1.0, 5.0, math.nan), (1.0, 1e308, 0.0)],
 )
 def test_domain_rejects_non_finite_parameters(R0, R1, s):
-    # R1 = 1e308 is finite, but R1**2 overflows in every area and distance
+    # R1 = 1e308 is finite, but lies outside the radius range
     with pytest.raises(DomainError):
         AnnularDomain(R0, R1, s)
 
@@ -42,22 +48,27 @@ def test_contains_broadcast():
     assert np.array_equal(d.contains(pts), [True, False, False, True])
 
 
+def exit_distance(d, phi):
+    """Distance from the inner center to the outer circle along angle ``phi``."""
+    return d.exit_distance_from_direction(np.cos(phi), np.sin(phi))
+
+
 def test_ray_exit_examples():
     d = AnnularDomain(1.0, 5.0, 3.0)
-    assert d.ray_exit_distance(0.0) == pytest.approx(2.0, abs=1e-14)
-    assert d.ray_exit_distance(math.pi) == pytest.approx(8.0, abs=1e-14)
+    assert exit_distance(d, 0.0) == pytest.approx(2.0, abs=1e-14)
+    assert exit_distance(d, math.pi) == pytest.approx(8.0, abs=1e-14)
     d0 = AnnularDomain(1.0, 5.0, 0.0)
     for phi in np.linspace(0, 2 * math.pi, 17):
-        assert d0.ray_exit_distance(phi) == pytest.approx(5.0, abs=1e-14)
+        assert exit_distance(d0, phi) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_ray_exit_bounds_and_symmetry():
     d = AnnularDomain(1.0, 5.0, 2.5)
     phi = np.linspace(-math.pi, math.pi, 101)
-    t = d.ray_exit_distance(phi)
+    t = exit_distance(d, phi)
     assert np.all(t >= d.R1 - d.s - 1e-12)
     assert np.all(t <= d.R1 + d.s + 1e-12)
-    assert np.allclose(d.ray_exit_distance(phi), d.ray_exit_distance(-phi), atol=1e-14)
+    assert np.allclose(t, exit_distance(d, -phi), atol=1e-14)
 
 
 @pytest.mark.parametrize("s", [0.0, 2.0, 3.99])
@@ -66,11 +77,9 @@ def test_ray_exit_distance_is_the_direction_formula_bitwise(s):
     phi = np.linspace(-math.pi, 3 * math.pi, 1001)
     c, sn = np.cos(phi), np.sin(phi)
     want = -s * c + np.sqrt(d.R1**2 - (s * sn) ** 2)
-    got = d.ray_exit_distance(phi)
+    got = d.exit_distance_from_direction(c, sn)
     assert got.tobytes() == want.tobytes()
-    assert got.tobytes() == d.exit_distance_from_direction(c, sn).tobytes()
-    one = d.ray_exit_distance(phi[7])
-    assert type(one) is float and one == want[7]
+    assert d.exit_distance_from_direction(c[7], sn[7]) == want[7]
 
 
 def test_ray_containment_interval():
@@ -78,7 +87,7 @@ def test_ray_containment_interval():
     d = AnnularDomain(1.0, 5.0, 2.0)
     rng = np.random.default_rng(7)
     for phi in rng.uniform(0, 2 * math.pi, 25):
-        ell = d.ray_exit_distance(phi)
+        ell = exit_distance(d, phi)
         direction = np.array([math.cos(phi), math.sin(phi)])
         for t, expect in [
             (0.5 * d.R0, False),
@@ -114,9 +123,9 @@ def test_reflect_involution_and_fixed_points():
 
 def test_polarizer_side_and_contains():
     pol = Polarizer(h=(1.0, 0.0))
-    assert pol.contains((-1.0, 2.0))
-    assert pol.contains((0.0, 5.0))  # closed half plane
-    assert not pol.contains((0.1, 0.0))
+    assert pol.side((-1.0, 2.0)) <= 0.0
+    assert pol.side((0.0, 5.0)) <= 0.0  # closed half plane
+    assert not pol.side((0.1, 0.0)) <= 0.0
     assert pol.side((2.0, 0.0)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         Polarizer(h=(1.0, 1.0))  # normal must be a unit vector

@@ -21,7 +21,7 @@ def test_vertex_count_and_area_concentric():
     d = AnnularDomain(1.0, 5.0, 0.0)
     m = build_mesh(d, Resolution(64, 16, 1.0))
     assert m.num_vertices == 64 * 17
-    assert m.total_area() == pytest.approx(math.pi * 24.0, rel=5e-3)
+    assert m.areas.sum() == pytest.approx(math.pi * 24.0, rel=5e-3)
 
 
 def test_outer_ray_corners():
@@ -81,7 +81,7 @@ def test_area_second_order_convergence():
     errs = []
     for nt, nr in ((32, 8), (64, 16), (128, 32)):
         m = build_mesh(d, Resolution(nt, nr, 1.0))
-        errs.append(abs(m.total_area() - d.area))
+        errs.append(abs(m.areas.sum() - d.area))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.7 < p < 2.3 for p in orders)
 

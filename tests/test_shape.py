@@ -118,13 +118,16 @@ def test_derivative_negative_and_fd_agreement(nd_s2_128):
 def test_eigenvalue_scaling_law(kind):
     # tau(c Omega) = tau(Omega) / c^2; scaling by 2 scales every vertex
     # exactly, by 3 only up to round-off.  At s = 0, where the two quad
-    # diagonals tie, the split is fixed and round-off picks neither.
+    # diagonals tie, the split is fixed and round-off picks neither.  The
+    # stopping test is relative to the eigenvalue, so it holds for small
+    # and large c alike.
     def tau(c, s):
         d = AnnularDomain(1.0 * c, 5.0 * c, s * c)
         return solve_eigenproblem(discretize(d, QUICK), kind).value
 
     base = {s: tau(1.0, s) for s in (0.0, 2.0)}
-    for c, s in ((2.0, 0.0), (3.0, 0.0), (2.0, 2.0), (3.0, 2.0)):
+    for c, s in ((2.0, 0.0), (3.0, 0.0), (2.0, 2.0), (3.0, 2.0),
+                 (1e-3, 0.0), (1e-3, 2.0), (1e3, 2.0), (2.0**-20, 2.0)):
         assert abs(tau(c, s) * c * c - base[s]) <= 1e-13 * base[s], (c, s)
 
 

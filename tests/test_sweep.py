@@ -126,7 +126,6 @@ def test_convergence_study_without_reference():
 def test_dn_monotone_ratio():
     a = analyze_dn_ratio(5.0, 0.6, s_points=12, resolution=QUICK)
     assert a.classification == "monotone_decreasing"
-    assert a.monotone_decreasing
     assert a.s0 is None
     assert np.all(np.diff(a.nu_values) < 0)
 
