@@ -8,7 +8,7 @@ derivative of the first eigenvalue in the offset ``s`` by a boundary
 integral, its half-boundary regrouping and finite differences.
 """
 
-from .geometry import AnnularDomain, DomainError, Polarizer
+from .geometry import AnnularDomain, DomainError
 from .mesh import Mesh, MeshQualityError, Resolution, build_mesh
 from .fem import Discretization, Field, ProblemKind
 from .eigensolver import EigenPair, SolverConvergenceError, smallest_eigenpair
@@ -53,7 +53,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnularDomain", "DomainError", "Polarizer",
+    "AnnularDomain", "DomainError",
     "Mesh", "MeshQualityError", "Resolution", "build_mesh",
     "Discretization", "Field", "ProblemKind",
     "EigenPair", "SolverConvergenceError", "smallest_eigenpair",

@@ -26,19 +26,21 @@ exclusion, and the peak check only requires the maximum on the outer layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import Field, p1_gradient
-from .geometry import Polarizer
 from .mesh import Mesh, Stencil
 
 # ordering allowance for interpolated reflection comparisons, relative to
 # max |u|; covers the O(h^2) interpolation error of the reflected value
 INTERP_RTOL = 1e-3
 
-# star-family polarizers of the reflection check, evenly spread in angle
+# star-family polarizers of the reflection check, evenly spread in angle:
+# half planes through the origin with outward normal at angle
+# -pi/2 + (j + 1/2) pi / REPORT_POLARIZERS, j = 0, 1, ...
 REPORT_POLARIZERS = 8
 
 # relative ring-value spread accepted as "angularly constant" at s = 0
@@ -179,6 +181,12 @@ class _Frame:
     cell_size: float  # largest edge of the cells at (-R1, 0); nan at s = 0
 
 
+def _reflect(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mirror images of the points ``p`` across the line through the origin
+    normal to the unit vector ``h``."""
+    return p - 2.0 * np.einsum("...i,i->...", p, h)[..., None] * h
+
+
 def _frame(mesh: Mesh, exclusion: float) -> _Frame:
     """Tested sets, reflected-point stencil and peak cell size of ``mesh``."""
     d = mesh.domain
@@ -191,10 +199,11 @@ def _frame(mesh: Mesh, exclusion: float) -> _Frame:
     tested = []
     reflected = []
     for j in range(REPORT_POLARIZERS):
-        pol = Polarizer.from_angle(-np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS)
-        side = pol.side(v)
+        gamma = -np.pi / 2 + (j + 0.5) * np.pi / REPORT_POLARIZERS
+        h = np.array([math.cos(gamma), math.sin(gamma)])
+        side = np.einsum("...i,i->...", v, h)
         idx = np.nonzero(interior & (side > 1e-12 * d.R1))[0]
-        refl = pol.reflect(v[idx])
+        refl = _reflect(v[idx], h)
         ok_ref = d.contains(refl)
         tested.append(idx[ok_ref])
         reflected.append(refl[ok_ref])

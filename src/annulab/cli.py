@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,8 +26,9 @@ from .geometry import AnnularDomain, DomainError
 from .mesh import MeshQualityError, Resolution
 from .radial_oracle import concentric_eigenvalue
 from .shape import (
-    FD_STEP,
+    FD_STEPS,
     check_fd_step,
+    default_fd_step,
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
@@ -69,22 +71,29 @@ EIGENVALUE_NAMES = {ProblemKind.ND: "tau1", ProblemKind.DD: "lambda1", ProblemKi
 
 
 def _parse_grid(text: str):
-    """``start:step:end`` inclusive of both endpoints within half a step."""
+    """``start:step:end`` inclusive of both endpoints within half a step.
+
+    Each point is rounded to 12 decimal places below the step's leading
+    digit, so that ``0:0.4:1.2`` ends at 1.2, not 1.2000000000000002, at any
+    scale of the step.
+    """
     try:
         start, step, end = (float(p) for p in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be start:step:end, got {text!r}"
         )
-    if step <= 0 or end < start:
+    if not (math.isfinite(start) and math.isfinite(end) and 0.0 < step < math.inf
+            and start <= end):
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+    digits = 12 - math.floor(math.log10(step))
     out = []
     k = 0
     while True:
         v = start + k * step
         if v > end + step / 2:
             break
-        out.append(round(v, 12))
+        out.append(round(v, digits))
         k += 1
     return out
 
@@ -135,8 +144,9 @@ def _add_solver_flags(p, res=Resolution(), with_tol=True):
 
 
 def _add_fd_step(p):
-    p.add_argument("--fd-step", type=_positive_float, default=FD_STEP,
-                   help=f"finite difference step (default {FD_STEP:g})")
+    p.add_argument("--fd-step", type=_positive_float, default=None,
+                   help=f"finite difference step (default (R1 - R0)/{FD_STEPS}, "
+                        "less where the offset leaves less room)")
 
 
 def _add_out_dir(p):
@@ -286,13 +296,14 @@ def cmd_symmetry_check(args) -> int:
 
 def cmd_shape_derivative(args) -> int:
     d = AnnularDomain(args.R0, args.R1, args.s)
-    check_fd_step(d, args.fd_step)
+    h = default_fd_step(d) if args.fd_step is None else args.fd_step
+    check_fd_step(d, h)
     res = _resolution(args)
     sol = solve_eigenproblem(discretize(d, res), ProblemKind.ND, args.tol)
     trace = dirichlet_normal_derivative(sol.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    fd = finite_difference_tau_prime(d, args.fd_step, res, tol=args.tol)
+    fd = finite_difference_tau_prime(d, h, res, tol=args.tol)
     print(f"eigenvalue:        {sol.value!r}")
     print(f"boundary integral: {had!r}")
     print(f"half boundary:     {halfb!r}")

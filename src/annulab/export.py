@@ -73,10 +73,10 @@ def write_json(path, payload):
         fh.write(text + "\n")
 
 
-def svg_line_chart(path, series, title="", xlabel="", ylabel="",
-                   width=640, height=420):
-    """Plot (label, x, y) series as polylines in a standalone SVG 1.1 file."""
-    pad = 56
+def svg_line_chart(path, series, title, xlabel, ylabel):
+    """Plot labelled (label, x, y) series as polylines in a standalone SVG
+    1.1 file of 640 x 420 pixels."""
+    width, height, pad = 640, 420, 56
     xs = [float(v) for _, x, _ in series for v in x]
     ys = [float(v) for _, _, y in series for v in y]
     if not xs or not ys:
@@ -102,57 +102,37 @@ def svg_line_chart(path, series, title="", xlabel="", ylabel="",
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{xlabel}</text>',
+        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {height / 2:.1f})">{ylabel}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
-    if xlabel:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {height / 2:.1f})">{ylabel}</text>'
-        )
     for i, (label, x, y) in enumerate(series):
         color = colors[i % len(colors)]
         points = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
-        parts.append(
+        yy = pad + 16 * i
+        parts += [
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
-        if label:
-            yy = pad + 16 * i
-            parts.append(
-                f'<line x1="{width - pad - 90}" y1="{yy}" x2="{width - pad - 70}" '
-                f'y2="{yy}" stroke="{color}" stroke-width="1.5"/>'
-            )
-            parts.append(
-                f'<text x="{width - pad - 64}" y="{yy + 4}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+            f'points="{points}"/>',
+            f'<line x1="{width - pad - 90}" y1="{yy}" x2="{width - pad - 70}" '
+            f'y2="{yy}" stroke="{color}" stroke-width="1.5"/>',
+            f'<text x="{width - pad - 64}" y="{yy + 4}" font-family="sans-serif" '
+            f'font-size="11">{label}</text>',
+        ]
     # axis extremes
-    parts.append(
+    parts += [
         f'<text x="{pad}" y="{height - pad + 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{x0:.4g}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="10">{x0:.4g}</text>',
         f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="10">{x1:.4g}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="10">{x1:.4g}</text>',
         f'<text x="{pad - 6}" y="{height - pad + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{y0:.6g}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="10">{y0:.6g}</text>',
         f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="10">{y1:.6g}</text>'
-    )
-    parts.append("</svg>")
+        f'font-family="sans-serif" font-size="10">{y1:.6g}</text>',
+        "</svg>",
+    ]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,4 +1,4 @@
-"""Analytic geometry of eccentric annuli and half-plane polarizers.
+"""Analytic geometry of eccentric annuli.
 
 The domain is the open set ``B_{R1}(0) \\ closure(B_{R0}((s, 0)))`` in the
 plane: the outer disk is centered at the origin, the excised inner disk at
@@ -79,52 +79,4 @@ class AnnularDomain:
         c = np.asarray(cos_phi, dtype=float)
         sn = np.asarray(sin_phi, dtype=float)
         return -self.s * c + np.sqrt(self.R1**2 - (self.s * sn) ** 2)
-
-
-@dataclass(frozen=True)
-class Polarizer:
-    """Closed half plane ``H = {x : h . (x - b) <= 0}`` with unit normal h.
-
-    ``h`` points out of H.  H belongs to the centered family when its
-    boundary line passes through the origin; the star subfamily additionally
-    has ``h . e1 > 0``, which places ``-e1`` strictly inside H.
-    """
-
-    h: tuple[float, float]
-    b: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        nrm = math.hypot(self.h[0], self.h[1])
-        if abs(nrm - 1.0) > 1e-14:
-            raise ValueError(f"polarizer normal must be unit length, |h| = {nrm}")
-
-    @classmethod
-    def from_angle(cls, gamma: float, b=(0.0, 0.0)) -> "Polarizer":
-        """Polarizer whose outward normal makes angle ``gamma`` with +x.
-
-        Right angles snap to exact axis vectors so that axis-aligned
-        reflections are exact in floating point.
-        """
-        k = gamma / (math.pi / 2)
-        if k == round(k):
-            c, sn = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][int(round(k)) % 4]
-        else:
-            c, sn = math.cos(gamma), math.sin(gamma)
-        return cls(h=(c, sn), b=(float(b[0]), float(b[1])))
-
-    def side(self, p):
-        """Signed side value ``h . (p - b)``; nonpositive inside H."""
-        p = np.asarray(p, dtype=float)
-        h = np.asarray(self.h)
-        b = np.asarray(self.b)
-        out = np.einsum("...i,i->...", p - b, h)
-        return float(out) if out.ndim == 0 else out
-
-    def reflect(self, p):
-        """Mirror image across the boundary line of H; an involution."""
-        p = np.asarray(p, dtype=float)
-        h = np.asarray(self.h)
-        b = np.asarray(self.b)
-        proj = np.einsum("...i,i->...", p - b, h)
-        return p - 2.0 * proj[..., None] * h
 

@@ -25,8 +25,9 @@ from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution
 from .spectral import discretize, solve_eigenproblem
 
-# the offset step of the finite-difference derivative
-FD_STEP = 0.05
+# the default offset step of the finite-difference derivative is the
+# annulus width over FD_STEPS, where the room at the offset allows it
+FD_STEPS = 80
 
 
 @dataclass
@@ -105,6 +106,12 @@ def max_fd_step(domain: AnnularDomain) -> float:
     """
     room = domain.R1 - domain.R0 - domain.s
     return room / 8.0 if domain.s == 0.0 else min(domain.s, room) / 4.0
+
+
+def default_fd_step(domain: AnnularDomain) -> float:
+    """``min((R1 - R0)/FD_STEPS, max_fd_step(domain))``: a step that scales
+    with the annulus."""
+    return min((domain.R1 - domain.R0) / FD_STEPS, max_fd_step(domain))
 
 
 def check_fd_step(domain: AnnularDomain, h: float) -> None:

@@ -24,7 +24,7 @@ from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
 from .mesh import Resolution
 from .shape import (
-    FD_STEP,
+    default_fd_step,
     dirichlet_normal_derivative,
     finite_difference_tau_prime,
     hadamard_tau_prime,
@@ -82,7 +82,7 @@ def _solve_record(
     trace = dirichlet_normal_derivative(nd.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    h = min(fd_step, max_fd_step(d))
+    h = default_fd_step(d) if fd_step is None else min(fd_step, max_fd_step(d))
     fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol)
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v))
 
@@ -105,21 +105,25 @@ def sweep_translation(
     R1: float,
     s_grid,
     resolution: Resolution = Resolution(),
-    fd_step: float = FD_STEP,
+    fd_step: float | None = None,
     tol: float = TOL,
     threads: int = WORKERS,
     keep_fields: bool = False,
     exclusion: float | None = None,
 ) -> list[SweepRecord]:
     """One record per offset, in the order of ``s_grid``;
-    :func:`monotonicity_violations` tells which expected trends fail."""
+    :func:`monotonicity_violations` tells which expected trends fail.
+
+    ``fd_step`` is the finite-difference step, clamped to the room at each
+    offset; the default is :func:`~annulab.shape.default_fd_step`.
+    """
     AnnularDomain(R0, R1)  # the radii are checked before the grid
     s_grid = [float(s) for s in s_grid]
     if any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ValueError("s_grid must be strictly increasing")
     if s_grid and not (0.0 <= s_grid[0] and s_grid[-1] < R1 - R0):
         raise ValueError("s_grid must lie inside [0, R1 - R0)")
-    if not fd_step > 0.0:
+    if fd_step is not None and not fd_step > 0.0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
 
     def work(s):

@@ -8,12 +8,20 @@ rearrangement sorts the ring and lays the values out symmetrically about the
 direction opposite to +x, alternating upper half first.  Both operations
 permute each ring's values, so per-ring multisets are preserved bit for bit.
 
-The alternating layout makes the rearranged ring invariant under every
-grid-aligned polarization whose boundary line is *not* the x-axis: reflected
-pairs of such a polarizer always have strictly different angular distances
-from the peak direction, so the tie-breaking side never matters.  Invariance
-under the two x-axis-aligned polarizers additionally requires equal values at
-conjugate angles, which only axially symmetric inputs satisfy.
+Foliated Schwarz symmetry about -x is invariance under every polarization by
+a half plane whose boundary passes through the center and which contains
+the -x direction.  On a ring of ``m`` samples, the half planes whose
+reflection maps samples to samples are the star polarizers: the integer
+``k`` stands for the half plane with outward normal at angle ``k pi / m``,
+and ``-m/2 < k < m/2`` places -x strictly inside it.  The two axis
+polarizers ``k = +-m/2`` close the family.
+
+The alternating layout makes the rearranged ring invariant under every star
+polarizer: reflected pairs of such a polarizer always have strictly
+different angular distances from the peak direction, so the tie-breaking
+side never matters.  Invariance under the two axis polarizers additionally
+requires equal values at conjugate angles, which only axially symmetric
+inputs satisfy.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import Field
-from .geometry import Polarizer
 
 # threads of the polarization scan, and the default sweep pool size
 WORKERS = os.cpu_count() or 1
@@ -34,10 +41,6 @@ WORKERS = os.cpu_count() or 1
 # default ring sampling of the rearrangement checks: samples per ring, rings
 RING_SAMPLES = 256
 RINGS = 64
-
-
-class AlignmentError(ValueError):
-    """Polarizer is not aligned with the ring sample grid."""
 
 
 @dataclass
@@ -54,8 +57,7 @@ class RingSampling:
     values: np.ndarray  # (n_rings, m)
 
     def __post_init__(self):
-        if self.m % 2 != 0:
-            raise ValueError("sample count per ring must be even")
+        check_ring_counts(self.m, self.radii.size)
         if self.values.shape != (self.radii.size, self.m):
             raise ValueError("values shape does not match radii and m")
 
@@ -79,10 +81,12 @@ class RingSampling:
 
 
 def check_ring_counts(m: int, n_rings: int) -> None:
-    """``ValueError`` unless there are at least 2 samples per ring and 1 ring."""
-    if m < 2 or n_rings < 1:
+    """``ValueError`` unless there is an even number of at least 2 samples
+    per ring, so that reflections pair samples, and at least 1 ring."""
+    if m < 2 or m % 2 != 0 or n_rings < 1:
         raise ValueError(
-            f"need at least 2 samples per ring and 1 ring, got {m} and {n_rings}"
+            "need an even number of at least 2 samples per ring and at least "
+            f"1 ring, got {m} and {n_rings}"
         )
 
 
@@ -122,41 +126,23 @@ def sample_rings(
     return rs
 
 
-def _reflection_index_map(rs: RingSampling, pol: Polarizer) -> np.ndarray:
-    """Sample-index permutation induced by the polarizer's reflection.
+def polarize(rs: RingSampling, k: int) -> RingSampling:
+    """Two-point rearrangement by the polarizer ``k``: of each reflected
+    pair, the sample in the half plane keeps the larger value.
 
-    Requires the boundary line through the ring center and a normal angle
-    that is a multiple of pi / m, so reflected sample points are again
-    sample points.
+    The half plane has its outward normal at angle ``k pi / m``, and its
+    reflection pairs sample ``q`` with ``(k + m/2 - q) mod m``.  Samples on
+    the boundary line are their own partners, so they keep their values.
     """
-    if abs(pol.side(rs.center)) > 1e-12:
-        raise AlignmentError("polarizer boundary must pass through the ring center")
-    gamma = math.atan2(pol.h[1], pol.h[0])
-    k = gamma / (math.pi / rs.m)
-    k_int = round(k)
-    if abs(k - k_int) > 1e-9:
-        raise AlignmentError(
-            f"polarizer normal angle {gamma:.6f} is not a multiple of pi/{rs.m}"
-        )
-    q = np.arange(rs.m)
-    return (k_int + rs.m // 2 - q) % rs.m
-
-
-def polarize(rs: RingSampling, pol: Polarizer) -> RingSampling:
-    """Two-point rearrangement: the half-plane side keeps the larger value."""
-    refl = _reflection_index_map(rs, pol)
+    m = rs.m
+    refl = (k + m // 2 - np.arange(m)) % m
+    gamma = k * math.pi / m
     psi = rs.angles()
-    h = np.asarray(pol.h)
-    side = np.cos(psi) * h[0] + np.sin(psi) * h[1]  # sign of h . (x - center)
-    in_h = side < 0.0
-    on_line = side == 0.0
+    in_h = np.cos(psi) * math.cos(gamma) + np.sin(psi) * math.sin(gamma) < 0.0
 
     vals = rs.values
     mirrored = vals[:, refl]
-    hi = np.maximum(vals, mirrored)
-    lo = np.minimum(vals, mirrored)
-    out = np.where(in_h[None, :], hi, lo)
-    out[:, on_line] = vals[:, on_line]
+    out = np.where(in_h[None, :], np.maximum(vals, mirrored), np.minimum(vals, mirrored))
     return rs.copy_with(out)
 
 
@@ -200,14 +186,9 @@ def deviation(a: RingSampling, b: RingSampling) -> float:
     return math.sqrt(num / den)
 
 
-def _star_indices(m: int) -> range:
-    """Indices ``-m/2 < k < m/2`` of the star polarizers, normal angle ``k pi / m``."""
-    return range(-(m // 2) + 1, m // 2)
-
-
-def star_polarizers(m: int, center=(0.0, 0.0)):
-    """All grid-aligned polarizers through ``center`` with ``h . e1 > 0``."""
-    return [Polarizer.from_angle(k * math.pi / m, b=center) for k in _star_indices(m)]
+def star_polarizers(m: int) -> list:
+    """The star polarizers ``-m/2 < k < m/2`` of a ring of ``m`` samples."""
+    return list(range(-(m // 2) + 1, m // 2))
 
 
 def _worst_numerator(vals, rev2, w, ks) -> float:
@@ -239,10 +220,10 @@ def _worst_numerator(vals, rev2, w, ks) -> float:
 
 
 def worst_polarization_deviation(rs: RingSampling) -> float:
-    """Largest ``deviation(rs, polarize(rs, pol))`` over the star polarizers.
+    """Largest ``deviation(rs, polarize(rs, k))`` over ``k`` in
+    ``star_polarizers(rs.m)``.
 
-    The polarizers are ``star_polarizers(rs.m, center=rs.center)``.  No
-    polarized sampling is built (see :func:`_worst_numerator`), and the
+    No polarized sampling is built (see :func:`_worst_numerator`), and the
     denominator of :func:`deviation` is the same for every polarizer.  The
     polarizers are cut into ``WORKERS`` contiguous blocks scanned on as many
     threads; the maximum is exact, so every partition gives the same bits.
@@ -253,7 +234,7 @@ def worst_polarization_deviation(rs: RingSampling) -> float:
     den = float(np.sum(w[:, None] * vals**2))
     # rev2[:, j] == vals[:, (-1 - j) % m] for 0 <= j < 2m
     rev2 = np.tile(vals[:, ::-1], 2)
-    ks = _star_indices(m)
+    ks = star_polarizers(m)
     blocks = [ks[len(ks) * i // WORKERS : len(ks) * (i + 1) // WORKERS]
               for i in range(WORKERS)]
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:

@@ -224,6 +224,45 @@ def test_sweep_grid_parsing(tmp_path, capsys):
     assert len(lines) == 3  # header + s = 1, 3
 
 
+def test_grid_points_are_rounded_relative_to_the_step():
+    assert cli._parse_grid("0:0.4:3.6") == [
+        0.0, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.2, 3.6
+    ]
+    assert cli._parse_grid("0:1e-50:3e-50") == [0.0, 1e-50, 2e-50, 3e-50]
+    for text in ("0:inf:1", "0:nan:1", "nan:1:2", "0:1:inf", "0:0:1", "2:1:1"):
+        with pytest.raises(Exception, match="bad grid"):
+            cli._parse_grid(text)
+
+
+def test_sweep_on_a_tiny_annulus_repeats_the_unit_sweep(tmp_path, capsys):
+    # the sweep of the grid 0:1:3 on (1, 5), scaled by 1e-50; both exit 4,
+    # as the 16 x 4 mesh fails the s = 0 geometry checks at every scale
+    rows = {}
+    for c in (1.0, 1e-50):
+        out_dir = tmp_path / f"{c:g}"
+        code, out, _ = run(
+            ["sweep", "--R0", f"{c:g}", "--R1", f"{5 * c:g}",
+             "--s-grid", f"0:{c:g}:{3 * c:g}", "--n-theta", "16", "--n-rad", "4",
+             "--out-dir", str(out_dir)],
+            capsys,
+        )
+        assert (code, out) == (4, f"4 records written to {out_dir / 'sweep.csv'}\n")
+        lines = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        rows[c] = [[float(x) for x in line.split(",")[:2]] for line in lines]
+    assert [r[0] for r in rows[1e-50]] == [0.0, 1e-50, 2e-50, 3e-50]
+    for (_, tau), (_, tau_c) in zip(rows[1.0], rows[1e-50]):
+        assert tau_c * 1e-100 == pytest.approx(tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--s", "0.1"], ["--s", "3.85"], ["--R0", "0.01", "--R1", "0.05", "--s", "0.02"],
+])
+def test_shape_derivative_default_step_fits_the_room(capsys, flags):
+    code, out, err = run(["shape-derivative"] + flags + FAST, capsys)
+    assert (code, err) == (0, "")
+    assert "finite difference" in out
+
+
 def test_symmetry_check(tmp_path, capsys):
     code, out, _ = run(
         ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
@@ -303,7 +342,7 @@ def test_symmetry_check_rejects_bad_ring_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_eigenproblem", fail_if_solved)
     base = ["symmetry-check", "--R0", "1", "--R1", "5", "--s", "2",
             "--out-dir", str(tmp_path)] + FAST
-    for flags in (["--ring-samples", "0"], ["--rings", "0"]):
+    for flags in (["--ring-samples", "0"], ["--ring-samples", "7"], ["--rings", "0"]):
         code, _, err = run(base + flags, capsys)
         assert code == 2, flags
         assert "ring" in err, flags

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab.geometry import AnnularDomain, DomainError, Polarizer
+from annulab.geometry import AnnularDomain, DomainError
 
 
 def test_domain_validation():
@@ -99,33 +99,3 @@ def test_ray_containment_interval():
             p = d.inner_center + t * direction
             assert d.contains(p) == expect
 
-
-def test_reflect_examples():
-    h_e1 = Polarizer(h=(1.0, 0.0))
-    assert np.allclose(h_e1.reflect((2.0, 1.0)), [-2.0, 1.0], atol=1e-15)
-    diag = Polarizer.from_angle(math.pi / 4)
-    assert np.allclose(diag.reflect((1.0, 0.0)), [0.0, -1.0], atol=1e-15)
-
-
-def test_reflect_involution_and_fixed_points():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        gamma = rng.uniform(-math.pi, math.pi)
-        b = rng.standard_normal(2)
-        pol = Polarizer.from_angle(gamma, b=b)
-        p = rng.standard_normal((8, 2)) * 3
-        assert np.allclose(pol.reflect(pol.reflect(p)), p, atol=1e-14)
-        # points on the boundary line are fixed
-        tang = np.array([-pol.h[1], pol.h[0]])
-        onb = b + np.outer(rng.standard_normal(5), tang)
-        assert np.allclose(pol.reflect(onb), onb, atol=1e-13)
-
-
-def test_polarizer_side_and_contains():
-    pol = Polarizer(h=(1.0, 0.0))
-    assert pol.side((-1.0, 2.0)) <= 0.0
-    assert pol.side((0.0, 5.0)) <= 0.0  # closed half plane
-    assert not pol.side((0.1, 0.0)) <= 0.0
-    assert pol.side((2.0, 0.0)) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        Polarizer(h=(1.0, 1.0))  # normal must be a unit vector

@@ -67,6 +67,28 @@ def test_sweep_rejects_bad_fd_step_before_solving(monkeypatch, fd_step):
                           threads=1)
 
 
+# each column's power of the length scale c
+SCALE_POWERS = {"tau1": -2, "lambda1": -2, "nu1": -2, "T": 4, "dtau_hadamard": -3,
+                "dtau_half": -3, "dtau_fd": -3, "dT_boundary": 3}
+
+
+@pytest.mark.parametrize("c", [2.0**-10, 2.0**10])
+def test_sweep_is_scale_free(c):
+    # the default finite-difference step scales with the annulus, so the
+    # sweep on (c, 5c) is the (1, 5) sweep with every column rescaled
+    res = Resolution(32, 8, 1.5)
+    grid = [0.0, 0.9, 1.8, 2.7, 3.6]
+    base = sweep_translation(1.0, 5.0, grid, resolution=res, threads=1)
+    scaled = sweep_translation(c, 5.0 * c, [c * s for s in grid], resolution=res,
+                               threads=1)
+    for a, b in zip(base, scaled):
+        assert b.s == c * a.s and b.checks_pass == a.checks_pass
+        for name, p in SCALE_POWERS.items():
+            assert getattr(b, name) / c**p == pytest.approx(
+                getattr(a, name), rel=1e-12, abs=0.0
+            ), (a.s, name)
+
+
 def test_sweep_threading_matches_serial():
     grid = [0.0, 0.5, 1.5]
     threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),

@@ -3,10 +3,9 @@ import pytest
 
 from annulab import symmetrize
 from annulab.fem import Field
-from annulab.geometry import AnnularDomain, Polarizer
+from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh
 from annulab.symmetrize import (
-    AlignmentError,
     RingSampling,
     deviation,
     foliated_schwarz,
@@ -77,14 +76,15 @@ def test_polarize_symmetric_ring_unchanged():
     # already arranged decreasing from the -x direction
     vals = [0.0, 1.0, 4.0, 1.0]  # angles 0, pi/2, pi, 3pi/2
     rs = ring_of(vals)
-    out = polarize(rs, Polarizer(h=(1.0, 0.0)))
+    out = polarize(rs, 0)
     assert np.array_equal(out.values, rs.values)
 
 
 def test_polarize_swaps_pair():
-    # value 1 at angle 0 (outside H for h = e1), 0 at angle pi
+    # value 1 at angle 0 (outside the half plane of k = 0, normal e1), 0 at
+    # angle pi
     rs = ring_of([1.0, 0.5, 0.0, 0.5])
-    out = polarize(rs, Polarizer(h=(1.0, 0.0)))
+    out = polarize(rs, 0)
     assert np.array_equal(out.values[0], [0.0, 0.5, 1.0, 0.5])
 
 
@@ -102,12 +102,21 @@ def test_polarize_norm_preservation_exact():
             assert np.linalg.norm(sa, p) == np.linalg.norm(sb, p)
 
 
-def test_polarize_alignment_errors():
-    rs = ring_of(np.arange(8.0))
-    with pytest.raises(AlignmentError):
-        polarize(rs, Polarizer.from_angle(0.1))
-    with pytest.raises(AlignmentError):
-        polarize(rs, Polarizer(h=(1.0, 0.0), b=(0.5, 0.5)))
+@pytest.mark.parametrize("m", [2, 8, 30])
+def test_polarize_pairs_mirror_images(m):
+    # each sample against its mirror image across the boundary line, found
+    # geometrically: the side opposite the normal keeps the larger value
+    rng = np.random.default_rng(m)
+    rs = ring_of(rng.permutation(m).astype(float))
+    p = rs.points()[0]
+    for k in star_polarizers(m) + [m // 2, -(m // 2)]:
+        h = np.array([np.cos(k * np.pi / m), np.sin(k * np.pi / m)])
+        side = p @ h
+        image = p - 2.0 * side[:, None] * h
+        partner = np.argmin(np.hypot(*(image[:, None, :] - p[None, :, :]).T), axis=0)
+        v, w = rs.values[0], rs.values[0][partner]
+        want = np.where(side < -1e-9, np.maximum(v, w), np.minimum(v, w))
+        assert np.array_equal(polarize(rs, k).values[0], want), k
 
 
 def test_rearrange_spec_example():
@@ -156,8 +165,9 @@ def test_axis_polarizers_complete_the_characterization():
         assert np.array_equal(polarize(rs, pol).values, rs.values)
     star = foliated_schwarz(rs)
     assert deviation(rs, star) > 0.0
-    # the closure of the star family: horizontal boundary lines
-    axis = [Polarizer(h=(0.0, 1.0)), Polarizer(h=(0.0, -1.0))]
+    # the closure of the star family: horizontal boundary lines, normals
+    # at angles +-pi/2
+    axis = [4, -4]
     axis_changed = any(
         not np.array_equal(polarize(rs, pol).values, rs.values) for pol in axis
     )
@@ -180,8 +190,7 @@ def test_deviation_basic():
 
 def reference_worst_deviation(rs):
     return max(
-        deviation(rs, polarize(rs, pol))
-        for pol in star_polarizers(rs.m, center=rs.center)
+        deviation(rs, polarize(rs, pol)) for pol in star_polarizers(rs.m)
     )
 
 
