@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import Field, p1_gradient
+from .geometry import reflect
 from .mesh import Mesh, Stencil
 
 # ordering allowance for interpolated reflection comparisons, relative to
@@ -181,12 +182,6 @@ class _Frame:
     cell_size: float  # largest edge of the cells at (-R1, 0); nan at s = 0
 
 
-def _reflect(p: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Mirror images of the points ``p`` across the line through the origin
-    normal to the unit vector ``h``."""
-    return p - 2.0 * np.einsum("...i,i->...", p, h)[..., None] * h
-
-
 def _frame(mesh: Mesh, exclusion: float) -> _Frame:
     """Tested sets, reflected-point stencil and peak cell size of ``mesh``."""
     d = mesh.domain
@@ -203,7 +198,7 @@ def _frame(mesh: Mesh, exclusion: float) -> _Frame:
         h = np.array([math.cos(gamma), math.sin(gamma)])
         side = np.einsum("...i,i->...", v, h)
         idx = np.nonzero(interior & (side > 1e-12 * d.R1))[0]
-        refl = _reflect(v[idx], h)
+        refl = reflect(v[idx], h)
         ok_ref = d.contains(refl)
         tested.append(idx[ok_ref])
         reflected.append(refl[ok_ref])

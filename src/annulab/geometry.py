@@ -1,4 +1,5 @@
-"""Analytic geometry of eccentric annuli.
+"""Analytic geometry of eccentric annuli and of reflections across lines
+through the origin.
 
 The domain is the open set ``B_{R1}(0) \\ closure(B_{R0}((s, 0)))`` in the
 plane: the outer disk is centered at the origin, the excised inner disk at
@@ -80,3 +81,10 @@ class AnnularDomain:
         sn = np.asarray(sin_phi, dtype=float)
         return -self.s * c + np.sqrt(self.R1**2 - (self.s * sn) ** 2)
 
+
+def reflect(p, h) -> np.ndarray:
+    """Mirror images of the points ``p`` across the line through the origin
+    normal to the unit vector ``h``; an involution."""
+    p = np.asarray(p, dtype=float)
+    h = np.asarray(h, dtype=float)
+    return p - 2.0 * np.einsum("...i,i->...", p, h)[..., None] * h

@@ -3,7 +3,6 @@ import pytest
 
 from annulab.checks import (
     _frame,
-    _reflect,
     geometry_report,
     geometry_reports,
     outer_axial_derivative,
@@ -202,19 +201,3 @@ def test_peak_cell_size_matches_a_scan_of_all_triangles(s, n_theta):
     want = float(max(np.linalg.norm(pts[:, a] - pts[:, b], axis=1).max()
                      for a, b in ((0, 1), (1, 2), (2, 0))))
     assert _frame(mesh, 0.25).cell_size == want
-
-
-def test_report_reflection_examples_involution_and_fixed_line():
-    e1 = np.array([1.0, 0.0])
-    assert np.allclose(_reflect(np.array([2.0, 1.0]), e1), [-2.0, 1.0], atol=1e-15)
-    diag = np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)])
-    assert np.allclose(_reflect(np.array([1.0, 0.0]), diag), [0.0, -1.0], atol=1e-15)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        gamma = rng.uniform(-np.pi, np.pi)
-        h = np.array([np.cos(gamma), np.sin(gamma)])
-        p = rng.standard_normal((8, 2)) * 3
-        assert np.allclose(_reflect(_reflect(p, h), h), p, atol=1e-14)
-        # points on the boundary line are fixed
-        onb = np.outer(rng.standard_normal(5), [-h[1], h[0]])
-        assert np.allclose(_reflect(onb, h), onb, atol=1e-13)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from annulab.geometry import AnnularDomain, DomainError
+from annulab.geometry import AnnularDomain, DomainError, reflect
 
 
 def test_domain_validation():
@@ -99,3 +99,20 @@ def test_ray_containment_interval():
             p = d.inner_center + t * direction
             assert d.contains(p) == expect
 
+
+def test_reflect_examples():
+    assert np.allclose(reflect((2.0, 1.0), (1.0, 0.0)), [-2.0, 1.0], atol=1e-15)
+    diag = (math.cos(math.pi / 4), math.sin(math.pi / 4))
+    assert np.allclose(reflect((1.0, 0.0), diag), [0.0, -1.0], atol=1e-15)
+
+
+def test_reflect_involution_and_fixed_points():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        gamma = rng.uniform(-math.pi, math.pi)
+        h = np.array([math.cos(gamma), math.sin(gamma)])
+        p = rng.standard_normal((8, 2)) * 3
+        assert np.allclose(reflect(reflect(p, h), h), p, atol=1e-14)
+        # points on the line are fixed
+        onb = np.outer(rng.standard_normal(5), [-h[1], h[0]])
+        assert np.allclose(reflect(onb, h), onb, atol=1e-13)
