@@ -38,6 +38,7 @@ from .spectral import discretize, solve_eigenproblem
 from .sweep import (
     BRACKET_WIDTH,
     S_POINTS,
+    WORKERS,
     analyze_dn_ratio,
     bracket_critical_ratio,
     check_levels,
@@ -51,7 +52,6 @@ from .sweep import (
 from .symmetrize import (
     RING_SAMPLES,
     RINGS,
-    WORKERS,
     check_ring_counts,
     deviation,
     foliated_schwarz,

@@ -12,6 +12,7 @@ raised mid-sweep.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -32,9 +33,10 @@ from .shape import (
     max_fd_step,
 )
 from .spectral import discretize, solve_eigenproblem
-from .symmetrize import WORKERS
 from .torsion import rigidity_derivative, solve_torsion
 
+# default size of the sweep thread pool
+WORKERS = os.cpu_count() or 1
 # sweep points per radius ratio of the outer-Dirichlet family analysis
 S_POINTS = 12
 # target width of the critical-ratio bracket

@@ -22,25 +22,28 @@ different angular distances from the peak direction, so the tie-breaking
 side never matters.  Invariance under the two axis polarizers additionally
 requires equal values at conjugate angles, which only axially symmetric
 inputs satisfy.
+
+The level of sample ``q`` is its angular distance ``|q - m/2|`` from -x.  A
+star polarizer pairs samples on different levels, and its half plane holds
+the nearer one, so a sample can lose value under some polarizer only if a
+sample on a strictly farther level is larger: a loser.  The scan
+:func:`worst_polarization_deviation` visits the pairs of the losers only.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import Field
 
-# threads of the polarization scan, and the default sweep pool size
-WORKERS = os.cpu_count() or 1
-
 # default ring sampling of the rearrangement checks: samples per ring, rings
 RING_SAMPLES = 256
 RINGS = 64
+# loser rows gathered at once by the polarization scan
+LOSER_BLOCK = 64
 
 
 @dataclass
@@ -191,55 +194,98 @@ def star_polarizers(m: int) -> list:
     return list(range(-(m // 2) + 1, m // 2))
 
 
-def _worst_numerator(vals, rev2, w, ks) -> float:
-    """Largest deviation numerator over the star polarizers ``ks``.
+def _levels(m: int) -> np.ndarray:
+    """Angular distance ``|q - m/2|`` of each sample from -x, in samples."""
+    return np.abs(np.arange(m) - m // 2)
 
-    Star polarizer ``k`` pairs sample ``q`` with ``(c - q) mod m``,
-    ``c = k + m/2``, and its half plane holds exactly the samples ``q`` with
-    ``c/2 < q < c/2 + m/2``, one of each pair off the boundary line.  The
-    polarization swaps a pair only where the half-plane value is the smaller
-    one, which adds ``2 w_r (v_q - v_q')**2`` to the numerator of
-    :func:`deviation`.  On the ring values reversed and tiled twice
-    (``rev2``), the partners of that contiguous half-ring slice are again a
-    contiguous slice, so each polarizer costs a few passes over half a ring
-    in one buffer of this call's own.
+
+def _losers(vals: np.ndarray) -> np.ndarray:
+    """Mask of the samples below some sample on a strictly farther level.
+
+    Level ``L`` holds samples ``m/2 - L`` and ``(m/2 + L) mod m``; one
+    reversed running maximum over the levels gives, per ring, the largest
+    value beyond each level.
+    """
+    half = vals.shape[1] // 2
+    top = np.maximum(vals[:, half::-1], np.roll(vals, -half, axis=1)[:, : half + 1])
+    far = np.full_like(top, -np.inf)
+    far[:, :-1] = np.maximum.accumulate(top[:, :0:-1], axis=1)[:, ::-1]
+    return vals < far[:, _levels(vals.shape[1])]
+
+
+def _slice_numerators(vals, w) -> np.ndarray:
+    """``num[c]``, half the :func:`deviation` numerator of polarizer
+    ``c - m/2``, by half-ring slices.
+
+    The half plane of polarizer ``c`` holds exactly the samples ``q`` with
+    ``c/2 < q < c/2 + m/2``.  On the ring values reversed and tiled twice
+    (``rev2``) the partners of that contiguous slice are again a contiguous
+    slice, so each polarizer costs a few passes over half a ring.
     """
     n_rings, m = vals.shape
+    rev2 = np.tile(vals[:, ::-1], 2)  # rev2[:, j] == vals[:, (-1 - j) % m]
     buf = np.empty(n_rings * (m // 2))
-    worst = 0.0
-    for k in ks:
-        c = k + m // 2
+    num = np.zeros(m)
+    for c in range(1, m):
         lo, hi = c // 2 + 1, (c - 1) // 2 + m // 2 + 1  # half-plane samples lo..hi-1
         # partner of sample lo + j: vals[:, (c - lo - j) % m] == rev2[:, start + j]
         start = m - 1 - c + lo
         d = buf[: n_rings * (hi - lo)].reshape(n_rings, hi - lo)
         np.subtract(vals[:, lo:hi], rev2[:, start : start + hi - lo], out=d)
         np.minimum(d, 0.0, out=d)
-        worst = max(worst, 2.0 * float(w @ np.einsum("ij,ij->i", d, d)))
-    return worst
+        num[c] = w @ np.einsum("ij,ij->i", d, d)
+    return num
+
+
+def _row_numerators(vals, w, rings, qs) -> np.ndarray:
+    """``num[c]`` as in :func:`_slice_numerators`, from the rows of the
+    losers ``vals[rings, qs]`` only, gathered ``LOSER_BLOCK`` at a time.
+
+    Row ``c`` of loser ``q`` reads its partner ``(c - q) mod m`` and keeps
+    the pairs where that partner is on a farther level and larger.
+    """
+    m = vals.shape[1]
+    lev = _levels(m)
+    num = np.zeros(m)
+    for b in range(0, rings.size, LOSER_BLOCK):
+        r, q = rings[b : b + LOSER_BLOCK], qs[b : b + LOSER_BLOCK]
+        partner = (np.arange(m) - q[:, None]) % m
+        d = np.maximum(vals[r[:, None], partner] - vals[r, q][:, None], 0.0)
+        d[lev[partner] <= lev[q][:, None]] = 0.0
+        num += w[r] @ (d * d)
+    return num
 
 
 def worst_polarization_deviation(rs: RingSampling) -> float:
     """Largest ``deviation(rs, polarize(rs, k))`` over ``k`` in
     ``star_polarizers(rs.m)``.
 
-    No polarized sampling is built (see :func:`_worst_numerator`), and the
-    denominator of :func:`deviation` is the same for every polarizer.  The
-    polarizers are cut into ``WORKERS`` contiguous blocks scanned on as many
-    threads; the maximum is exact, so every partition gives the same bits.
+    No polarized sampling is built.  Star polarizer ``k`` pairs sample ``q``
+    with ``(c - q) mod m``, ``c = k + m/2``, and its half plane holds the
+    partner on the nearer level, ``|q - m/2|`` being the level of ``q``
+    (mirror twins share a level, and no star polarizer pairs them).  A
+    pair moves only where the nearer value is the smaller one, which adds
+    ``2 w_r (v_q - v_q')**2`` to the numerator of :func:`deviation`; the
+    denominator is the same for every polarizer.  So only the losers of
+    :func:`_losers` add anything, and a ring without losers adds 0 to every
+    polarizer.  A ring with at most ``m/4`` losers is scanned by their rows
+    (:func:`_row_numerators`), one with more by half-ring slices
+    (:func:`_slice_numerators`).
     """
     m = rs.m
     vals = rs.values
     w = 2.0 * math.pi * rs.radii / m
     den = float(np.sum(w[:, None] * vals**2))
-    # rev2[:, j] == vals[:, (-1 - j) % m] for 0 <= j < 2m
-    rev2 = np.tile(vals[:, ::-1], 2)
-    ks = star_polarizers(m)
-    blocks = [ks[len(ks) * i // WORKERS : len(ks) * (i + 1) // WORKERS]
-              for i in range(WORKERS)]
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        # sqrt(num / den) grows with num, so the worst num decides
-        worst_num = max(pool.map(lambda b: _worst_numerator(vals, rev2, w, b), blocks))
+    losers = _losers(vals)
+    busy = 4 * np.count_nonzero(losers, axis=1) > m
+    num = np.zeros(m)
+    if np.any(busy):
+        num += _slice_numerators(vals[busy], w[busy])
+    rings, qs = np.nonzero(losers & ~busy[:, None])
+    num += _row_numerators(vals, w, rings, qs)
+    # sqrt(num / den) grows with num, so the worst num decides; num[0] stays
+    # 0, as the axis polarizer c = 0 pairs mirror twins only
+    worst_num = 2.0 * float(np.max(num))
     if den == 0.0:
         return 0.0 if worst_num == 0.0 else math.inf
     return math.sqrt(worst_num / den)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from annulab import symmetrize
 from annulab.fem import Field
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Resolution, build_mesh
@@ -194,16 +193,54 @@ def reference_worst_deviation(rs):
     )
 
 
+def levels(m):
+    return np.abs(np.arange(m) - m // 2)
+
+
+def loser_counts(vals):
+    """Per ring, the samples below some sample on a strictly farther level."""
+    lev = levels(vals.shape[1])
+    farther = lev[None, :] > lev[:, None]  # [q, p]: p is farther than q
+    beaten = (vals[:, None, :] > vals[:, :, None]) & farther[None]
+    return np.count_nonzero(np.any(beaten, axis=2), axis=1)
+
+
+def scan_cases(m, rng):
+    """One ring for each case of the scan, at least 8 samples each.
+
+    Values decreasing in the level leave no loser; each other ring spoils
+    that at one place, except the last, where nearly every sample loses.
+    """
+    lev = levels(m)
+    clean = (m - lev).astype(float)
+    one = clean.copy()
+    one[m // 2 + 1] = m - 2.5  # level 1, beaten by level 2 only
+    farthest = clean.copy()
+    farthest[m - 1] = m / 2 + 1.75
+    farthest[0] = m / 2 + 1.5  # level m/2 beats sample 1 only
+    tied = clean.copy()
+    tied[m // 2 + 2] = m - 4.0  # level 2, beaten by level 3, tied with level 4
+    busy = lev + rng.uniform(0.0, 0.5, m)
+    vals = np.stack([clean, one, farthest, tied, busy])
+    assert list(loser_counts(vals)) == [0, 1, 1, 1, m - 1]  # m - 1 > m/4
+    return vals
+
+
 @pytest.mark.parametrize("m", [2, 4, 8, 64, 256])
 def test_worst_polarization_deviation_matches_reference(m):
     rng = np.random.default_rng(m)
-    refs = []
+    samplings = []
     for n_rings in (1, 3, 7):
         vals = rng.uniform(-0.5, 1.0, (n_rings, m))
         vals[:, : m // 2] = np.round(vals[:, : m // 2], 1)  # ties
         vals[0, m // 4 : m // 4 + m // 3 + 1] = 0.0  # a zero run
         vals[-1] = np.maximum(vals[-1], 0.0)  # zero runs and ties at zero
-        radii = np.sort(rng.uniform(0.1, 4.0, n_rings))
+        samplings.append(vals)
+    if m >= 8:
+        samplings.append(scan_cases(m, rng))
+    refs = []
+    for vals in samplings:
+        radii = np.sort(rng.uniform(0.1, 4.0, vals.shape[0]))
         rs = RingSampling(np.zeros(2), radii, m, vals)
         refs.append(reference_worst_deviation(rs))
         new = worst_polarization_deviation(rs)
@@ -216,15 +253,19 @@ def test_worst_polarization_deviation_of_an_eigenfunction(center):
     from annulab.fem import ProblemKind
     from annulab.spectral import discretize, solve_eigenproblem
 
-    d = AnnularDomain(1.0, 5.0, 2.0)
-    nd = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.5)), ProblemKind.ND)
-    mesh = nd.u.mesh
-    skew = 1.0 + 0.4 * np.sin(mesh.vertices[:, 0] + 0.7 * mesh.vertices[:, 1])
-    for u in (nd.u, Field(nd.u.values * skew, mesh)):
-        rs = sample_rings(u, m=64, n_rings=16, center=center)
-        ref = reference_worst_deviation(rs)
-        assert worst_polarization_deviation(rs) == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert ref > 0.0  # the skewed field is not polarization invariant
+    for s in (0.0, 2.0):
+        d = AnnularDomain(1.0, 5.0, s)
+        nd = solve_eigenproblem(discretize(d, Resolution(64, 16, 1.5)), ProblemKind.ND)
+        mesh = nd.u.mesh
+        skew = 1.0 + 0.4 * np.sin(mesh.vertices[:, 0] + 0.7 * mesh.vertices[:, 1])
+        for u in (nd.u, Field(nd.u.values * skew, mesh)):
+            rs = sample_rings(u, m=64, n_rings=16, center=center)
+            ref = reference_worst_deviation(rs)
+            assert worst_polarization_deviation(rs) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert ref > 0.0  # the skewed field is not polarization invariant
+        # the radial field at s = 0 has rings with more than m/4 losers
+        radial = sample_rings(nd.u, m=64, n_rings=16, center=center).values
+        assert np.any(4 * loser_counts(radial) > 64) == (s == 0.0)
 
 
 def test_worst_polarization_deviation_fixed_points():
@@ -234,20 +275,6 @@ def test_worst_polarization_deviation_fixed_points():
     vals[1, :10] = 0.0
     rs = RingSampling(np.zeros(2), np.linspace(1, 2, 4), 32, vals)
     assert worst_polarization_deviation(foliated_schwarz(rs)) == 0.0
-
-
-@pytest.mark.parametrize("m", [2, 4, 256])
-def test_worst_polarization_deviation_is_the_same_for_every_partition(m, monkeypatch):
-    # m = 2 has one polarizer, so two or three workers leave blocks empty
-    rng = np.random.default_rng(11)
-    vals = np.round(rng.uniform(-0.5, 1.0, (5, m)), 2)
-    rs = RingSampling(np.zeros(2), np.linspace(0.5, 3.0, 5), m, vals)
-    got = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(symmetrize, "WORKERS", workers)
-        got.append(worst_polarization_deviation(rs))
-    assert got[0] > 0.0
-    assert [g.hex() for g in got] == [got[0].hex()] * 3
 
 
 def ring_dirichlet_energy(rs):
