@@ -25,7 +25,9 @@ current vector with that factor; if none succeeds it keeps the factor of
 ``K``.  By Sylvester's law of inertia a successful Cholesky proves ``sigma``
 below the smallest eigenvalue, so ``[sigma, value]`` brackets it; the
 factor of ``K`` alone proves 0.  Everything is deterministic: the start
-vector is all ones and there is no randomness.  Mirror symmetry is not
+vector is all ones and there is no randomness, and every inner product is
+summed by :func:`dot` in one fixed order, never by BLAS, so the outputs do
+not depend on the number of cores.  Mirror symmetry is not
 enforced here; the reduced systems are already posed on the symmetric
 functions.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +67,16 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` in a fixed summation order.
+
+    numpy's ``@`` and ``np.linalg.norm`` call BLAS, which on long vectors
+    splits the sum across threads, so their last bits depend on the number
+    of cores; ``einsum`` sums in one thread.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 class SolverConvergenceError(RuntimeError):
@@ -197,9 +210,9 @@ def smallest_eigenpair(
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     x = np.ones(k.shape[0])
-    x = x / np.sqrt(float(x @ (m @ x)))
+    x = x / math.sqrt(dot(x, m @ x))
     mx = m @ x
-    rho = float(x @ (k @ x))
+    rho = dot(x, k @ x)
     if rho <= 0.0:
         raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
     history = [rho]
@@ -212,16 +225,17 @@ def smallest_eigenpair(
     for it in range(1, max_outer + 1):
         y = factor.solve(mx)
         my = m @ y
-        nrm = np.sqrt(float(y @ my))
+        nrm = math.sqrt(dot(y, my))
         y /= nrm
         my /= nrm
         ky = k @ y
-        rho = float(y @ ky)
+        rho = dot(y, ky)
         if rho <= 0.0:
             raise SolverConvergenceError("nonpositive Rayleigh quotient", rho)
         history.append(rho)
         residual_prev = residual
-        residual = float(np.linalg.norm(ky - rho * my) / np.linalg.norm(my))
+        r = ky - rho * my
+        residual = math.sqrt(dot(r, r)) / math.sqrt(dot(my, my))
         # the next step's m @ x is the m @ y just computed
         mx = my
         if residual <= tol * rho:

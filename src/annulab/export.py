@@ -33,7 +33,19 @@ def write_csv(path, header, rows):
 
 
 def _reprs(a) -> list:
-    return list(map(repr, np.asarray(a, dtype=float).tolist()))
+    """``repr`` of every float of ``a``, each distinct magnitude formatted
+    once.
+
+    ``repr`` of a negative float, ``-0.0`` and ``-inf`` included, is ``-``
+    before ``repr`` of its magnitude; a NaN prints ``nan`` whatever its sign
+    bit.
+    """
+    a = np.asarray(a, dtype=float)
+    mags, inverse = np.unique(np.abs(a), return_inverse=True)
+    texts = list(map(repr, mags.tolist()))
+    texts += ["-" + t for t in texts]
+    negative = np.signbit(a) & ~np.isnan(a)
+    return np.array(texts, dtype=object)[inverse + mags.size * negative].tolist()
 
 
 def write_field(field, base, name: str = "u", vtk: bool = False):

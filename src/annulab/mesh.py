@@ -79,13 +79,14 @@ class Resolution:
             raise ValueError(f"grading must lie in [0.5, 2], got {self.grading}")
 
 
-def _unit_directions(n: int):
+def unit_directions(n: int):
     """cos/sin tables of 2*pi*i/n with exact reflection symmetries.
 
     Entries for i > n/2 are copied from the upper half with the sine negated,
     so the table is bitwise invariant under conjugation.  For 4 | n the upper
     quarter is built from the first quarter, making the table bitwise
-    antisymmetric under i -> n/2 - i as well.
+    antisymmetric under i -> n/2 - i as well.  The mesh rays and the ring
+    samples of :mod:`annulab.symmetrize` take their directions from it.
     """
     c = np.empty(n)
     sn = np.empty(n)
@@ -204,7 +205,7 @@ class Mesh:
         directions ``e_i``, ``e_{i+1}`` of its rays, their extents
         ``a = L - R0`` past the inner circle, and ``e_i x e_{i+1}``."""
         d = self.domain
-        c, sn = _unit_directions(self.res.n_theta)
+        c, sn = unit_directions(self.res.n_theta)
         a = d.exit_distance_from_direction(c, sn) - d.R0
         c1, s1, a1 = (np.roll(x, -1) for x in (c, sn, a))
         return np.stack([c, sn, a, c1, s1, a1, c * s1 - sn * c1])
@@ -345,7 +346,7 @@ def build_mesh(domain: AnnularDomain, res: Resolution) -> Mesh:
     choice so the split is exactly symmetric.
     """
     n_theta, n_rad, grading = res.n_theta, res.n_rad, res.grading
-    cos_t, sin_t = _unit_directions(n_theta)
+    cos_t, sin_t = unit_directions(n_theta)
     ell = domain.exit_distance_from_direction(cos_t, sin_t)  # (n_theta,)
     t = (np.arange(n_rad + 1) / n_rad) ** grading  # t[0] = 0, t[-1] = 1 exactly
     radii = domain.R0 + t[None, :] * (ell[:, None] - domain.R0)  # (n_theta, n_rad+1)

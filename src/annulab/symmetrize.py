@@ -2,11 +2,13 @@
 
 A field is sampled on circles about one of the two natural centers (the
 origin, extending by zero into the hole, or the inner center, extending by
-zero outside the outer circle).  Per ring, polarization swaps reflected
-sample pairs so the half-plane side keeps the larger value; the full
-rearrangement sorts the ring and lays the values out symmetrically about the
-direction opposite to +x, alternating upper half first.  Both operations
-permute each ring's values, so per-ring multisets are preserved bit for bit.
+zero outside the outer circle); on a mirror-symmetric field only half of
+each ring is interpolated (:func:`sample_rings`).  Per ring, polarization
+swaps reflected sample pairs so the half-plane side keeps the larger value;
+the full rearrangement sorts the ring and lays the values out symmetrically
+about the direction opposite to +x, alternating upper half first.  Both
+operations permute each ring's values, so per-ring multisets are preserved
+bit for bit.
 
 Foliated Schwarz symmetry about -x is invariance under every polarization by
 a half plane whose boundary passes through the center and which contains
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import Field
+from .mesh import unit_directions
 
 # default ring sampling of the rearrangement checks: samples per ring, rings
 RING_SAMPLES = 256
@@ -67,9 +70,16 @@ class RingSampling:
     def angles(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.m) / self.m
 
-    def points(self) -> np.ndarray:
-        psi = self.angles()
-        unit = np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    def points(self, count: int | None = None) -> np.ndarray:
+        """Points of samples ``0 .. count - 1`` of every ring, all ``m`` by
+        default, ``(n_rings, count, 2)``.
+
+        The directions come from :func:`annulab.mesh.unit_directions`, which
+        is conjugate symmetric bit for bit: as the center lies on the
+        x1-axis, sample ``m - q`` is the exact mirror image of sample ``q``.
+        """
+        c, sn = unit_directions(self.m)
+        unit = np.stack([c[:count], sn[:count]], axis=1)
         return self.center[None, None, :] + self.radii[:, None, None] * unit[None, :, :]
 
     def copy_with(self, values) -> "RingSampling":
@@ -102,6 +112,12 @@ def sample_rings(
     strictly inside the outer circle (starting at 0.02 R0 to avoid the
     center); ``center="inner"`` samples the extension that is zero outside
     the outer circle, on radii in (R0, R1 + s) about the inner center.
+
+    If ``u`` is bitwise mirror symmetric (:func:`mirror_symmetric`), only
+    samples ``q = 0 .. m/2`` of each ring are located and interpolated, and
+    sample ``m - q``, the exact mirror image of sample ``q``
+    (:meth:`RingSampling.points`), copies its value; otherwise all ``m``
+    are.  The input decides, no option does.
     """
     check_ring_counts(m, n_rings)
     mesh = u.mesh
@@ -116,7 +132,8 @@ def sample_rings(
         raise ValueError(f"center must be 'origin' or 'inner', got {center!r}")
     radii = r_lo + (np.arange(1, n_rings + 1) / (n_rings + 1)) * (r_hi - r_lo)
     rs = RingSampling(ctr, radii, m, np.zeros((n_rings, m)))
-    pts = rs.points().reshape(-1, 2)
+    count = m // 2 + 1 if mirror_symmetric(u) else m
+    pts = rs.points(count).reshape(-1, 2)
 
     inside_hole = np.hypot(pts[:, 0] - d.s, pts[:, 1]) <= d.R0
     beyond_outer = np.einsum("ij,ij->i", pts, pts) >= d.R1**2
@@ -125,8 +142,18 @@ def sample_rings(
     live = ~zero
     if np.any(live):
         vals[live] = mesh.interpolate(u.values, pts[live])
-    rs.values = vals.reshape(n_rings, m)
+    rs.values[:, :count] = vals.reshape(n_rings, count)
+    if count < m:  # samples m/2 + 1 .. m - 1 copy samples m/2 - 1 .. 1
+        rs.values[:, count:] = rs.values[:, count - 2 : 0 : -1]
     return rs
+
+
+def mirror_symmetric(u: Field) -> bool:
+    """Whether ``u`` is bitwise invariant under ``x2 -> -x2``, which maps
+    lattice vertex ``(i, j)`` to ``(-i mod n_theta, j)``."""
+    lattice = u.mesh.lattice
+    mirror = lattice[-np.arange(lattice.shape[0])]
+    return np.array_equal(u.values[lattice], u.values[mirror])
 
 
 def polarize(rs: RingSampling, k: int) -> RingSampling:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolver import dot
 from .fem import Discretization, Field, ProblemKind, p1_gradient
 from .geometry import AnnularDomain
 from .mesh import Mesh, Resolution
@@ -27,7 +28,8 @@ from .spectral import discretize
 
 @dataclass
 class TorsionSolution:
-    """Torsion function and its rigidity ``T = b . v`` with the assembled load."""
+    """Torsion function and its rigidity ``T = b . v`` with the assembled load,
+    summed by :func:`annulab.eigensolver.dot`."""
 
     v: Field
     mesh: Mesh
@@ -42,7 +44,7 @@ def solve_torsion(disc: Discretization) -> TorsionSolution:
     """
     system = disc.system(ProblemKind.ND)
     v = Field(system.expand(system.factor.solve(system.b)), disc.mesh)
-    return TorsionSolution(v=v, mesh=disc.mesh, T=float(disc.b @ v.values))
+    return TorsionSolution(v=v, mesh=disc.mesh, T=dot(disc.b, v.values))
 
 
 def torsional_rigidity(v: Field) -> tuple[float, float]:

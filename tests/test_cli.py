@@ -212,6 +212,24 @@ def test_sweep_reports_each_violation_once(tmp_path):
     assert cp.stderr.splitlines() == ["assertion failed: geometry checks failed at s=0.0"]
 
 
+def test_sweep_does_not_depend_on_the_number_of_cores(tmp_path):
+    # OpenBLAS splits a dot product of more than about 10k entries across
+    # its threads, which moves the last bits of every eigenvalue; 320 x 64
+    # gives about 20k unknowns
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(annulab.__file__)))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        cp = subprocess.run(
+            [sys.executable, "-m", "annulab.cli", "sweep", "--s-grid", "2:1:2",
+             "--n-theta", "320", "--n-rad", "64", "--out-dir", str(out)],
+            capture_output=True, text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert cp.returncode == 0, cp.stderr
+        csvs.append((out / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_sweep_grid_parsing(tmp_path, capsys):
     code, out, _ = run(
         ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "1:2:3",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,33 @@ def test_field_export_cells_cross_a_block_boundary(tmp_path):
     field = Field(np.hypot(*mesh.vertices.T), mesh)
     write_field(field, tmp_path / "big", vtk=True)
     check_round_trip(field, tmp_path / "big", "u")
+
+
+def test_field_export_text_is_the_repr_of_every_value(tmp_path):
+    # each distinct magnitude is formatted once and the signs are put back;
+    # the field is not mirror symmetric and holds signed zeros, repeats,
+    # infinities and a NaN with its sign bit set
+    mesh = build_mesh(AnnularDomain(1.0, 3.0, 1.2), Resolution(32, 6, 1.5))
+    x, y = mesh.vertices.T
+    values = np.sin(3.0 * x + y)
+    values[0:40:4] = 0.0
+    values[1:40:4] = -0.0
+    values[2:40:4] = 0.25
+    values[3:40:4] = -0.25
+    values[40:44] = [np.inf, -np.inf, np.nan, -np.nan]
+    values[50:60] = -values[60:70]
+    assert np.signbit(values[43]) and np.any(values < -0.3)
+    # a Field refuses non-finite values; write_field reads only these two
+    write_field(SimpleNamespace(mesh=mesh, values=values), tmp_path / "f", name="w",
+                vtk=True)
+    x, y, w = (a.tolist() for a in (x, y, values))
+    rows = [f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(x, y, w)]
+    assert (tmp_path / "f.csv").read_text() == "x,y,w\n" + "".join(rows)
+    lines = (tmp_path / "f.vtk").read_text().splitlines()
+    n = mesh.num_vertices
+    at = lines.index(f"POINTS {n} double") + 1
+    assert lines[at:at + n] == [f"{a!r} {b!r} 0.0" for a, b in zip(x, y)]
+    assert lines[-n:] == [repr(c) for c in w]
 
 
 def test_repeat_solve_bit_identical():

@@ -8,6 +8,7 @@ from annulab.symmetrize import (
     RingSampling,
     deviation,
     foliated_schwarz,
+    mirror_symmetric,
     polarize,
     sample_rings,
     star_polarizers,
@@ -69,6 +70,62 @@ def test_sample_concentric_extension_zero_outside(mesh_and_fields):
     vals = rs.values.ravel()
     assert np.all(vals[outside] == 0.0)
     assert np.allclose(vals[~outside], 1.0, atol=1e-12)
+
+
+def full_interpolation(u, rs):
+    """The values of ``rs`` with every one of its points located and
+    interpolated, zero in the hole and beyond the outer circle."""
+    d = u.mesh.domain
+    pts = rs.points().reshape(-1, 2)
+    live = (np.hypot(pts[:, 0] - d.s, pts[:, 1]) > d.R0) & (
+        np.einsum("ij,ij->i", pts, pts) < d.R1**2
+    )
+    vals = np.zeros(pts.shape[0])
+    vals[live] = u.mesh.interpolate(u.values, pts[live])
+    return vals.reshape(rs.values.shape)
+
+
+@pytest.mark.parametrize("m", [2, 6, 8, 64, 1024])
+def test_ring_points_are_exactly_conjugate_symmetric(m):
+    radii = np.array([0.02, 1.1, 4.9])
+    for center in ((0.0, 0.0), (1.7, 0.0)):
+        rs = RingSampling(np.array(center), radii, m, np.zeros((3, m)))
+        p = rs.points()
+        image = p[:, -np.arange(m)]  # sample m - q, and 0 for q = 0
+        assert np.array_equal(image[..., 0], p[..., 0])
+        assert np.array_equal(image[..., 1], -p[..., 1])
+        assert np.array_equal(rs.points(m // 2 + 1), p[:, : m // 2 + 1])
+        psi = rs.angles()
+        exact = np.stack([np.cos(psi), np.sin(psi)], axis=1)
+        assert np.allclose(p, rs.center + radii[:, None, None] * exact, rtol=0.0, atol=5e-15)
+
+
+@pytest.mark.parametrize("center", ["origin", "inner"])
+def test_sample_rings_copies_the_mirror_half_of_a_symmetric_field(nd_s2_128, center):
+    u = nd_s2_128.u
+    assert mirror_symmetric(u)
+    m = 64
+    rs = sample_rings(u, m=m, n_rings=16, center=center)
+    # sample m - q is a bitwise copy of sample q
+    assert np.array_equal(rs.values[:, 1:], rs.values[:, :0:-1])
+    full = full_interpolation(u, rs)
+    assert np.array_equal(rs.values[:, : m // 2 + 1], full[:, : m // 2 + 1])
+    assert np.max(np.abs(rs.values - full)) <= 1e-14 * np.max(np.abs(u.values))
+    assert np.max(rs.values) > 0.0
+
+
+@pytest.mark.parametrize("center", ["origin", "inner"])
+def test_sample_rings_interpolates_every_point_of_an_asymmetric_field(nd_s2_128, center):
+    mesh = nd_s2_128.mesh
+    skew = 1.0 + 0.4 * np.sin(mesh.vertices[:, 0] + 0.7 * mesh.vertices[:, 1])
+    nudged = nd_s2_128.u.values.copy()
+    v = mesh.vertex_index(5, 9)
+    nudged[v] = np.nextafter(nudged[v], 1.0)
+    for values in (nd_s2_128.u.values * skew, nudged):
+        w = Field(values, mesh)
+        assert not mirror_symmetric(w)
+        rs = sample_rings(w, m=64, n_rings=16, center=center)
+        assert np.array_equal(rs.values, full_interpolation(w, rs))
 
 
 def test_polarize_symmetric_ring_unchanged():
