@@ -129,6 +129,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_solver_flags(p, res=Resolution(), with_tol=True):
     """Resolution flags defaulting to ``res``, and the eigensolver tolerance."""
     p.add_argument("--n-theta", type=int, default=res.n_theta,
@@ -205,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-grid", type=_parse_grid, default=_parse_grid("0:0.4:3.6"),
                    help="offset grid start:step:end (default 0:0.4:3.6)")
     _add_fd_step(p)
-    p.add_argument("--threads", type=int, default=WORKERS,
-                   help="worker cap (default: machine parallelism)")
+    p.add_argument("--threads", type=_positive_int, default=WORKERS,
+                   help="most worker processes, the caller included (default: "
+                        "the CPUs this process may run on)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dn-analyze",
@@ -303,7 +314,7 @@ def cmd_shape_derivative(args) -> int:
     trace = dirichlet_normal_derivative(sol.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    fd = finite_difference_tau_prime(d, h, res, tol=args.tol)
+    fd = finite_difference_tau_prime(d, h, res, tol=args.tol, center=sol.value)
     print(f"eigenvalue:        {sol.value!r}")
     print(f"boundary integral: {had!r}")
     print(f"half boundary:     {halfb!r}")

@@ -69,6 +69,22 @@ _flapack = _load_flapack()
 dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 
+def lapack_thread_control():
+    """``(get, set)`` of the thread count of the OpenBLAS behind
+    :data:`dpbtrf`, or ``None`` when its LAPACK exports neither."""
+    import ctypes
+
+    # dlsym on the extension's handle also searches the libraries it links
+    lib = ctypes.CDLL(_flapack.__file__)
+    for prefix in ("scipy_openblas", "openblas"):  # scipy's wheels, a system OpenBLAS
+        try:
+            return (getattr(lib, f"{prefix}_get_num_threads"),
+                    getattr(lib, f"{prefix}_set_num_threads"))
+        except AttributeError:
+            pass
+    return None
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` in a fixed summation order.
 
@@ -84,7 +100,11 @@ class SolverConvergenceError(RuntimeError):
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
+        self.message = message
         self.residual = residual
+
+    def __reduce__(self):
+        return type(self), (self.message, self.residual)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -95,6 +115,10 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
             f"matrix is not positive definite: pivot {pivot} of {dim} is not positive"
         )
         self.pivot = pivot
+        self.dim = dim
+
+    def __reduce__(self):
+        return type(self), (self.pivot, self.dim)
 
 
 class SymmetricBand:

@@ -123,16 +123,20 @@ def check_fd_step(domain: AnnularDomain, h: float) -> None:
         raise ValueError(f"step {h} too large; must be <= {limit}")
 
 
-def offset_difference(f, domain: AnnularDomain, h: float) -> float:
+def offset_difference(
+    f, domain: AnnularDomain, h: float, center: float | None = None
+) -> float:
     """Difference quotient of ``f(s)`` at ``domain.s``: central, one-sided at s = 0.
 
     The s = 0 stencil is the second-order one-sided one; the plain forward
     difference would pick up the O(h) curvature term of a function even in
-    the offset, as the eigenvalue and the rigidity are.
+    the offset, as the eigenvalue and the rigidity are.  It takes ``f(0)``
+    from ``center`` when the caller already holds it.
     """
     check_fd_step(domain, h)
     if domain.s == 0.0:
-        return (-3.0 * f(0.0) + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
+        f0 = f(0.0) if center is None else center
+        return (-3.0 * f0 + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
     return (f(domain.s + h) - f(domain.s - h)) / (2.0 * h)
 
 
@@ -142,18 +146,20 @@ def finite_difference_tau_prime(
     res: Resolution,
     kind: ProblemKind = ProblemKind.ND,
     tol: float = TOL,
+    center: float | None = None,
 ) -> float:
     """:func:`offset_difference` of the eigenvalue in the offset.
 
     All re-solves use the identical resolution so the discretization bias
-    cancels in the difference.
+    cancels in the difference.  ``center`` is the eigenvalue at ``domain``
+    with this ``res``, ``kind`` and ``tol``, when the caller has solved it.
     """
 
     def tau_at(s):
         disc = discretize(AnnularDomain(domain.R0, domain.R1, s), res)
         return solve_eigenproblem(disc, kind, tol).value
 
-    return offset_difference(tau_at, domain, h)
+    return offset_difference(tau_at, domain, h, center)
 
 
 def reflected_neumann_margin(u: Field, exclusion: float | None = None):

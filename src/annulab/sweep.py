@@ -1,25 +1,27 @@
 """Parameter sweeps: offset translations, the outer-Dirichlet family, and
 mesh convergence studies.
 
-Sweep points are independent solves merged by parameter value, so results do
-not depend on evaluation order or worker count.  Monotonicity expectations
-(first mixed eigenvalue strictly decreasing in the offset, rigidity strictly
-increasing) are checked on the assembled records by
-:func:`monotonicity_violations`, whose list the caller reports once, never
-raised mid-sweep.
+Sweep points are independent solves.  :func:`sweep_translation` and the
+grid of :func:`analyze_dn_ratio` split them round robin over forked worker
+processes (Linux), the calling process computing its own share, each on a
+CPU of its own.  Every point is computed whole in one process and the
+results come back in grid order, so they do not depend on the number of
+workers.  Monotonicity expectations (first mixed eigenvalue strictly
+decreasing in the offset, rigidity strictly increasing) are checked on the
+assembled records by :func:`monotonicity_violations`, whose list the caller
+reports once, never raised mid-sweep.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .checks import geometry_reports
-from .eigensolver import TOL
+from .eigensolver import TOL, lapack_thread_control
 from .export import svg_line_chart, write_csv
 from .fem import Field, ProblemKind
 from .geometry import AnnularDomain
@@ -35,8 +37,11 @@ from .shape import (
 from .spectral import discretize, solve_eigenproblem
 from .torsion import rigidity_derivative, solve_torsion
 
-# default size of the sweep thread pool
-WORKERS = os.cpu_count() or 1
+# default number of sweep processes: the CPUs this process may run on
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 # sweep points per radius ratio of the outer-Dirichlet family analysis
 S_POINTS = 12
 # target width of the critical-ratio bracket
@@ -68,6 +73,101 @@ class SweepRecord:
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord) if f.compare)
 
 
+def _process_count(threads: int, tasks: int) -> int:
+    """Processes of a map over ``tasks`` tasks: at most ``threads``, and at
+    most :data:`WORKERS`, the CPUs this process may run on."""
+    return max(1, min(threads, tasks, WORKERS))
+
+
+def _run_share(fn, share):
+    """``(results, None)``, or the results before the first task that
+    raised and its exception."""
+    out = []
+    try:
+        for a in share:
+            out.append(fn(a))
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
+def _parallel_map(fn, args, threads: int) -> list:
+    """``[fn(a) for a in args]`` on :func:`_process_count` processes.
+
+    Task ``i`` runs in process ``i mod n``: process 0 is the caller, the
+    others are forked children that pickle their share back through a pipe
+    and leave by ``os._exit``.  While the map lasts each process is pinned
+    to a CPU of its own, since a kernel that does not balance load across
+    CPUs keeps a forked child on its parent's CPU, and runs LAPACK on one
+    thread, since processes that each spin an OpenBLAS pool on a CPU they
+    share slow each other down many times over.  A failing task re-raises,
+    once every child is reaped, the exception of the first failing task, as
+    the serial loop does.  With one process, or without
+    ``sched_setaffinity`` or a LAPACK whose threads can be set, the map is
+    that loop.
+    """
+    args = list(args)
+    n = _process_count(threads, len(args))
+    lapack = n > 1 and hasattr(os, "sched_setaffinity") and lapack_thread_control()
+    if not lapack:
+        return [fn(a) for a in args]
+    import pickle
+    import signal
+
+    get_threads, set_threads = lapack
+    lapack_threads = get_threads()
+    cpus = sorted(os.sched_getaffinity(0))
+    children = []  # (pid, read end of its pipe)
+    try:
+        set_threads(1)
+        for w in range(1, n):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                    os.close(r)
+                    data = pickle.dumps(_run_share(fn, args[w::n]), -1)
+                    with open(wr, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        os.sched_setaffinity(0, {cpus[0]})
+        shares = [_run_share(fn, args[0::n])]
+        while children:
+            pid, fh = children[0]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"worker process exited with code {os.waitstatus_to_exitcode(status)}"
+                )
+            shares.append(pickle.loads(data))
+    finally:
+        set_threads(lapack_threads)
+        os.sched_setaffinity(0, cpus)
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(args)
+    failed = []  # (task index, exception) of each process's first failure
+    for w, (done, exc) in enumerate(shares):
+        for k, value in enumerate(done):
+            results[w + k * n] = value
+        if exc is not None:
+            failed.append((w + len(done) * n, exc))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
+
+
 def _solve_record(
     R0, R1, s, res: Resolution, fd_step, tol, keep_fields, exclusion
 ) -> SweepRecord:
@@ -85,7 +185,7 @@ def _solve_record(
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
     h = default_fd_step(d) if fd_step is None else min(fd_step, max_fd_step(d))
-    fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol)
+    fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol, nd.value)
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v))
 
     # the reflected points are located once for both reports
@@ -118,6 +218,8 @@ def sweep_translation(
 
     ``fd_step`` is the finite-difference step, clamped to the room at each
     offset; the default is :func:`~annulab.shape.default_fd_step`.
+    ``threads`` caps the processes that compute the records
+    (:func:`_parallel_map`); the records do not depend on it.
     """
     AnnularDomain(R0, R1)  # the radii are checked before the grid
     s_grid = [float(s) for s in s_grid]
@@ -133,10 +235,7 @@ def sweep_translation(
             R0, R1, s, resolution, fd_step, tol, keep_fields, exclusion
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, s_grid))
-    return [work(s) for s in s_grid]
+    return _parallel_map(work, s_grid, threads)
 
 
 def monotonicity_violations(records) -> list[str]:
@@ -240,7 +339,9 @@ def analyze_dn_ratio(
     # midpoint grid: uniform over the open interval with end coverage
     # 0.5 dx from either endpoint, where the shallow minimum tends to sit
     grid = (np.arange(s_points) + 0.5) * (width / s_points)
-    nu = np.array([_nu1(R0, R1, s, resolution, tol) for s in grid])
+    nu = np.array(
+        _parallel_map(lambda s: _nu1(R0, R1, s, resolution, tol), grid, WORKERS)
+    )
 
     diffs = np.diff(nu)
     signs = np.sign(diffs)

@@ -230,6 +230,48 @@ def test_sweep_does_not_depend_on_the_number_of_cores(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+NO_CHILD_LEFT = """
+import os, sys
+from annulab.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child process is left", file=sys.stderr)
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+def test_sweep_nonconvergence_exits_3_alike_on_any_number_of_workers(tmp_path):
+    # every record fails its first solve; the worker's error comes back
+    # pickled, and the first record's is the one reported
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(annulab.__file__)))
+    errs = []
+    for threads in ("1", "2"):
+        cp = subprocess.run(
+            [sys.executable, "-c", NO_CHILD_LEFT, "sweep", "--s-grid", "0:0.9:3.6",
+             "--n-theta", "32", "--n-rad", "8", "--tol", "1e-300",
+             "--threads", threads, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert cp.returncode == 3, cp.stderr
+        errs.append(cp.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
+def test_sweep_threads_must_be_a_positive_integer_before_solving(
+    capsys, monkeypatch, threads
+):
+    monkeypatch.setattr(cli, "sweep_translation", fail_if_solved)
+    code, out, err = run(["sweep", "--threads", threads] + FAST, capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --threads: " in err
+
+
 def test_sweep_grid_parsing(tmp_path, capsys):
     code, out, _ = run(
         ["sweep", "--R0", "1", "--R1", "5", "--s-grid", "1:2:3",

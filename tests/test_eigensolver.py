@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -241,6 +242,18 @@ def test_factorize_reports_the_first_nonpositive_pivot():
     assert exc.value.pivot == 7
     assert "pivot 7 of 12" in str(exc.value)
     assert isinstance(exc.value, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("exc, attr", [
+    (SolverConvergenceError("iteration cap reached", 2.5e-8), "residual"),
+    (NotPositiveDefiniteError(7, 12), "pivot"),
+])
+def test_solver_errors_survive_pickling(exc, attr):
+    # a sweep's worker process sends its error back pickled
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert getattr(back, attr) == getattr(exc, attr)
 
 
 @pytest.mark.parametrize("n, kd", [(1, 0), (9, 0), (9, 3), (9, 8), (40, 39)])

@@ -1,10 +1,11 @@
-import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from annulab import sweep as sweep_mod
+from annulab.eigensolver import SolverConvergenceError, lapack_thread_control
 from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Mesh, Resolution
@@ -89,20 +90,101 @@ def test_sweep_is_scale_free(c):
             ), (a.s, name)
 
 
-def test_sweep_threading_matches_serial():
+def bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+def test_sweep_processes_match_serial(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
     grid = [0.0, 0.5, 1.5]
-    threaded = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
-                                 threads=2)
-    serial = sweep_translation(1.0, 5.0, grid, resolution=Resolution(48, 8, 1.5),
-                               threads=1)
-    assert len(threaded) == len(serial) == len(grid)
-    for a, b in zip(serial, threaded):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, float):
-                assert np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64), f.name
-            elif f.compare:
-                assert x == y, f.name
+    res = Resolution(48, 8, 1.5)
+    forked = sweep_translation(1.0, 5.0, grid, resolution=res, threads=2,
+                               keep_fields=True)
+    serial = sweep_translation(1.0, 5.0, grid, resolution=res, threads=1,
+                               keep_fields=True)
+    assert len(forked) == len(serial) == len(grid)
+    for a, b in zip(serial, forked):
+        for name in SWEEP_COLUMNS:
+            assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+        for name in ("u", "v"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.values.tobytes() == y.values.tobytes(), name
+            assert x.mesh.vertices.tobytes() == y.mesh.vertices.tobytes(), name
+
+
+def test_dn_ratio_processes_match_serial(monkeypatch):
+    res = Resolution(64, 16, 1.5)
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep_mod, "WORKERS", workers)
+        out.append(analyze_dn_ratio(5.0, 0.1, s_points=6, resolution=res))
+    serial, forked = out
+    assert serial.classification == forked.classification == "interior_minimum"
+    assert serial.nu_values.tobytes() == forked.nu_values.tobytes()
+    assert bits(serial.s0) == bits(forked.s0)
+
+
+def test_process_count_is_capped_by_threads_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 4)
+    assert sweep_mod._process_count(10**9, 5) == 4
+    assert sweep_mod._process_count(3, 5) == 3
+    assert sweep_mod._process_count(8, 2) == 2
+    assert sweep_mod._process_count(8, 0) == 1
+    assert sweep_mod._process_count(0, 5) == 1
+
+
+def test_parallel_map_keeps_task_order(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 3)
+    assert sweep_mod._parallel_map(lambda x: x * x, range(8), 3) == [
+        x * x for x in range(8)
+    ]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("first_bad", [0, 3, 4])
+def test_a_raising_task_raises_the_first_error_and_leaves_no_child(
+    monkeypatch, first_bad
+):
+    # task i runs in process i mod 2: 0 and 4 in the caller, 3 in the child
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+
+    def task(i):
+        if i >= first_bad:
+            raise SolverConvergenceError(f"task {i}", float(i))
+        return i
+
+    with pytest.raises(SolverConvergenceError) as exc:
+        sweep_mod._parallel_map(task, range(7), 2)
+    assert str(exc.value) == str(SolverConvergenceError(f"task {first_bad}",
+                                                        float(first_bad)))
+    assert exc.value.residual == first_bad
+    assert_no_child()
+
+
+def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+
+    def task(i):
+        if i == 1:
+            os._exit(7)
+        return i
+
+    with pytest.raises(RuntimeError, match="worker process exited with code 7"):
+        sweep_mod._parallel_map(task, range(4), 2)
+    assert_no_child()
+
+
+def test_the_caller_keeps_its_cpus_and_lapack_threads(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+    get_threads, _ = lapack_thread_control()
+    cpus, threads = os.sched_getaffinity(0), get_threads()
+    assert sweep_mod._parallel_map(lambda x: get_threads(), range(4), 2) == [1] * 4
+    assert os.sched_getaffinity(0) == cpus
+    assert get_threads() == threads
 
 
 def test_sweep_csv_format(tmp_path, short_sweep):
