@@ -3,9 +3,13 @@
 Subcommands: ``solve``, ``torsion``, ``symmetry-check``, ``shape-derivative``,
 ``sweep``, ``dn-analyze``, ``converge``.  Exit codes: 0 success, 2 validation
 error or unusable output directory, 3 solver non-convergence, 4 failed
-assertion suite, 5 a system matrix that is not positive definite.  A JSON
-config file may preload the flag defaults of the chosen subcommand; explicit
-flags win.
+assertion suite, 5 a system matrix that is not positive definite, 6 a worker
+process that died (killed, out of memory) before it sent its results.  A
+JSON config file may preload the flag defaults of the chosen subcommand;
+explicit flags win.
+
+``solve`` and ``torsion`` format the mesh half of their field files in a
+forked process while the field is solved (:func:`_solve_field`).
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import numpy as np
 
 from .checks import EXCLUSION, exclusion_radius, geometry_report
 from .eigensolver import TOL, NotPositiveDefiniteError, SolverConvergenceError
-from .export import write_field, write_json
-from .fem import ProblemKind
+from .export import mesh_text, write_json, write_values
+from .fem import Discretization, ProblemKind
 from .geometry import AnnularDomain, DomainError
-from .mesh import MeshQualityError, Resolution
+from .mesh import MeshQualityError, Resolution, build_mesh
 from .radial_oracle import concentric_eigenvalue
 from .shape import (
     FD_STEPS,
@@ -39,6 +43,8 @@ from .sweep import (
     BRACKET_WIDTH,
     S_POINTS,
     WORKERS,
+    WorkerDiedError,
+    _parallel_map,
     analyze_dn_ratio,
     bracket_critical_ratio,
     check_levels,
@@ -65,6 +71,7 @@ EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_ASSERTIONS = 4
 EXIT_NOT_POSITIVE_DEFINITE = 5
+EXIT_WORKER_DIED = 6
 
 # the first eigenvalue of each kind, as the sweep CSV names it
 EIGENVALUE_NAMES = {ProblemKind.ND: "tau1", ProblemKind.DD: "lambda1", ProblemKind.DN: "nu1"}
@@ -111,11 +118,20 @@ def _parse_ratios(text: str):
     return ratios
 
 
+def _offset(text: str) -> float:
+    """The offset as a float; ``-0.0`` is 0, so that it names its files
+    ``_s0`` as ``0`` does."""
+    try:
+        return float(text) + 0.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
 def _add_domain(p, with_s=True):
     p.add_argument("--R0", type=float, default=1.0, help="inner radius (default 1)")
     p.add_argument("--R1", type=float, default=5.0, help="outer radius (default 5)")
     if with_s:
-        p.add_argument("--s", type=float, default=0.0,
+        p.add_argument("--s", type=_offset, default=0.0,
                        help="inner center offset (default 0)")
 
 
@@ -254,13 +270,37 @@ def _resolution(args) -> Resolution:
     return Resolution(args.n_theta, args.n_rad, args.grading)
 
 
-def cmd_solve(args) -> int:
-    d = AnnularDomain(args.R0, args.R1, args.s)
-    kind = ProblemKind.parse(args.kind)
-    sol = solve_eigenproblem(discretize(d, _resolution(args)), kind, args.tol)
+def _solve_field(args, solve, prefix: str, name: str):
+    """Solve on the mesh of ``args`` and write the field files
+    ``<prefix>_s<offset>``, the field's values under ``name``.
+
+    ``solve(disc)`` returns ``(field, result)`` for the discretization of
+    the mesh.  The mesh is built first; then :func:`_parallel_map` runs two
+    tasks: the solve in this process and :func:`~annulab.export.mesh_text`,
+    which needs no values, in a forked child.  The discretization lives only
+    inside its task, so its factorizations are freed before the child's text
+    is read.  Returns ``result`` and the base path of the files.
+    """
+    mesh = build_mesh(AnnularDomain(args.R0, args.R1, args.s), _resolution(args))
+
+    def task(i):
+        return solve(Discretization(mesh)) if i == 0 else mesh_text(mesh, args.vtk)
+
+    (field, result), text = _parallel_map(task, (0, 1), 2)
     _ensure_outdir(args)
-    base = os.path.join(args.out_dir, f"eig_{kind.value}_s{args.s:g}")
-    write_field(sol.u, base, vtk=args.vtk)
+    base = os.path.join(args.out_dir, f"{prefix}_s{args.s:g}")
+    write_values(text, field.values, base, name)
+    return result, base
+
+
+def cmd_solve(args) -> int:
+    kind = ProblemKind.parse(args.kind)
+
+    def solve(disc):
+        sol = solve_eigenproblem(disc, kind, args.tol)
+        return sol.u, sol
+
+    sol, base = _solve_field(args, solve, f"eig_{kind.value}", "u")
     print(f"first eigenvalue ({kind.value}, s={args.s:g}): {sol.value!r}")
     pair = sol.pair
     print(f"residual {pair.residual:.3e} after {pair.iterations} iterations; "
@@ -270,13 +310,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    d = AnnularDomain(args.R0, args.R1, args.s)
-    sol = solve_torsion(discretize(d, _resolution(args)))
-    t_energy, t_integral = torsional_rigidity(sol.v)
-    _ensure_outdir(args)
-    base = os.path.join(args.out_dir, f"torsion_s{args.s:g}")
-    write_field(sol.v, base, name="v", vtk=args.vtk)
-    print(f"torsional rigidity (s={args.s:g}): {sol.T!r}")
+    def solve(disc):
+        sol = solve_torsion(disc)
+        # free the factorization before the rigidity's per-triangle arrays
+        del disc
+        return sol.v, (sol.T, *torsional_rigidity(sol.v))
+
+    (T, t_energy, t_integral), base = _solve_field(args, solve, "torsion", "v")
+    print(f"torsional rigidity (s={args.s:g}): {T!r}")
     print(f"energy/integral mismatch: {abs(t_energy - t_integral) / t_integral:.3e}")
     print(f"field written to {base}.csv")
     return EXIT_OK
@@ -435,6 +476,9 @@ def main(argv=None) -> int:
     except SolverConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
 
 
 if __name__ == "__main__":

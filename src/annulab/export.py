@@ -1,7 +1,10 @@
 """Deterministic text exports: CSV, JSON, fields and minimal SVG line charts.
 
 All writers emit LF line endings and format floats with ``repr`` (shortest
-round-trip), so identical inputs produce byte-identical files.
+round-trip), so identical inputs produce byte-identical files.  A field
+export is two halves: :func:`mesh_text` formats what depends on the mesh
+alone, and :func:`write_values` adds the values and writes the files, so the
+CLI formats the mesh half in a forked process while the field is solved.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import json
 
 import numpy as np
 
-# triangles formatted per string in the CELLS section of write_field; it
+# triangles formatted per string in the CELLS section of mesh_text; it
 # bounds the index tuple and the text built at once, and leaves the file
 # unchanged
 CELLS_BLOCK = 16384
@@ -48,33 +51,61 @@ def _reprs(a) -> list:
     return np.array(texts, dtype=object)[inverse + mags.size * negative].tolist()
 
 
+def mesh_text(mesh, vtk: bool = False) -> tuple[str, bytes | None]:
+    """The mesh half of :func:`write_field`, a pure function of ``mesh``.
+
+    Returns the CSV rows ``x,y,%s``, one a vertex, and, with ``vtk``, the
+    legacy ASCII 2.0 unstructured grid of the mesh triangles up to its
+    ``POINT_DATA`` section, as bytes, since it is written as it is; without
+    ``vtk`` the second item is ``None``.  Each coordinate is formatted once:
+    a ``repr`` holds neither ``%`` nor a comma, so the rows take the values
+    by ``%`` and the VTK points are the CSV text with spaces.
+    """
+    x, y = _reprs(mesh.vertices[:, 0]), _reprs(mesh.vertices[:, 1])
+    xy = list(map(",".join, zip(x, y)))
+    rows = ",%s\n".join(xy) + ",%s\n"
+    if not vtk:
+        return rows, None
+    n, nt = mesh.num_vertices, mesh.num_triangles
+    parts = ["# vtk DataFile Version 2.0\nannulab mesh\nASCII\n"
+             f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+             (" 0.0\n".join(xy) + " 0.0\n").replace(",", " "),
+             f"CELLS {nt} {4 * nt}\n"]
+    for i in range(0, nt, CELLS_BLOCK):
+        block = mesh.triangles[i:i + CELLS_BLOCK]
+        parts.append("3 %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+    parts.append(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+    return rows, "".join(parts).encode()
+
+
+def write_values(text, values, base, name: str = "u"):
+    """The value half of :func:`write_field`: write ``base.csv`` and, when
+    the :func:`mesh_text` ``text`` holds a VTK head, ``base.vtk``, with the
+    ``repr`` of every value."""
+    rows, head = text
+    v = _reprs(values)
+    with open(f"{base}.csv", "w", newline="\n") as fh:
+        fh.write(f"x,y,{name}\n")
+        fh.write(rows % tuple(v))
+    if head is None:
+        return
+    with open(f"{base}.vtk", "wb") as fh:
+        fh.write(head)
+        fh.write((f"POINT_DATA {len(v)}\nSCALARS {name} double 1\n"
+                  "LOOKUP_TABLE default\n" + "\n".join(v) + "\n").encode())
+
+
 def write_field(field, base, name: str = "u", vtk: bool = False):
     """Write a vertex field to ``base.csv`` and, with ``vtk``, ``base.vtk``.
 
     The CSV has the columns ``x,y`` and ``name``.  The VTK is a legacy
     ASCII 2.0 unstructured grid of the mesh triangles with the values as the
     point scalars ``name``.  Each coordinate and value is formatted once and
-    the same text goes into both files.
+    the same text goes into both files.  The mesh half, :func:`mesh_text`,
+    needs no values, so it may be formatted while they are computed, and
+    :func:`write_values` writes the rest.
     """
-    mesh = field.mesh
-    x, y, v = map(_reprs, (mesh.vertices[:, 0], mesh.vertices[:, 1], field.values))
-    with open(f"{base}.csv", "w", newline="\n") as fh:
-        fh.write(f"x,y,{name}\n")
-        fh.write("\n".join(map(",".join, zip(x, y, v))) + "\n")
-    if not vtk:
-        return
-    n, nt = mesh.num_vertices, mesh.num_triangles
-    with open(f"{base}.vtk", "w", newline="\n") as fh:
-        fh.write("# vtk DataFile Version 2.0\nannulab mesh\nASCII\n"
-                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        fh.write(" 0.0\n".join(map(" ".join, zip(x, y))) + " 0.0\n")
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        for i in range(0, nt, CELLS_BLOCK):
-            block = mesh.triangles[i:i + CELLS_BLOCK]
-            fh.write("3 %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
-        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
-        fh.write(f"POINT_DATA {n}\nSCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(v) + "\n")
+    write_values(mesh_text(field.mesh, vtk), field.values, base, name)
 
 
 def write_json(path, payload):

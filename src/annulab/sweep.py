@@ -6,10 +6,12 @@ grid of :func:`analyze_dn_ratio` split them round robin over forked worker
 processes (Linux), the calling process computing its own share, each on a
 CPU of its own.  Every point is computed whole in one process and the
 results come back in grid order, so they do not depend on the number of
-workers.  Monotonicity expectations (first mixed eigenvalue strictly
-decreasing in the offset, rigidity strictly increasing) are checked on the
-assembled records by :func:`monotonicity_violations`, whose list the caller
-reports once, never raised mid-sweep.
+workers.  The CLI's ``solve`` and ``torsion`` run the same map over two
+tasks, the solve and the mesh half of the field files.  A worker that dies
+raises :class:`WorkerDiedError`.  Monotonicity expectations (first mixed
+eigenvalue strictly decreasing in the offset, rigidity strictly increasing)
+are checked on the assembled records by :func:`monotonicity_violations`,
+whose list the caller reports once, never raised mid-sweep.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class SweepRecord:
 SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord) if f.compare)
 
 
+class WorkerDiedError(RuntimeError):
+    """A worker process of :func:`_parallel_map` ended without sending its
+    results back: it was killed, ran out of memory or called ``os._exit``."""
+
+
 def _process_count(threads: int, tasks: int) -> int:
     """Processes of a map over ``tasks`` tasks: at most ``threads``, and at
     most :data:`WORKERS`, the CPUs this process may run on."""
@@ -102,9 +109,10 @@ def _parallel_map(fn, args, threads: int) -> list:
     thread, since processes that each spin an OpenBLAS pool on a CPU they
     share slow each other down many times over.  A failing task re-raises,
     once every child is reaped, the exception of the first failing task, as
-    the serial loop does.  With one process, or without
-    ``sched_setaffinity`` or a LAPACK whose threads can be set, the map is
-    that loop.
+    the serial loop does, at once when it is task 0's; a child that dies
+    raises :class:`WorkerDiedError`.
+    With one process, or without ``sched_setaffinity`` or a LAPACK whose
+    threads can be set, the map is that loop.
     """
     args = list(args)
     n = _process_count(threads, len(args))
@@ -138,6 +146,11 @@ def _parallel_map(fn, args, threads: int) -> list:
             children.append((pid, open(r, "rb")))
         os.sched_setaffinity(0, {cpus[0]})
         shares = [_run_share(fn, args[0::n])]
+        done, exc = shares[0]
+        if exc is not None and not done:
+            # task 0 failed, and no task comes before it: the children are
+            # killed, not waited for
+            raise exc
         while children:
             pid, fh = children[0]
             data = fh.read()
@@ -145,7 +158,7 @@ def _parallel_map(fn, args, threads: int) -> list:
             status = os.waitpid(pid, 0)[1]
             children.pop(0)
             if not data:
-                raise RuntimeError(
+                raise WorkerDiedError(
                     f"worker process exited with code {os.waitstatus_to_exitcode(status)}"
                 )
             shares.append(pickle.loads(data))

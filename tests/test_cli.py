@@ -36,6 +36,11 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_solve(tmp_path, capsys):
     code, out, _ = run(
         ["solve", "--R0", "1", "--R1", "5", "--s", "3", "--kind", "nd",
@@ -151,15 +156,21 @@ def test_cli_defaults_match_the_library(command, dest, fn, param):
     assert getattr(args, dest) == default(fn, param)
 
 
-def test_unusable_out_dir_exit_code(tmp_path, capsys):
+def test_unusable_out_dir_exit_code(tmp_path, capsys, monkeypatch):
+    # the directory is made after the solve, whose field files are formatted
+    # on two processes
+    monkeypatch.setattr(sweep_module, "WORKERS", 2)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    code, _, err = run(
-        ["solve", "--R0", "1", "--R1", "2", "--out-dir", str(blocker / "sub")] + FAST,
-        capsys,
-    )
-    assert code == 2
-    assert err.startswith("error:")
+    for command in ("solve", "torsion"):
+        code, out, err = run(
+            [command, "--R0", "1", "--R1", "2", "--vtk",
+             "--out-dir", str(blocker / "sub")] + FAST,
+            capsys,
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert_no_child()
 
 
 def test_torsion(tmp_path, capsys):
@@ -580,14 +591,27 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "vtk" in err
 
 
-def test_nonconvergence_exit_code(tmp_path, capsys):
+def failed_solve_stderr(tmp_path, capsys, monkeypatch, flags, expected):
+    """The stderr of a ``solve`` that exits ``expected``, alike on one and two
+    processes; it leaves neither a field file nor a child."""
+    errs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sweep_module, "WORKERS", workers)
+        out = tmp_path / str(workers)
+        code, _, err = run(["solve", "--R0", "1", "--R1", "2", "--s", "0.3", "--vtk",
+                            "--out-dir", str(out)] + flags + FAST, capsys)
+        assert code == expected
+        assert not out.exists()
+        assert_no_child()
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
+    return errs[0]
+
+
+def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     # a residual below 1e-300 of the eigenvalue is out of reach of rounding
-    code, _, err = run(
-        ["solve", "--R0", "1", "--R1", "2", "--s", "0.3", "--tol", "1e-300",
-         "--out-dir", str(tmp_path)] + FAST,
-        capsys,
-    )
-    assert code == 3
+    err = failed_solve_stderr(tmp_path, capsys, monkeypatch, ["--tol", "1e-300"], 3)
     assert "converge" in err
 
 
@@ -596,13 +620,8 @@ def test_not_positive_definite_exit_code(tmp_path, capsys, monkeypatch):
 
     stiffness = fem.p1_local_stiffness
     monkeypatch.setattr(fem, "p1_local_stiffness", lambda coords: -stiffness(coords))
-    code, _, err = run(
-        ["solve", "--R0", "1", "--R1", "2", "--s", "0.3",
-         "--out-dir", str(tmp_path)] + FAST,
-        capsys,
-    )
     # a LinAlgError is a ValueError, yet this is no validation error (2)
-    assert code == 5
+    err = failed_solve_stderr(tmp_path, capsys, monkeypatch, [], 5)
     assert "not positive definite: pivot 1 of" in err
 
 
@@ -629,3 +648,88 @@ def test_outputs_hold_no_numpy_reprs(tmp_path, capsys):
     for path in tmp_path.iterdir():
         text = path.read_text()
         assert "np." not in text and "float64" not in text, path.name
+
+
+def test_negative_zero_offset_names_files_as_zero(tmp_path, capsys):
+    argvs = {
+        "eig_nd_s0.csv": ["solve"],
+        "torsion_s0.csv": ["torsion"],
+        "symmetry_s0.json": ["symmetry-check", "--rings", "8", "--ring-samples", "32"],
+    }
+    for name, argv in argvs.items():
+        for s in ("0", "-0.0"):
+            out = tmp_path / s
+            code, stdout, _ = run(argv + ["--R0", "1", "--R1", "2", "--s", s,
+                                          "--out-dir", str(out)] + FAST, capsys)
+            assert code in (0, 4), argv
+            assert "s=-0" not in stdout and "s-0" not in stdout
+        assert sorted(p.name for p in (tmp_path / "-0.0").iterdir()) == sorted(
+            p.name for p in (tmp_path / "0").iterdir())
+        assert ((tmp_path / "-0.0" / name).read_bytes()
+                == (tmp_path / "0" / name).read_bytes())
+
+
+def exit_in_child(fn):
+    """``fn``, except that in a forked child it ends the process with code 9."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            os._exit(9)
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("command", ["sweep", "solve"])
+def test_a_dying_worker_exits_6_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                     command):
+    monkeypatch.setattr(sweep_module, "WORKERS", 2)
+    if command == "sweep":
+        monkeypatch.setattr(sweep_module, "_solve_record",
+                            exit_in_child(sweep_module._solve_record))
+        argv = ["sweep", "--s-grid", "0:1:1", "--threads", "2"]
+    else:
+        monkeypatch.setattr(cli, "mesh_text", exit_in_child(cli.mesh_text))
+        argv = ["solve", "--vtk"]
+    code, out, err = run(argv + ["--out-dir", str(tmp_path)] + FAST, capsys)
+    assert code == 6
+    assert err == "error: worker process exited with code 9\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child()
+
+
+@pytest.mark.parametrize("command", ["solve", "torsion"])
+def test_field_files_do_not_depend_on_the_number_of_processes(
+    tmp_path, capsys, monkeypatch, command
+):
+    # 256 x 64 has 32768 triangles, more than one CELLS_BLOCK
+    argv = [command, "--R0", "1", "--R1", "5", "--s", "2", "--n-theta", "256",
+            "--n-rad", "64", "--vtk", "--out-dir", "out"]
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for mode in ("one", "two", "no-affinity"):
+        forks.clear()
+        (tmp_path / mode).mkdir()
+        with monkeypatch.context() as m:
+            m.setattr(sweep_module, "WORKERS", 1 if mode == "one" else 2)
+            if mode == "no-affinity":
+                m.delattr(os, "sched_setaffinity")
+            m.chdir(tmp_path / mode)
+            code, out, err = run(argv, capsys)
+        assert (code, err) == (0, ""), mode
+        assert len(forks) == (mode == "two"), mode
+        files = {p.name: p.read_bytes() for p in (tmp_path / mode / "out").iterdir()}
+        runs.append((out, files))
+    assert len(runs[0][1]) == 2
+    assert runs[0] == runs[1] == runs[2]
+    assert_no_child()
+

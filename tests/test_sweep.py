@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ def test_a_raising_task_raises_the_first_error_and_leaves_no_child(
     assert str(exc.value) == str(SolverConvergenceError(f"task {first_bad}",
                                                         float(first_bad)))
     assert exc.value.residual == first_bad
+    assert_no_child()
+
+
+def test_a_failing_first_task_does_not_wait_for_the_children(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+
+    def task(i):
+        if i == 0:
+            raise SolverConvergenceError("task 0", 0.0)
+        time.sleep(20.0)
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(SolverConvergenceError, match="task 0"):
+        sweep_mod._parallel_map(task, range(2), 2)
+    assert time.perf_counter() - start < 10.0
     assert_no_child()
 
 
