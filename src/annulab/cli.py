@@ -8,8 +8,9 @@ process that died (killed, out of memory) before it sent its results.  A
 JSON config file may preload the flag defaults of the chosen subcommand;
 explicit flags win.
 
-``solve`` and ``torsion`` format the mesh half of their field files in a
-forked process while the field is solved (:func:`_solve_field`).
+On meshes of at least :data:`FORK_VERTICES` vertices, ``solve`` and
+``torsion`` format the mesh half of their field files in a forked process
+while the field is solved (:func:`_solve_field`).
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ EXIT_ASSERTIONS = 4
 EXIT_NOT_POSITIVE_DEFINITE = 5
 EXIT_WORKER_DIED = 6
 
+# vertices from which solve and torsion format the mesh half of their field
+# files in a forked process; on coarser meshes the fork costs more than the
+# overlap saves (2-vCPU Xeon, medians of interleaved calls: a fork lost
+# 5-7 ms a call at 32x6 and 128x32, broke even at 224x56, 12768 vertices,
+# and gained 4-17 ms at 256x64, 16640 vertices)
+FORK_VERTICES = 16384
+
 # the first eigenvalue of each kind, as the sweep CSV names it
 EIGENVALUE_NAMES = {ProblemKind.ND: "tau1", ProblemKind.DD: "lambda1", ProblemKind.DN: "nu1"}
 
@@ -118,20 +126,11 @@ def _parse_ratios(text: str):
     return ratios
 
 
-def _offset(text: str) -> float:
-    """The offset as a float; ``-0.0`` is 0, so that it names its files
-    ``_s0`` as ``0`` does."""
-    try:
-        return float(text) + 0.0
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-
-
 def _add_domain(p, with_s=True):
     p.add_argument("--R0", type=float, default=1.0, help="inner radius (default 1)")
     p.add_argument("--R1", type=float, default=5.0, help="outer radius (default 5)")
     if with_s:
-        p.add_argument("--s", type=_offset, default=0.0,
+        p.add_argument("--s", type=float, default=0.0,
                        help="inner center offset (default 0)")
 
 
@@ -277,16 +276,19 @@ def _solve_field(args, solve, prefix: str, name: str):
     ``solve(disc)`` returns ``(field, result)`` for the discretization of
     the mesh.  The mesh is built first; then :func:`_parallel_map` runs two
     tasks: the solve in this process and :func:`~annulab.export.mesh_text`,
-    which needs no values, in a forked child.  The discretization lives only
-    inside its task, so its factorizations are freed before the child's text
-    is read.  Returns ``result`` and the base path of the files.
+    which needs no values, in a forked child when the mesh has at least
+    :data:`FORK_VERTICES` vertices, after the solve otherwise.  The
+    discretization lives only inside its task, so its factorizations are
+    freed before the child's text is read.  Returns ``result`` and the base
+    path of the files.
     """
     mesh = build_mesh(AnnularDomain(args.R0, args.R1, args.s), _resolution(args))
 
     def task(i):
         return solve(Discretization(mesh)) if i == 0 else mesh_text(mesh, args.vtk)
 
-    (field, result), text = _parallel_map(task, (0, 1), 2)
+    processes = 2 if mesh.num_vertices >= FORK_VERTICES else 1
+    (field, result), text = _parallel_map(task, (0, 1), processes)
     _ensure_outdir(args)
     base = os.path.join(args.out_dir, f"{prefix}_s{args.s:g}")
     write_values(text, field.values, base, name)
@@ -464,6 +466,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+    # an offset of -0.0, by flag or config, is +0.0, so that it names its
+    # files _s0 as 0 does
+    if getattr(args, "s", None) == 0:
+        args.s = 0.0
     try:
         return args.func(args)
     # a LinAlgError is a ValueError: catch it before the validation errors

@@ -4,7 +4,8 @@ All writers emit LF line endings and format floats with ``repr`` (shortest
 round-trip), so identical inputs produce byte-identical files.  A field
 export is two halves: :func:`mesh_text` formats what depends on the mesh
 alone, and :func:`write_values` adds the values and writes the files, so the
-CLI formats the mesh half in a forked process while the field is solved.
+CLI formats the mesh half of a fine mesh in a forked process while the field
+is solved.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ processes (Linux), the calling process computing its own share, each on a
 CPU of its own.  Every point is computed whole in one process and the
 results come back in grid order, so they do not depend on the number of
 workers.  The CLI's ``solve`` and ``torsion`` run the same map over two
-tasks, the solve and the mesh half of the field files.  A worker that dies
+tasks, the solve and the mesh half of the field files, on two processes
+when the mesh is fine enough to gain by it.  A worker that dies
 raises :class:`WorkerDiedError`.  Monotonicity expectations (first mixed
 eigenvalue strictly decreasing in the offset, rigidity strictly increasing)
 are checked on the assembled records by :func:`monotonicity_violations`,

@@ -41,6 +41,19 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch) -> list:
+    """A list that gains an item at each ``os.fork`` call."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
 def test_solve(tmp_path, capsys):
     code, out, _ = run(
         ["solve", "--R0", "1", "--R1", "5", "--s", "3", "--kind", "nd",
@@ -160,6 +173,7 @@ def test_unusable_out_dir_exit_code(tmp_path, capsys, monkeypatch):
     # the directory is made after the solve, whose field files are formatted
     # on two processes
     monkeypatch.setattr(sweep_module, "WORKERS", 2)
+    monkeypatch.setattr(cli, "FORK_VERTICES", 0)
     blocker = tmp_path / "file"
     blocker.write_text("")
     for command in ("solve", "torsion"):
@@ -594,6 +608,7 @@ def test_config_unknown_key(tmp_path, capsys):
 def failed_solve_stderr(tmp_path, capsys, monkeypatch, flags, expected):
     """The stderr of a ``solve`` that exits ``expected``, alike on one and two
     processes; it leaves neither a field file nor a child."""
+    monkeypatch.setattr(cli, "FORK_VERTICES", 0)
     errs = []
     for workers in (1, 2):
         monkeypatch.setattr(sweep_module, "WORKERS", workers)
@@ -656,17 +671,24 @@ def test_negative_zero_offset_names_files_as_zero(tmp_path, capsys):
         "torsion_s0.csv": ["torsion"],
         "symmetry_s0.json": ["symmetry-check", "--rings", "8", "--ring-samples", "32"],
     }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": -0.0}))
+    # (flags before the command, flags after it)
+    offsets = {"0": ([], ["--s", "0"]), "-0.0": ([], ["--s", "-0.0"]),
+               "config": (["--config", str(config)], [])}
     for name, argv in argvs.items():
-        for s in ("0", "-0.0"):
-            out = tmp_path / s
-            code, stdout, _ = run(argv + ["--R0", "1", "--R1", "2", "--s", s,
-                                          "--out-dir", str(out)] + FAST, capsys)
-            assert code in (0, 4), argv
+        for label, (before, after) in offsets.items():
+            out = tmp_path / label
+            code, stdout, _ = run(before + argv + ["--R0", "1", "--R1", "2",
+                                                   "--out-dir", str(out)] + after + FAST,
+                                  capsys)
+            assert code in (0, 4), (argv, label)
             assert "s=-0" not in stdout and "s-0" not in stdout
-        assert sorted(p.name for p in (tmp_path / "-0.0").iterdir()) == sorted(
-            p.name for p in (tmp_path / "0").iterdir())
-        assert ((tmp_path / "-0.0" / name).read_bytes()
-                == (tmp_path / "0" / name).read_bytes())
+        for label in ("-0.0", "config"):
+            assert sorted(p.name for p in (tmp_path / label).iterdir()) == sorted(
+                p.name for p in (tmp_path / "0").iterdir())
+            assert ((tmp_path / label / name).read_bytes()
+                    == (tmp_path / "0" / name).read_bytes())
 
 
 def exit_in_child(fn):
@@ -690,6 +712,7 @@ def test_a_dying_worker_exits_6_without_a_traceback(tmp_path, capsys, monkeypatc
                             exit_in_child(sweep_module._solve_record))
         argv = ["sweep", "--s-grid", "0:1:1", "--threads", "2"]
     else:
+        monkeypatch.setattr(cli, "FORK_VERTICES", 0)
         monkeypatch.setattr(cli, "mesh_text", exit_in_child(cli.mesh_text))
         argv = ["solve", "--vtk"]
     code, out, err = run(argv + ["--out-dir", str(tmp_path)] + FAST, capsys)
@@ -704,17 +727,11 @@ def test_a_dying_worker_exits_6_without_a_traceback(tmp_path, capsys, monkeypatc
 def test_field_files_do_not_depend_on_the_number_of_processes(
     tmp_path, capsys, monkeypatch, command
 ):
-    # 256 x 64 has 32768 triangles, more than one CELLS_BLOCK
+    # 256 x 64 has 32768 triangles, more than one CELLS_BLOCK, and 16640
+    # vertices, at least FORK_VERTICES
     argv = [command, "--R0", "1", "--R1", "5", "--s", "2", "--n-theta", "256",
             "--n-rad", "64", "--vtk", "--out-dir", "out"]
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
+    forks = count_forks(monkeypatch)
     runs = []
     for mode in ("one", "two", "no-affinity"):
         forks.clear()
@@ -733,3 +750,17 @@ def test_field_files_do_not_depend_on_the_number_of_processes(
     assert runs[0] == runs[1] == runs[2]
     assert_no_child()
 
+
+@pytest.mark.parametrize("command", ["solve", "torsion"])
+def test_only_a_mesh_of_fork_vertices_forks(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(sweep_module, "WORKERS", 2)
+    forks = count_forks(monkeypatch)
+    vertices = 32 * 7  # of the FAST mesh
+    for threshold in (vertices + 1, vertices):
+        forks.clear()
+        monkeypatch.setattr(cli, "FORK_VERTICES", threshold)
+        code, _, err = run([command, "--R0", "1", "--R1", "2", "--vtk",
+                            "--out-dir", str(tmp_path / str(threshold))] + FAST, capsys)
+        assert (code, err) == (0, "")
+        assert len(forks) == (threshold == vertices)
+    assert_no_child()
