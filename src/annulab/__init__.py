@@ -6,7 +6,16 @@ Dirichlet eigenvalue problems plus the torsion problem on the annulus
 symmetry structure of the computed first eigenfunctions, and evaluates the
 derivative of the first eigenvalue in the offset ``s`` by a boundary
 integral, its half-boundary regrouping and finite differences.
+
+BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise:
+nothing here gains from a threaded BLAS, and an OpenBLAS pool thread, which
+spins before it sleeps, takes CPU time from the process's own work.  The
+variable is set before numpy loads its OpenBLAS, so no pool thread starts.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .geometry import AnnularDomain, DomainError
 from .mesh import Mesh, MeshQualityError, Resolution, build_mesh

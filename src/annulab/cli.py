@@ -441,6 +441,22 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
+def _config_value(parser, action, key, value):
+    """A config file's ``value`` for the flag of ``action``, parsed as the
+    flag parses its text: argparse converts only string defaults, so a value
+    that skipped this would skip the flag's checks too."""
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key}: expected true or false, "
+                             f"got {json.dumps(value)}")
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return parser._get_values(action, [text])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     # config file preloads defaults; explicit flags override
@@ -457,9 +473,15 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
         # keys are checked against the flags of the chosen subcommand
         sp = ap._subparsers._group_actions[0].choices[pre.command]
-        bad = set(cfg) - {a.dest for a in ap._actions + sp._actions}
+        actions = {a.dest: a for a in ap._actions + sp._actions}
+        bad = set(cfg) - set(actions)
         if bad:
             print(f"error: unknown config keys: {sorted(bad)}", file=sys.stderr)
+            return EXIT_VALIDATION
+        try:
+            cfg = {k: _config_value(sp, actions[k], k, v) for k, v in cfg.items()}
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
         sp.set_defaults(**cfg)
     try:

@@ -71,7 +71,12 @@ dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 
 def lapack_thread_control():
     """``(get, set)`` of the thread count of the OpenBLAS behind
-    :data:`dpbtrf`, or ``None`` when its LAPACK exports neither."""
+    :data:`dpbtrf`, or ``None`` when its LAPACK exports neither.
+
+    The count is 1 unless ``OPENBLAS_NUM_THREADS`` was set, or the host
+    process loaded scipy, before ``annulab`` was imported (see the package
+    docstring); :func:`~annulab.sweep._parallel_map` sets it to 1 for its
+    workers either way."""
     import ctypes
 
     # dlsym on the extension's handle also searches the libraries it links

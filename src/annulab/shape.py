@@ -123,6 +123,15 @@ def check_fd_step(domain: AnnularDomain, h: float) -> None:
         raise ValueError(f"step {h} too large; must be <= {limit}")
 
 
+def offset_points(domain: AnnularDomain, h: float) -> tuple[float, float]:
+    """The offsets whose values :func:`offset_difference` takes, beside
+    ``f(0)`` at s = 0: ``(s - h, s + h)``, or ``(h, 2h)`` at s = 0."""
+    check_fd_step(domain, h)
+    if domain.s == 0.0:
+        return h, 2.0 * h
+    return domain.s - h, domain.s + h
+
+
 def offset_difference(
     f, domain: AnnularDomain, h: float, center: float | None = None
 ) -> float:
@@ -131,13 +140,27 @@ def offset_difference(
     The s = 0 stencil is the second-order one-sided one; the plain forward
     difference would pick up the O(h) curvature term of a function even in
     the offset, as the eigenvalue and the rigidity are.  It takes ``f(0)``
-    from ``center`` when the caller already holds it.
+    from ``center`` when the caller already holds it.  ``f`` is called at
+    :func:`offset_points` only, so it may look up values solved before.
     """
-    check_fd_step(domain, h)
+    lo, hi = offset_points(domain, h)
     if domain.s == 0.0:
         f0 = f(0.0) if center is None else center
-        return (-3.0 * f0 + 4.0 * f(h) - f(2.0 * h)) / (2.0 * h)
-    return (f(domain.s + h) - f(domain.s - h)) / (2.0 * h)
+        return (-3.0 * f0 + 4.0 * f(lo) - f(hi)) / (2.0 * h)
+    return (f(hi) - f(lo)) / (2.0 * h)
+
+
+def offset_eigenvalue(
+    domain: AnnularDomain,
+    s: float,
+    res: Resolution,
+    kind: ProblemKind = ProblemKind.ND,
+    tol: float = TOL,
+) -> float:
+    """First eigenvalue of ``kind`` with the radii of ``domain`` at offset
+    ``s``: one re-solve of :func:`finite_difference_tau_prime`."""
+    disc = discretize(AnnularDomain(domain.R0, domain.R1, s), res)
+    return solve_eigenproblem(disc, kind, tol).value
 
 
 def finite_difference_tau_prime(
@@ -154,12 +177,9 @@ def finite_difference_tau_prime(
     cancels in the difference.  ``center`` is the eigenvalue at ``domain``
     with this ``res``, ``kind`` and ``tol``, when the caller has solved it.
     """
-
-    def tau_at(s):
-        disc = discretize(AnnularDomain(domain.R0, domain.R1, s), res)
-        return solve_eigenproblem(disc, kind, tol).value
-
-    return offset_difference(tau_at, domain, h, center)
+    return offset_difference(
+        lambda s: offset_eigenvalue(domain, s, res, kind, tol), domain, h, center
+    )
 
 
 def reflected_neumann_margin(u: Field, exclusion: float | None = None):

@@ -2,14 +2,14 @@
 mesh convergence studies.
 
 Sweep points are independent solves.  :func:`sweep_translation` and the
-grid of :func:`analyze_dn_ratio` split them round robin over forked worker
-processes (Linux), the calling process computing its own share, each on a
-CPU of its own.  Every point is computed whole in one process and the
-results come back in grid order, so they do not depend on the number of
-workers.  The CLI's ``solve`` and ``torsion`` run the same map over two
-tasks, the solve and the mesh half of the field files, on two processes
-when the mesh is fine enough to gain by it.  A worker that dies
-raises :class:`WorkerDiedError`.  Monotonicity expectations (first mixed
+grid of :func:`analyze_dn_ratio` hand them out as tasks to forked worker
+processes (Linux) and the calling process, each on a CPU of its own,
+whichever process is free taking the next task.  Every task is computed
+whole in one process and the results come back in task order, so they do
+not depend on the number of workers.  The CLI's ``solve`` and ``torsion``
+run the same map over two tasks, the solve and the mesh half of the field
+files, on two processes when the mesh is fine enough to gain by it.  A
+worker that dies raises :class:`WorkerDiedError`.  Monotonicity expectations (first mixed
 eigenvalue strictly decreasing in the offset, rigidity strictly increasing)
 are checked on the assembled records by :func:`monotonicity_violations`,
 whose list the caller reports once, never raised mid-sweep.
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,10 +34,12 @@ from .mesh import Resolution
 from .shape import (
     default_fd_step,
     dirichlet_normal_derivative,
-    finite_difference_tau_prime,
     hadamard_tau_prime,
     half_boundary_tau_prime,
     max_fd_step,
+    offset_difference,
+    offset_eigenvalue,
+    offset_points,
 )
 from .spectral import discretize, solve_eigenproblem
 from .torsion import rigidity_derivative, solve_torsion
@@ -87,37 +91,87 @@ def _process_count(threads: int, tasks: int) -> int:
     return max(1, min(threads, tasks, WORKERS))
 
 
-def _run_share(fn, share):
-    """``(results, None)``, or the results before the first task that
-    raised and its exception."""
-    out = []
-    try:
-        for a in share:
-            out.append(fn(a))
-    except Exception as exc:
-        return out, exc
-    return out, None
+class _TaskQueue:
+    """Task indices ``1, 2, ...`` for the processes of a map, each handed out
+    once and in order.
+
+    The next index is 8 bytes of a memfd under a POSIX record lock, which
+    its holder's kernel releases if the holder dies; taking an index never
+    waits for a reader, and the count of tasks is not capped.
+    """
+
+    def __init__(self, count: int):
+        self.count = count
+        self.fd = os.memfd_create("annulab-tasks")
+        self._put(1)
+
+    def _put(self, i: int) -> None:
+        os.pwrite(self.fd, i.to_bytes(8, "little"), 0)
+
+    @contextmanager
+    def _locked(self):
+        import fcntl
+
+        fcntl.lockf(self.fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.lockf(self.fd, fcntl.LOCK_UN)
+
+    def take(self) -> int | None:
+        """The next index, or ``None`` when every task is out."""
+        with self._locked():
+            i = int.from_bytes(os.pread(self.fd, 8, 0), "little")
+            if i >= self.count:
+                return None
+            self._put(i + 1)
+            return i
+
+    def close(self) -> None:
+        """Hand out no more tasks."""
+        with self._locked():
+            self._put(self.count)
+
+
+def _run_queue(fn, args, queue: _TaskQueue):
+    """Run the tasks taken from ``queue`` until it is empty or one raises:
+    ``([(index, result), ...], (index, exception) or None)``.  A raising
+    task closes the queue, since no task after it can change the outcome."""
+    done = []
+    while (i := queue.take()) is not None:
+        try:
+            done.append((i, fn(args[i])))
+        except Exception as exc:
+            queue.close()
+            return done, (i, exc)
+    return done, None
 
 
 def _parallel_map(fn, args, threads: int) -> list:
     """``[fn(a) for a in args]`` on :func:`_process_count` processes.
 
-    Task ``i`` runs in process ``i mod n``: process 0 is the caller, the
-    others are forked children that pickle their share back through a pipe
-    and leave by ``os._exit``.  While the map lasts each process is pinned
-    to a CPU of its own, since a kernel that does not balance load across
-    CPUs keeps a forked child on its parent's CPU, and runs LAPACK on one
-    thread, since processes that each spin an OpenBLAS pool on a CPU they
-    share slow each other down many times over.  A failing task re-raises,
-    once every child is reaped, the exception of the first failing task, as
-    the serial loop does, at once when it is task 0's; a child that dies
-    raises :class:`WorkerDiedError`.
-    With one process, or without ``sched_setaffinity`` or a LAPACK whose
-    threads can be set, the map is that loop.
+    Process 0 is the caller, the others are forked children.  The caller
+    runs task 0; every other task goes, in index order, to whichever
+    process asks next (:class:`_TaskQueue`), so tasks of unequal cost
+    balance.  A child pickles its results into a memfd and leaves by
+    ``os._exit``; the caller reads them once the child is reaped.  While the
+    map lasts each process is pinned to a CPU of its own, since a kernel
+    that does not balance load across CPUs keeps a forked child on its
+    parent's CPU, and runs LAPACK on one thread (so it does from the
+    package's import, unless the host set ``OPENBLAS_NUM_THREADS`` or
+    loaded scipy first), since processes that each spin an OpenBLAS
+    pool on a CPU they share slow each other down many times over.  A
+    failing task re-raises the exception of the lowest failing index, as the
+    serial loop does: indices go out in order, and every task taken runs to
+    its end.  Task 0's exception is raised at once; the others once every
+    child is reaped.  A child that dies raises :class:`WorkerDiedError`.
+    With one process, or without ``sched_setaffinity``, ``memfd_create`` or
+    a LAPACK whose threads can be set, the map is that loop.
     """
     args = list(args)
     n = _process_count(threads, len(args))
-    lapack = n > 1 and hasattr(os, "sched_setaffinity") and lapack_thread_control()
+    lapack = (n > 1 and hasattr(os, "sched_setaffinity")
+              and hasattr(os, "memfd_create") and lapack_thread_control())
     if not lapack:
         return [fn(a) for a in args]
     import pickle
@@ -126,65 +180,61 @@ def _parallel_map(fn, args, threads: int) -> list:
     get_threads, set_threads = lapack
     lapack_threads = get_threads()
     cpus = sorted(os.sched_getaffinity(0))
-    children = []  # (pid, read end of its pipe)
+    queue = _TaskQueue(len(args))
+    children = []  # (pid, memfd of its pickled results)
     try:
         set_threads(1)
         for w in range(1, n):
-            r, wr = os.pipe()
+            out = os.memfd_create("annulab-results")
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
                     os.sched_setaffinity(0, {cpus[w % len(cpus)]})
-                    os.close(r)
-                    data = pickle.dumps(_run_share(fn, args[w::n]), -1)
-                    with open(wr, "wb") as fh:
-                        fh.write(data)
+                    with open(out, "wb") as fh:
+                        pickle.dump(_run_queue(fn, args, queue), fh, -1)
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(wr)
-            children.append((pid, open(r, "rb")))
+            children.append((pid, out))
         os.sched_setaffinity(0, {cpus[0]})
-        shares = [_run_share(fn, args[0::n])]
-        done, exc = shares[0]
-        if exc is not None and not done:
-            # task 0 failed, and no task comes before it: the children are
-            # killed, not waited for
-            raise exc
+        results = [None] * len(args)
+        results[0] = fn(args[0])
+        shares = [_run_queue(fn, args, queue)]
         while children:
-            pid, fh = children[0]
-            data = fh.read()
-            fh.close()
-            status = os.waitpid(pid, 0)[1]
+            pid, out = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            if not data:
-                raise WorkerDiedError(
-                    f"worker process exited with code {os.waitstatus_to_exitcode(status)}"
-                )
-            shares.append(pickle.loads(data))
+            with open(out, "rb") as fh:
+                if code != 0:
+                    raise WorkerDiedError(f"worker process exited with code {code}")
+                fh.seek(0)  # the child's writes moved the shared offset
+                shares.append(pickle.load(fh))
     finally:
         set_threads(lapack_threads)
         os.sched_setaffinity(0, cpus)
-        for pid, fh in children:
-            fh.close()
+        os.close(queue.fd)
+        for pid, out in children:
+            os.close(out)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    results = [None] * len(args)
-    failed = []  # (task index, exception) of each process's first failure
-    for w, (done, exc) in enumerate(shares):
-        for k, value in enumerate(done):
-            results[w + k * n] = value
-        if exc is not None:
-            failed.append((w + len(done) * n, exc))
+    failed = []
+    for done, failure in shares:
+        for i, value in done:
+            results[i] = value
+        if failure is not None:
+            failed.append(failure)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return results
 
 
 def _solve_record(
-    R0, R1, s, res: Resolution, fd_step, tol, keep_fields, exclusion
+    R0, R1, s, res: Resolution, tol, keep_fields, exclusion
 ) -> SweepRecord:
+    """The record at offset ``s`` but its ``dtau_fd``, which is NaN:
+    :func:`sweep_translation` solves the finite-difference points as tasks
+    of their own."""
     d = AnnularDomain(R0, R1, s)
     disc = discretize(d, res)
     nd = solve_eigenproblem(disc, ProblemKind.ND, tol)
@@ -192,14 +242,12 @@ def _solve_record(
     dn = solve_eigenproblem(disc, ProblemKind.DN, tol)
     tor = solve_torsion(disc)
     # its factorizations are most of a record's memory: free them before the
-    # finite-difference re-solves and the geometry reports
+    # geometry reports
     del disc
 
     trace = dirichlet_normal_derivative(nd.u)
     had = hadamard_tau_prime(trace)
     halfb = half_boundary_tau_prime(trace, d)
-    h = default_fd_step(d) if fd_step is None else min(fd_step, max_fd_step(d))
-    fd = finite_difference_tau_prime(d, h, res, ProblemKind.ND, tol, nd.value)
     dT = rigidity_derivative(dirichlet_normal_derivative(tor.v))
 
     # the reflected points are located once for both reports
@@ -209,7 +257,7 @@ def _solve_record(
     )
     return SweepRecord(
         s=s, tau1=nd.value, lambda1=dd.value, nu1=dn.value, T=tor.T,
-        dtau_hadamard=had, dtau_half=halfb, dtau_fd=fd, dT_boundary=dT,
+        dtau_hadamard=had, dtau_half=halfb, dtau_fd=math.nan, dT_boundary=dT,
         checks_pass=checks,
         u=nd.u if keep_fields else None,
         v=tor.v if keep_fields else None,
@@ -233,7 +281,10 @@ def sweep_translation(
     ``fd_step`` is the finite-difference step, clamped to the room at each
     offset; the default is :func:`~annulab.shape.default_fd_step`.
     ``threads`` caps the processes that compute the records
-    (:func:`_parallel_map`); the records do not depend on it.
+    (:func:`_parallel_map`); the records do not depend on it.  The map's
+    tasks are one :func:`_solve_record` per offset, then one re-solve per
+    point of :func:`~annulab.shape.offset_points`, so that a free process
+    always has work; ``dtau_fd`` is combined from their values afterwards.
     """
     AnnularDomain(R0, R1)  # the radii are checked before the grid
     s_grid = [float(s) for s in s_grid]
@@ -244,12 +295,22 @@ def sweep_translation(
     if fd_step is not None and not fd_step > 0.0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
 
-    def work(s):
-        return _solve_record(
-            R0, R1, s, resolution, fd_step, tol, keep_fields, exclusion
-        )
-
-    return _parallel_map(work, s_grid, threads)
+    domains = [AnnularDomain(R0, R1, s) for s in s_grid]
+    steps = [default_fd_step(d) if fd_step is None else min(fd_step, max_fd_step(d))
+             for d in domains]
+    points = [offset_points(d, h) for d, h in zip(domains, steps)]
+    tasks = [partial(_solve_record, R0, R1, s, resolution, tol, keep_fields, exclusion)
+             for s in s_grid]
+    tasks += [partial(offset_eigenvalue, d, p, resolution, ProblemKind.ND, tol)
+              for d, pts in zip(domains, points) for p in pts]
+    results = _parallel_map(lambda task: task(), tasks, threads)
+    fd_values = iter(results[len(s_grid):])
+    records = []
+    for rec, d, h, pts in zip(results[:len(s_grid)], domains, steps, points):
+        at = {p: next(fd_values) for p in pts}
+        fd = offset_difference(at.__getitem__, d, h, rec.tau1)
+        records.append(replace(rec, dtau_fd=fd))
+    return records
 
 
 def monotonicity_violations(records) -> list[str]:

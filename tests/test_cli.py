@@ -592,6 +592,27 @@ def test_config_non_integer_resolution_exit_code(tmp_path, capsys, key, value):
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("command, key, value, solver", [
+    ("solve", "s", None, "build_mesh"),
+    ("sweep", "threads", 0, "sweep_translation"),
+    ("sweep", "s_grid", [0, 1], "sweep_translation"),
+    ("solve", "vtk", 1, "build_mesh"),
+])
+def test_config_values_pass_their_flags_checks_before_solving(
+    tmp_path, capsys, monkeypatch, command, key, value, solver
+):
+    # each value is parsed as its flag's text is: null is no offset, 0 no
+    # number of processes, and an on/off flag takes true or false
+    monkeypatch.setattr(cli, solver, fail_if_solved)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(["--config", str(cfg), command, "--out-dir", str(tmp_path)],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config key {key}: ") and err.count("\n") == 1
+
+
 def test_config_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus_key": 3}))
@@ -692,12 +713,15 @@ def test_negative_zero_offset_names_files_as_zero(tmp_path, capsys):
 
 
 def exit_in_child(fn):
-    """``fn``, except that in a forked child it ends the process with code 9."""
+    """``fn``, except that in a forked child it ends the process with code 9,
+    and that the caller first waits for a child to end: any task runs in
+    whichever process takes it first, and this makes a child take one."""
     parent = os.getpid()
 
     def wrapped(*args):
         if os.getpid() != parent:
             os._exit(9)
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
         return fn(*args)
 
     return wrapped
@@ -713,6 +737,8 @@ def test_a_dying_worker_exits_6_without_a_traceback(tmp_path, capsys, monkeypatc
         argv = ["sweep", "--s-grid", "0:1:1", "--threads", "2"]
     else:
         monkeypatch.setattr(cli, "FORK_VERTICES", 0)
+        # the caller's task, the solve, waits for the child's, the mesh text
+        monkeypatch.setattr(cli, "Discretization", exit_in_child(cli.Discretization))
         monkeypatch.setattr(cli, "mesh_text", exit_in_child(cli.mesh_text))
         argv = ["solve", "--vtk"]
     code, out, err = run(argv + ["--out-dir", str(tmp_path)] + FAST, capsys)

@@ -319,3 +319,31 @@ def test_band_cholesky_coexists_with_scipy_linalg():
         print(np.array_equal(BandCholesky(band.copy()).solve(b), want))
     """
     assert run_python(code).strip() == "True"
+
+
+
+ONE_THREAD = """if True:
+    import os, annulab.cli
+    from annulab.eigensolver import lapack_thread_control
+    get_threads, _ = lapack_thread_control()
+    print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"],
+          get_threads())
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="Linux only")
+@pytest.mark.parametrize("variable", [None, "2"])
+def test_a_fresh_import_runs_blas_on_one_thread_by_default(variable):
+    # an OpenBLAS pool thread spins on a CPU before it sleeps; the package
+    # starts none unless OPENBLAS_NUM_THREADS asks for more
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    tasks, value, blas_threads = subprocess.run(
+        [sys.executable, "-c", ONE_THREAD], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    assert value == blas_threads == (variable or "1")
+    if variable is None:
+        assert tasks == "1"

@@ -11,6 +11,7 @@ from annulab.fem import ProblemKind
 from annulab.geometry import AnnularDomain
 from annulab.mesh import Mesh, Resolution
 from annulab.radial_oracle import concentric_eigenvalue
+from annulab.shape import finite_difference_tau_prime
 from annulab.sweep import (
     SWEEP_COLUMNS,
     _solve_record,
@@ -113,6 +114,20 @@ def test_sweep_processes_match_serial(monkeypatch):
             assert x.mesh.vertices.tobytes() == y.mesh.vertices.tobytes(), name
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_combines_the_finite_difference_of_shape(monkeypatch, workers):
+    # the re-solves run as tasks of their own; the derivative they give is
+    # bit for bit the one finite_difference_tau_prime solves in one go
+    monkeypatch.setattr(sweep_mod, "WORKERS", workers)
+    res = Resolution(32, 8, 1.5)
+    records = sweep_translation(1.0, 5.0, [0.0, 1.5], resolution=res, fd_step=0.05,
+                                threads=2)
+    for r in records:
+        d = AnnularDomain(1.0, 5.0, r.s)
+        want = finite_difference_tau_prime(d, 0.05, res, tol=sweep_mod.TOL)
+        assert bits(r.dtau_fd) == bits(want), r.s
+
+
 def test_dn_ratio_processes_match_serial(monkeypatch):
     res = Resolution(64, 16, 1.5)
     out = []
@@ -150,7 +165,7 @@ def assert_no_child():
 def test_a_raising_task_raises_the_first_error_and_leaves_no_child(
     monkeypatch, first_bad
 ):
-    # task i runs in process i mod 2: 0 and 4 in the caller, 3 in the child
+    # task 0 runs in the caller; 3 and 4 run in whichever process takes them
     monkeypatch.setattr(sweep_mod, "WORKERS", 2)
 
     def task(i):
@@ -184,14 +199,82 @@ def test_a_failing_first_task_does_not_wait_for_the_children(monkeypatch):
 
 def test_a_worker_that_dies_raises_and_leaves_no_child(monkeypatch):
     monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+    caller = os.getpid()
 
     def task(i):
-        if i == 1:
+        if os.getpid() != caller:
             os._exit(7)
+        # task 0: the child takes task 1 while the caller waits for its end
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
         return i
 
     with pytest.raises(RuntimeError, match="worker process exited with code 7"):
         sweep_mod._parallel_map(task, range(4), 2)
+    assert_no_child()
+
+
+def test_tasks_of_unequal_cost_run_once_each_in_order(monkeypatch, tmp_path):
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+    log = tmp_path / "log"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def task(i):
+        time.sleep(0.02 if i % 3 == 0 else 0.002)
+        os.write(fd, f"{i} {os.getpid()}\n".encode())
+        return i * i
+
+    try:
+        assert sweep_mod._parallel_map(task, range(20), 2) == [i * i for i in range(20)]
+    finally:
+        os.close(fd)
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(i) for i, _ in runs) == list(range(20))
+    # the cheap tasks balance: the child runs some of them too
+    assert len({pid for _, pid in runs}) == 2
+    assert_no_child()
+
+
+@pytest.mark.parametrize("lowest", ["caller", "child"])
+def test_failures_in_both_processes_raise_the_lowest_index(monkeypatch, lowest):
+    # two pipes order the events: the child holds task 1 while the caller
+    # runs task 0 and takes task 2; with lowest == "caller" the child's
+    # task 1 succeeds and it fails at task 3, which it takes before the
+    # caller's task 2 fails
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+    caller = os.getpid()
+    started, go = os.pipe(), os.pipe()
+
+    def task(i):
+        if os.getpid() != caller:
+            os.write(started[1], b"x")
+            if i == 1:
+                os.read(go[0], 1)
+                if lowest == "caller":
+                    return i
+            raise SolverConvergenceError(f"task {i}", float(i))
+        if i == 0:
+            os.read(started[0], 1)
+            return i
+        os.write(go[1], b"x")
+        if lowest == "caller":
+            os.read(started[0], 1)
+        raise SolverConvergenceError(f"task {i}", float(i))
+
+    try:
+        with pytest.raises(SolverConvergenceError) as exc:
+            sweep_mod._parallel_map(task, range(6), 2)
+    finally:
+        for fd in started + go:
+            os.close(fd)
+    assert exc.value.residual == (2 if lowest == "caller" else 1)
+    assert_no_child()
+
+
+def test_more_tasks_than_a_pipe_holds_indices(monkeypatch):
+    # 64 KiB of 4-byte indices is 16384 tasks
+    monkeypatch.setattr(sweep_mod, "WORKERS", 2)
+    tasks = range(20000)
+    assert sweep_mod._parallel_map(lambda x: x + 1, tasks, 2) == [x + 1 for x in tasks]
     assert_no_child()
 
 
@@ -308,7 +391,7 @@ def test_record_locates_each_reflected_point_once(monkeypatch):
         return locate(self, pts)
 
     monkeypatch.setattr(Mesh, "locate", counting)
-    rec = _solve_record(1.0, 5.0, 2.0, QUICK, 0.05, 1e-9, False, None)
+    rec = _solve_record(1.0, 5.0, 2.0, QUICK, 1e-9, False, None)
     assert rec.checks_pass
     # the nd and torsion reports share one location of the reflected points
     assert sum(located) == 22386
