@@ -10,12 +10,16 @@ integral, its half-boundary regrouping and finite differences.
 BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise:
 nothing here gains from a threaded BLAS, and an OpenBLAS pool thread, which
 spins before it sleeps, takes CPU time from the process's own work.  The
-variable is set before numpy loads its OpenBLAS, so no pool thread starts.
+variable is set before numpy loads its OpenBLAS, so no pool thread starts,
+and removed again once numpy's and scipy's OpenBLAS are loaded, so that
+the host's environment and its subprocesses keep their default.
 """
 
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_SET_BLAS_THREADS = "OPENBLAS_NUM_THREADS" not in os.environ
+if _SET_BLAS_THREADS:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .geometry import AnnularDomain, DomainError
 from .mesh import Mesh, MeshQualityError, Resolution, build_mesh
@@ -58,6 +62,10 @@ from .sweep import (
     sweep_translation,
     write_sweep_csv,
 )
+
+# eigensolver has loaded scipy's LAPACK, and numpy its BLAS, by now
+if _SET_BLAS_THREADS:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 

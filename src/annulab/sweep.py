@@ -153,17 +153,16 @@ def _parallel_map(fn, args, threads: int) -> list:
     Process 0 is the caller, the others are forked children.  The caller
     runs task 0; every other task goes, in index order, to whichever
     process asks next (:class:`_TaskQueue`), so tasks of unequal cost
-    balance.  A child pickles its results into a memfd and leaves by
-    ``os._exit``; the caller reads them once the child is reaped.  While the
-    map lasts each process is pinned to a CPU of its own, since a kernel
-    that does not balance load across CPUs keeps a forked child on its
-    parent's CPU, and runs LAPACK on one thread (so it does from the
-    package's import, unless the host set ``OPENBLAS_NUM_THREADS`` or
-    loaded scipy first), since processes that each spin an OpenBLAS
-    pool on a CPU they share slow each other down many times over.  A
-    failing task re-raises the exception of the lowest failing index, as the
-    serial loop does: indices go out in order, and every task taken runs to
-    its end.  Task 0's exception is raised at once; the others once every
+    balance.  A child pickles its results back through a pipe and leaves by
+    ``os._exit``.  While the map lasts each process is pinned to a CPU of
+    its own, since a kernel that does not balance load across CPUs keeps a
+    forked child on its parent's CPU, and runs LAPACK on one thread (so it
+    does from the package's import, unless the host set
+    ``OPENBLAS_NUM_THREADS`` or loaded scipy first), since processes that
+    each spin an OpenBLAS pool on a CPU they share slow each other down
+    many times over.  A failing task re-raises the exception of the lowest
+    failing index, as the serial loop does: indices go out in order, and
+    every task taken runs to its end.  Task 0's exception is raised at once; the others once every
     child is reaped.  A child that dies raises :class:`WorkerDiedError`.
     With one process, or without ``sched_setaffinity``, ``memfd_create`` or
     a LAPACK whose threads can be set, the map is that loop.
@@ -181,41 +180,46 @@ def _parallel_map(fn, args, threads: int) -> list:
     lapack_threads = get_threads()
     cpus = sorted(os.sched_getaffinity(0))
     queue = _TaskQueue(len(args))
-    children = []  # (pid, memfd of its pickled results)
+    children = []  # (pid, read end of its pipe)
     try:
         set_threads(1)
         for w in range(1, n):
-            out = os.memfd_create("annulab-results")
+            r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
                     os.sched_setaffinity(0, {cpus[w % len(cpus)]})
-                    with open(out, "wb") as fh:
-                        pickle.dump(_run_queue(fn, args, queue), fh, -1)
+                    os.close(r)
+                    data = pickle.dumps(_run_queue(fn, args, queue), -1)
+                    with open(wr, "wb") as fh:
+                        fh.write(data)
                     code = 0
                 finally:
                     os._exit(code)
-            children.append((pid, out))
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
         os.sched_setaffinity(0, {cpus[0]})
         results = [None] * len(args)
         results[0] = fn(args[0])
         shares = [_run_queue(fn, args, queue)]
         while children:
-            pid, out = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid, fh = children[0]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
             children.pop(0)
-            with open(out, "rb") as fh:
-                if code != 0:
-                    raise WorkerDiedError(f"worker process exited with code {code}")
-                fh.seek(0)  # the child's writes moved the shared offset
-                shares.append(pickle.load(fh))
+            if not data:
+                raise WorkerDiedError(
+                    f"worker process exited with code {os.waitstatus_to_exitcode(status)}"
+                )
+            shares.append(pickle.loads(data))
     finally:
         set_threads(lapack_threads)
         os.sched_setaffinity(0, cpus)
         os.close(queue.fd)
-        for pid, out in children:
-            os.close(out)
+        for pid, fh in children:
+            fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     failed = []

@@ -279,12 +279,19 @@ def test_more_tasks_than_a_pipe_holds_indices(monkeypatch):
 
 
 def test_the_caller_keeps_its_cpus_and_lapack_threads(monkeypatch):
+    # the package's import already runs LAPACK on one thread; a host that
+    # loaded scipy first may run it on more, which the map sets to 1 for its
+    # tasks and restores after them
     monkeypatch.setattr(sweep_mod, "WORKERS", 2)
-    get_threads, _ = lapack_thread_control()
+    get_threads, set_threads = lapack_thread_control()
     cpus, threads = os.sched_getaffinity(0), get_threads()
-    assert sweep_mod._parallel_map(lambda x: get_threads(), range(4), 2) == [1] * 4
+    set_threads(2)
+    try:
+        assert sweep_mod._parallel_map(lambda x: get_threads(), range(4), 2) == [1] * 4
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
     assert os.sched_getaffinity(0) == cpus
-    assert get_threads() == threads
 
 
 def test_sweep_csv_format(tmp_path, short_sweep):
