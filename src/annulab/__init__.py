@@ -56,6 +56,7 @@ from .sweep import (
     DNAnalysis,
     SweepRecord,
     analyze_dn_ratio,
+    analyze_dn_ratios,
     bracket_critical_ratio,
     convergence_study,
     monotonicity_violations,
@@ -84,7 +85,7 @@ __all__ = [
     "rigidity_derivative", "solve_torsion", "torsional_rigidity",
     "concentric_eigenvalue", "concentric_torsion",
     "DNAnalysis", "SweepRecord",
-    "analyze_dn_ratio", "bracket_critical_ratio",
+    "analyze_dn_ratio", "analyze_dn_ratios", "bracket_critical_ratio",
     "convergence_study", "monotonicity_violations", "sweep_translation",
     "write_sweep_csv",
 ]

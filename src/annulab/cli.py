@@ -46,7 +46,7 @@ from .sweep import (
     WORKERS,
     WorkerDiedError,
     _parallel_map,
-    analyze_dn_ratio,
+    analyze_dn_ratios,
     bracket_critical_ratio,
     check_levels,
     convergence_study,
@@ -123,6 +123,9 @@ def _parse_ratios(text: str):
     bad = [r for r in ratios if not 0.0 < r < 1.0]
     if bad:
         raise argparse.ArgumentTypeError(f"ratios must lie in (0, 1), got {bad[0]:g}")
+    repeated = [r for i, r in enumerate(ratios) if r in ratios[:i]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"ratio {repeated[0]:g} is repeated")
     return ratios
 
 
@@ -386,12 +389,13 @@ def cmd_dn_analyze(args) -> int:
     res = _resolution(args)
     if args.bracket and not args.bracket_width > 0.0:
         raise ValueError(f"bracket width must be positive, got {args.bracket_width}")
+    if args.bracket and len(args.ratios) < 2:
+        raise ValueError("--bracket needs at least two ratios")
+    analyses = analyze_dn_ratios(
+        args.R1, args.ratios, s_points=args.s_points, resolution=res, tol=args.tol
+    )
     payload = {"R1": args.R1, "ratios": []}
-    inconclusive = False
-    for ratio in args.ratios:
-        a = analyze_dn_ratio(
-            args.R1, ratio, s_points=args.s_points, resolution=res, tol=args.tol
-        )
+    for a in analyses:
         print(f"ratio {a.ratio:g}: {a.classification}"
               + (f", s0 = {a.s0:.4f}" if a.s0 is not None else ""))
         payload["ratios"].append({
@@ -401,12 +405,11 @@ def cmd_dn_analyze(args) -> int:
             "s": [float(x) for x in a.s_points],
             "nu1": [float(x) for x in a.nu_values],
         })
-        inconclusive |= a.classification == "inconclusive"
     if args.bracket:
         lo, hi, _ = bracket_critical_ratio(
             args.R1, min(args.ratios), max(args.ratios),
             width=args.bracket_width, s_points=args.s_points, resolution=res,
-            tol=args.tol,
+            tol=args.tol, analyses={a.ratio: a for a in analyses},
         )
         payload["critical_ratio_bracket"] = [lo, hi]
         print(f"critical ratio bracket: [{lo:.4f}, {hi:.4f}]")
@@ -414,7 +417,9 @@ def cmd_dn_analyze(args) -> int:
     path = os.path.join(args.out_dir, "dn_analysis.json")
     write_json(path, payload)
     print(f"analysis written to {path}")
-    return EXIT_OK if not inconclusive else EXIT_ASSERTIONS
+    if any(a.classification == "inconclusive" for a in analyses):
+        return EXIT_ASSERTIONS
+    return EXIT_OK
 
 
 def cmd_converge(args) -> int:

@@ -1,15 +1,16 @@
 """Parameter sweeps: offset translations, the outer-Dirichlet family, and
 mesh convergence studies.
 
-Sweep points are independent solves.  :func:`sweep_translation` and the
-grid of :func:`analyze_dn_ratio` hand them out as tasks to forked worker
-processes (Linux) and the calling process, each on a CPU of its own,
-whichever process is free taking the next task.  Every task is computed
-whole in one process and the results come back in task order, so they do
-not depend on the number of workers.  The CLI's ``solve`` and ``torsion``
-run the same map over two tasks, the solve and the mesh half of the field
-files, on two processes when the mesh is fine enough to gain by it.  A
-worker that dies raises :class:`WorkerDiedError`.  Monotonicity expectations (first mixed
+Sweep points are independent solves.  :func:`sweep_translation`, the grids
+of :func:`analyze_dn_ratios` and the two-point certificate of its minimum
+hand them out as tasks to forked worker processes (Linux) and the calling
+process, each on a CPU of its own, whichever process is free taking the
+next task.  Every task is computed whole in one process and the results
+come back in task order, so they do not depend on the number of workers.
+The CLI's ``solve`` and ``torsion`` run the same map over two tasks, the
+solve and the mesh half of the field files, on two processes when the mesh
+is fine enough to gain by it.  A worker that dies raises
+:class:`WorkerDiedError`.  Monotonicity expectations (first mixed
 eigenvalue strictly decreasing in the offset, rigidity strictly increasing)
 are checked on the assembled records by :func:`monotonicity_violations`,
 whose list the caller reports once, never raised mid-sweep.
@@ -378,21 +379,138 @@ def _nu1(R0, R1, s, res: Resolution, tol) -> float:
     ).value
 
 
-def _golden_minimize(f, a, b, tol):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
+# the golden-section fraction of Brent's safeguard, (3 - sqrt 5)/2
+GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _refine_minimum(evaluate, a, x, b, fa, fx, fb, window):
+    """The midpoint of a bracket no wider than ``window`` about the minimizer
+    of a unimodal function, refined from the triple ``a < x < b`` whose
+    value ``fx`` lies below ``fa`` and ``fb``.
+
+    ``evaluate`` takes a list of points and returns their values; each call
+    is one round.  A round evaluates the vertex of the parabola through the
+    bracket ends and the best point ``x``.  It takes a golden-section step
+    into the larger side instead when the vertex falls within half a window
+    of an end, leaves the bracket, has a zero denominator or does not halve
+    the step before last (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5; the triple's bracket counts as the two steps
+    before the first), and also when the last two rounds did not halve the
+    bracket or were certificates that each moved ``x``.  A vertex within
+    half a window of ``x`` calls for a certificate: one round evaluates
+    ``x - window/2`` and ``x + window/2``, each where it lies inside the
+    bracket, and if neither is lower, the minimizer lies within half a
+    window of ``x``.  So, under unimodality, the minimizer lies within half
+    a window of the returned midpoint.
+    """
+    half = 0.5 * window
+    before_last = last = b - a
+    # the bracket's width before each of the last two rounds
+    two_ago = one_ago = math.inf
+    creep = 0  # rounds in a row whose certificate found a lower point
+    while b - a > window:
+        # vertex of the parabola through (a, fa), (x, fx), (b, fb)
+        p = (x - a) ** 2 * (fx - fb) - (x - b) ** 2 * (fx - fa)
+        q = 2.0 * ((x - a) * (fx - fb) - (x - b) * (fx - fa))
+        u = x - p / q if q != 0.0 else math.nan
+        certify = creep < 2 and abs(u - x) < half
+        if certify:
+            points = [t for t in (x - half, x + half) if a < t < b]
+            if not points:
+                break
+            before_last, last = last, half
+        elif (creep < 2 and a + half <= u <= b - half
+              and abs(u - x) < 0.5 * before_last and b - a <= 0.5 * two_ago):
+            points = [u]
+            before_last, last = last, abs(u - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
+            side = b - x if b - x > x - a else a - x
+            points = [x + GOLDEN * side]
+            before_last, last = abs(side), GOLDEN * abs(side)
+        two_ago, one_ago = one_ago, b - a
+        centre = x
+        # the lowest point first: a point left outside the bracket it
+        # shrinks to is dropped
+        for fu, u in sorted(zip(evaluate(points), points)):
+            if not a < u < b:
+                continue
+            if fu < fx:
+                if u < x:
+                    b, fb = x, fx
+                else:
+                    a, fa = x, fx
+                x, fx = u, fu
+            elif u < x:
+                a, fa = u, fu
+            else:
+                b, fb = u, fu
+        if certify and x == centre:
+            break
+        creep = creep + 1 if certify else 0
     return 0.5 * (a + b)
+
+
+def _classify_dn(ratio, R1, grid, nu, resolution, tol) -> DNAnalysis:
+    """The analysis of one ratio from its grid values ``nu``, with an
+    interior minimum refined by :func:`_refine_minimum`."""
+    R0 = ratio * R1
+    signs = np.sign(np.diff(nu))
+    if np.all(signs < 0):
+        return DNAnalysis(ratio, "monotone_decreasing", None, grid, nu)
+    # admissible unimodal pattern: some negatives then some positives
+    pos = np.nonzero(signs > 0)[0]
+    first_pos = int(pos[0]) if pos.size else len(signs)
+    unimodal = np.all(signs[:first_pos] < 0) and np.all(signs[first_pos:] > 0)
+    if not unimodal or first_pos == 0:
+        return DNAnalysis(ratio, "inconclusive", None, grid, nu)
+    # nu[first_pos] is below both neighbours, the ends of the bracket
+    k = slice(first_pos - 1, first_pos + 2)
+    s0 = _refine_minimum(
+        lambda pts: _parallel_map(
+            lambda s: _nu1(R0, R1, s, resolution, tol), pts, WORKERS
+        ),
+        *grid[k].tolist(), *nu[k].tolist(), (R1 - R0) / 200.0,
+    )
+    return DNAnalysis(ratio, "interior_minimum", float(s0), grid, nu)
+
+
+def analyze_dn_ratios(
+    R1: float,
+    ratios,
+    s_points: int = S_POINTS,
+    resolution: Resolution = Resolution(),
+    tol: float = TOL,
+) -> list[DNAnalysis]:
+    """Classify nu1(s) for ``R0 = ratio R1``, one analysis per ratio in the
+    order of ``ratios``, on a uniform interior grid per ratio.
+
+    The grids of all ratios are one :func:`_parallel_map`, a task per ratio
+    and point, so the values do not depend on the workers or on the other
+    ratios.  An interior minimum is detected from the sign change of
+    successive differences and refined by :func:`_refine_minimum` from the
+    grid's bracketing triple, with its two-point certificate on two
+    processes, to a window of ``(R1 - R0)/200``: under unimodality the
+    minimizer lies within half a window of ``s0``.  A non-unimodal
+    difference pattern is reported as inconclusive rather than forced into
+    either class.  Every ratio is checked before the first solve.
+    """
+    ratios = [float(r) for r in ratios]
+    for ratio in ratios:
+        if not 0.0 < ratio < 1.0:
+            raise ValueError("ratio must lie in (0, 1)")
+        AnnularDomain(ratio * R1, R1)
+    if s_points < 3:
+        raise ValueError("need at least 3 sweep points")
+    # midpoint grid: uniform over the open interval with end coverage
+    # 0.5 dx from either endpoint, where the shallow minimum tends to sit
+    grids = [(np.arange(s_points) + 0.5) * ((R1 - ratio * R1) / s_points)
+             for ratio in ratios]
+    tasks = [(ratio * R1, s) for ratio, grid in zip(ratios, grids) for s in grid]
+    nu = np.array(_parallel_map(
+        lambda t: _nu1(t[0], R1, t[1], resolution, tol), tasks, WORKERS
+    )).reshape(len(ratios), s_points)
+    return [_classify_dn(ratio, R1, grid, values, resolution, tol)
+            for ratio, grid, values in zip(ratios, grids, nu)]
 
 
 def analyze_dn_ratio(
@@ -402,42 +520,8 @@ def analyze_dn_ratio(
     resolution: Resolution = Resolution(),
     tol: float = TOL,
 ) -> DNAnalysis:
-    """Classify nu1(s) for ``R0 = ratio R1`` on a uniform interior grid.
-
-    An interior minimum is detected from the sign change of successive
-    differences and refined by golden section to a window of
-    ``(R1 - R0)/200``; a non-unimodal difference pattern is reported as
-    inconclusive rather than forced into either class.
-    """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    if s_points < 3:
-        raise ValueError("need at least 3 sweep points")
-    R0 = ratio * R1
-    width = R1 - R0
-    # midpoint grid: uniform over the open interval with end coverage
-    # 0.5 dx from either endpoint, where the shallow minimum tends to sit
-    grid = (np.arange(s_points) + 0.5) * (width / s_points)
-    nu = np.array(
-        _parallel_map(lambda s: _nu1(R0, R1, s, resolution, tol), grid, WORKERS)
-    )
-
-    diffs = np.diff(nu)
-    signs = np.sign(diffs)
-    if np.all(signs < 0):
-        return DNAnalysis(ratio, "monotone_decreasing", None, grid, nu)
-    # admissible unimodal pattern: some negatives then some positives
-    pos = np.nonzero(signs > 0)[0]
-    first_pos = int(pos[0]) if pos.size else len(signs)
-    unimodal = np.all(signs[:first_pos] < 0) and np.all(signs[first_pos:] > 0)
-    if not unimodal or first_pos == 0:
-        return DNAnalysis(ratio, "inconclusive", None, grid, nu)
-    lo = grid[max(first_pos - 1, 0)]
-    hi = grid[min(first_pos + 1, len(grid) - 1)]
-    s0 = _golden_minimize(
-        lambda s: _nu1(R0, R1, s, resolution, tol), lo, hi, width / 200.0
-    )
-    return DNAnalysis(ratio, "interior_minimum", float(s0), grid, nu)
+    """:func:`analyze_dn_ratios` of the one ratio ``ratio``."""
+    return analyze_dn_ratios(R1, [ratio], s_points, resolution, tol)[0]
 
 
 def bracket_critical_ratio(
@@ -448,21 +532,29 @@ def bracket_critical_ratio(
     s_points: int = S_POINTS,
     resolution: Resolution = Resolution(),
     tol: float = TOL,
+    analyses: dict | None = None,
 ):
     """Bisect the ratio axis for the crossover between the two behaviors.
 
     ``lo`` must classify as interior minimum and ``hi`` as monotone
     decreasing; returns ``(lo, hi, analyses)`` with ``hi - lo <= width``, or
     with adjacent doubles ``lo``, ``hi`` for a ``width`` below their spacing.
-    An inconclusive midpoint is retried once at doubled grid density, then
+    Each ratio is one :func:`analyze_dn_ratio`, whose minimum, if any, is
+    refined and certified as it says.  ``analyses`` maps ratios already
+    analyzed with the same ``s_points``, ``resolution`` and ``tol`` to their
+    :class:`DNAnalysis`, which is used in place of a new one.
+    An inconclusive ratio is retried once at doubled grid density, then
     assigned to the monotone side (the dip, if any, is below resolution).
     """
     if not width > 0.0:
         raise ValueError(f"bracket width must be positive, got {width}")
+    known = dict(analyses or {})
     analyses = {}
 
     def classify(ratio):
-        a = analyze_dn_ratio(R1, ratio, s_points, resolution, tol)
+        a = known.get(ratio)
+        if a is None:
+            a = analyze_dn_ratio(R1, ratio, s_points, resolution, tol)
         if a.classification == "inconclusive":
             a = analyze_dn_ratio(R1, ratio, 2 * s_points, resolution, tol)
         analyses[ratio] = a

@@ -21,6 +21,7 @@ from annulab.shape import finite_difference_tau_prime
 from annulab.spectral import solve_eigenproblem
 from annulab.sweep import (
     analyze_dn_ratio,
+    analyze_dn_ratios,
     bracket_critical_ratio,
     convergence_study,
     sweep_translation,
@@ -149,8 +150,10 @@ SHARED_DEFAULTS = [
     ("sweep", "fd_step", sweep_translation, "fd_step"),
     ("sweep", "threads", sweep_translation, "threads"),
     ("dn-analyze", "tol", analyze_dn_ratio, "tol"),
+    ("dn-analyze", "tol", analyze_dn_ratios, "tol"),
     ("dn-analyze", "tol", bracket_critical_ratio, "tol"),
     ("dn-analyze", "s_points", analyze_dn_ratio, "s_points"),
+    ("dn-analyze", "s_points", analyze_dn_ratios, "s_points"),
     ("dn-analyze", "s_points", bracket_critical_ratio, "s_points"),
     ("dn-analyze", "bracket_width", bracket_critical_ratio, "width"),
     ("converge", "tol", convergence_study, "tol"),
@@ -484,7 +487,7 @@ def test_radii_outside_the_range_exit_before_solving(capsys, monkeypatch, comman
                 "converge"]
 )
 def test_tol_must_be_positive_before_solving(capsys, monkeypatch, command, tol):
-    for name in ("solve_eigenproblem", "sweep_translation", "analyze_dn_ratio",
+    for name in ("solve_eigenproblem", "sweep_translation", "analyze_dn_ratios",
                  "concentric_eigenvalue", "convergence_study"):
         monkeypatch.setattr(cli, name, fail_if_solved)
     code, out, err = run([command, "--tol", tol] + FAST, capsys)
@@ -545,7 +548,7 @@ def test_dn_analyze_rejects_empty_ratio_list(tmp_path, capsys):
 def test_dn_analyze_rejects_ratios_outside_the_unit_interval(
     tmp_path, capsys, monkeypatch, ratios
 ):
-    monkeypatch.setattr(cli, "analyze_dn_ratio", fail_if_solved)
+    monkeypatch.setattr(cli, "analyze_dn_ratios", fail_if_solved)
     code, out, err = run(
         ["dn-analyze", "--ratios", ratios, "--out-dir", str(tmp_path)] + FAST, capsys
     )
@@ -559,7 +562,7 @@ def test_dn_analyze_rejects_ratios_outside_the_unit_interval(
 def test_dn_analyze_rejects_bad_bracket_width_before_solving(
     tmp_path, capsys, monkeypatch, width
 ):
-    monkeypatch.setattr(cli, "analyze_dn_ratio", fail_if_solved)
+    monkeypatch.setattr(cli, "analyze_dn_ratios", fail_if_solved)
     code, _, err = run(
         ["dn-analyze", "--bracket", "--bracket-width", width,
          "--out-dir", str(tmp_path)],
@@ -568,6 +571,52 @@ def test_dn_analyze_rejects_bad_bracket_width_before_solving(
     assert code == 2
     assert "bracket width must be positive" in err
     assert not (tmp_path / "dn_analysis.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--ratios", "0.1", "--bracket"], "--bracket needs at least two ratios"),
+    (["--ratios", "0.1,0.6,0.1"], "ratio 0.1 is repeated"),
+])
+def test_dn_analyze_rejects_ratios_before_solving(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.setattr(sweep_module, "_nu1", fail_if_solved)
+    code, out, err = run(
+        ["dn-analyze"] + argv + ["--out-dir", str(tmp_path)] + FAST, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "dn_analysis.json").exists()
+
+
+def test_dn_analyze_bracket_reuses_the_ratio_analyses(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep_module, "WORKERS", 1)
+    solves = []
+    nu1 = sweep_module._nu1
+
+    def counted(*args):
+        solves.append(args)
+        return nu1(*args)
+
+    monkeypatch.setattr(sweep_module, "_nu1", counted)
+    argv = ["dn-analyze", "--ratios", "0.1,0.6", "--n-theta", "32", "--n-rad", "8"]
+    payloads, counts = [], []
+    for extra in ([], ["--bracket"]):
+        out_dir = tmp_path / str(len(payloads))
+        code, _, _ = run(argv + extra + ["--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        payloads.append(json.loads((out_dir / "dn_analysis.json").read_text()))
+        counts.append(len(solves))
+        solves.clear()
+    lo, hi, _ = bracket_critical_ratio(5.0, 0.1, 0.6, s_points=12,
+                                       resolution=Resolution(32, 8))
+    # the endpoints' analyses are the ratios' own: with --bracket the command
+    # solves what bisecting from scratch does, not that plus the ratios
+    plain, bracket = counts
+    assert plain > 0 and bracket == len(solves)
+    assert payloads[1].pop("critical_ratio_bracket") == [lo, hi]
+    assert payloads[1] == payloads[0]
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -356,6 +356,155 @@ def test_dn_validation():
         bracket_critical_ratio(5.0, 0.5, 0.6, s_points=12, resolution=QUICK)
 
 
+def test_dn_ratios_are_checked_before_any_solve(monkeypatch):
+    def solve(*args):
+        raise AssertionError("solved before validating the ratios")
+
+    monkeypatch.setattr(sweep_mod, "_nu1", solve)
+    with pytest.raises(ValueError, match="ratio must lie in"):
+        sweep_mod.analyze_dn_ratios(5.0, [0.1, 1.5], resolution=QUICK)
+    with pytest.raises(ValueError, match="at least 3"):
+        sweep_mod.analyze_dn_ratios(5.0, [0.1, 0.6], s_points=2, resolution=QUICK)
+
+
+def count_maps(monkeypatch) -> list:
+    """A list that gains the task count of each ``_parallel_map`` call."""
+    maps = []
+    parallel_map = sweep_mod._parallel_map
+
+    def counted(fn, args, threads):
+        args = list(args)
+        maps.append(len(args))
+        return parallel_map(fn, args, threads)
+
+    monkeypatch.setattr(sweep_mod, "_parallel_map", counted)
+    return maps
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_grid_map_for_all_ratios_matches_each_ratio_alone(monkeypatch, workers):
+    monkeypatch.setattr(sweep_mod, "WORKERS", workers)
+    res = Resolution(64, 16, 1.5)
+    maps = count_maps(monkeypatch)
+    together = sweep_mod.analyze_dn_ratios(5.0, [0.1, 0.6], s_points=6, resolution=res)
+    # the grids of both ratios are one map, then the rounds of one refinement
+    assert maps[0] == 12 and all(m <= 2 for m in maps[1:])
+    assert [a.classification for a in together] == ["interior_minimum",
+                                                    "monotone_decreasing"]
+    for a in together:
+        alone = analyze_dn_ratio(5.0, a.ratio, s_points=6, resolution=res)
+        assert a.classification == alone.classification
+        assert a.s_points.tobytes() == alone.s_points.tobytes()
+        assert a.nu_values.tobytes() == alone.nu_values.tobytes()
+        assert a.s0 is alone.s0 is None or bits(a.s0) == bits(alone.s0)
+
+
+def golden_evaluations(length, window):
+    """The values golden section takes to shrink a bracket of ``length`` to
+    ``window``: two to start, then one per shrink by the golden ratio."""
+    n = 2
+    while length > window:
+        length *= 1.0 - sweep_mod.GOLDEN
+        n += 1
+    return n
+
+
+# the window of R1 = 5, ratio 0.1
+WINDOW = 4.5 / 200.0
+# unimodal functions with their minimizer at 0, each with a triple about it
+UNIMODAL = {
+    "parabola": (lambda t: t * t, (-0.45, -0.1, 0.3)),
+    "skewed": (lambda t: math.exp(t) - t, (-0.45, -0.1, 0.3)),
+    # so flat about its minimizer that parabola steps fall short
+    "flat_quartic": (lambda t: t**4, (-0.3, -0.2, 0.7)),
+    # the minimizer one probe inside the bracket's left end
+    "one_probe_from_an_end": (lambda t: math.exp(t) - t, (-WINDOW / 2, 0.3 * WINDOW, 1.0)),
+}
+
+
+def refine(f, triple, c):
+    """``(s0, rounds)`` of ``f(t - c)`` refined from ``triple + c``; each
+    round is the list of points evaluated in it."""
+    rounds = []
+
+    def evaluate(points):
+        rounds.append(list(points))
+        return [f(t - c) for t in points]
+
+    a, x, b = (t + c for t in triple)
+    s0 = sweep_mod._refine_minimum(evaluate, a, x, b, f(a - c), f(x - c), f(b - c),
+                                   WINDOW)
+    return s0, rounds
+
+
+@pytest.mark.parametrize("c", [0.0, 3.7])
+@pytest.mark.parametrize("name", list(UNIMODAL))
+def test_refinement_lands_within_half_a_window(name, c):
+    f, triple = UNIMODAL[name]
+    s0, rounds = refine(f, triple, c)
+    assert abs(s0 - c) <= WINDOW / 2
+    length = triple[2] - triple[0]
+    assert sum(map(len, rounds)) <= golden_evaluations(length, WINDOW) + 2
+
+
+def test_a_flat_minimum_takes_golden_steps(monkeypatch):
+    f, triple = UNIMODAL["flat_quartic"]
+    _, rounds = refine(f, triple, 0.0)
+    monkeypatch.setattr(sweep_mod, "GOLDEN", 0.3)
+    assert refine(f, triple, 0.0)[1] != rounds
+
+
+def test_refinement_stops_when_no_probe_is_left():
+    # x -+ window/2 are the bracket's ends, yet the bracket is one rounding
+    # step wider than the window: the certificate has no point to evaluate
+    c = 4.0
+    assert (c + WINDOW / 2) - (c - WINDOW / 2) > WINDOW
+    s0, rounds = refine(lambda t: t * t, (-WINDOW / 2, 0.0, WINDOW / 2), c)
+    assert rounds == []
+    assert s0 == c
+
+
+@pytest.mark.parametrize("R1", [4.0, 5.0, 6.0])
+def test_dn_minimum_lies_within_half_a_window_of_a_dense_scan(R1):
+    res = Resolution(64, 16, 1.5)
+    a = analyze_dn_ratio(R1, 0.1, s_points=12, resolution=res)
+    assert a.classification == "interior_minimum"
+    R0 = 0.1 * R1
+    window = (R1 - R0) / 200.0
+
+    def scan(lo, hi, n):
+        s = np.linspace(lo, hi, n)
+        nu = [sweep_mod._nu1(R0, R1, x, res, sweep_mod.TOL) for x in s]
+        return s, int(np.argmin(nu))
+
+    k = int(np.argmin(a.nu_values))
+    s, j = scan(a.s_points[k - 1], a.s_points[k + 1], 121)
+    s, j = scan(s[j - 1], s[j + 1], 41)
+    assert abs(a.s0 - s[j]) <= window / 2
+
+
+def test_seed_zero_minimum_refines_in_three_rounds(monkeypatch):
+    # the dn-family benchmark's seed-0 shape
+    monkeypatch.setattr(sweep_mod, "WORKERS", 1)
+    solves = []
+    nu1 = sweep_mod._nu1
+
+    def counted(*args):
+        solves.append(args[2])
+        return nu1(*args)
+
+    monkeypatch.setattr(sweep_mod, "_nu1", counted)
+    maps = count_maps(monkeypatch)
+    a = analyze_dn_ratio(5.0, 0.1, s_points=12, resolution=QUICK)
+    assert a.classification == "interior_minimum"
+    assert maps[0] == 12
+    rounds = maps[1:]
+    assert len(solves) == 12 + sum(rounds)
+    assert sum(rounds) <= 5 and len(rounds) <= 3
+    # the certificate's two probes are one map
+    assert rounds[-1] == 2
+
+
 def fake_classifier(monkeypatch, critical):
     """Replace the dn analysis by a free one with its crossover at
     ``critical``; returns the list of classified ratios."""
@@ -387,6 +536,18 @@ def test_bracket_stops_at_adjacent_doubles(monkeypatch):
     assert np.nextafter(lo, hi) == hi
     # one classification per bit of the bracket, and the two endpoints
     assert len(seen) <= 2 + 60
+
+
+def test_bracket_uses_the_analyses_it_is_given(monkeypatch):
+    seen = fake_classifier(monkeypatch, 0.13)
+    given = {
+        ratio: sweep_mod.DNAnalysis(ratio, shape, None, np.zeros(0), np.zeros(0))
+        for ratio, shape in ((0.1, "interior_minimum"), (0.6, "monotone_decreasing"))
+    }
+    lo, hi, analyses = bracket_critical_ratio(5.0, 0.1, 0.6, analyses=given)
+    assert lo < 0.13 <= hi
+    assert 0.1 not in seen and 0.6 not in seen
+    assert analyses[0.1] is given[0.1] and analyses[0.6] is given[0.6]
 
 
 def test_record_locates_each_reflected_point_once(monkeypatch):
